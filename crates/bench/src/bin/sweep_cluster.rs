@@ -23,6 +23,11 @@
 //!   bit-identical to an independent single-node `simulate` call on the
 //!   shard's derived sub-trace (`shard_traces` exposes exactly those
 //!   traces, `shard_sim_config` the per-shard configs).
+//!   The same gate runs once more on a small cycle-priced cluster with
+//!   mixed DIMM counts, where shards of one DIMM count share one pricer
+//!   and model: every shard must still match an independent run with its
+//!   own fresh pricer, and the report must not move between 1 and 4
+//!   workers.
 //! * **Conservation** — at every grid point the rejoined outcome counts
 //!   balance (`ClusterReport::is_conserved`, which also re-checks every
 //!   per-shard report), including a horizon-cut point that strands
@@ -49,7 +54,7 @@ use tensordimm_models::Workload;
 use tensordimm_serving::{
     simulate, AdmissionPolicy, ArrivalProcess, BatchPolicy, FaultPlan, NodeOutage, RetryPolicy,
 };
-use tensordimm_system::{DesignPoint, SystemModel};
+use tensordimm_system::{DesignPoint, PricingBackend, SystemModel};
 
 /// The fixed SLA availability is judged against, µs (also the deadline of
 /// the per-shard retry policy, so "timed out" and "too late" agree).
@@ -106,6 +111,49 @@ fn run(model: &SystemModel, w: &Workload, cfg: &ClusterConfig, arrivals: &[f64])
     report
 }
 
+/// Gate 1 on the cycle-priced shard path (shared pricer per DIMM count),
+/// on a small inert cluster with mixed DIMM counts.
+fn cycle_priced_decomposition(model: &SystemModel) {
+    let w = Workload::ncf();
+    let dimms = [32, 16, 32, 8];
+    let arrivals = ArrivalProcess::Poisson {
+        rate_qps: 150_000.0,
+    }
+    .sample_arrivals_us(200, TRACE_SEED);
+    let nodes = dimms
+        .iter()
+        .map(|&d| NodeSpec {
+            dimms: d,
+            ..NodeSpec::paper(GPUS)
+        })
+        .collect();
+    let cfg = base_cfg(ShardPlan::hash(dimms.len(), 1).expect("valid plan"), nodes)
+        .with_pricing(PricingBackend::CycleCalibrated)
+        .with_failover(FailoverPolicy::None);
+    let report = run(model, &w, &cfg, &arrivals);
+    let traces = shard_traces(&cfg, &w, &arrivals).expect("valid config");
+    for (node, trace) in traces.iter().enumerate() {
+        let shard_model = model.clone().with_node_dimms(dimms[node]);
+        let independent = simulate(&shard_model, &w, &shard_sim_config(&cfg, node), trace)
+            .expect("valid shard run");
+        assert_eq!(
+            report.shards[node].report, independent,
+            "cycle-priced cluster: shard {node} ({} DIMMs) must be bit-identical to its \
+             independent single-node run",
+            dimms[node]
+        );
+    }
+    let par = run(model, &w, &cfg.clone().with_workers(4), &arrivals);
+    assert_eq!(
+        report, par,
+        "cycle-priced cluster must be bit-identical at 1 and 4 workers"
+    );
+    println!(
+        "cycle-priced decomposition ({dimms:?} DIMMs, shared pricer per DIMM count): every \
+         shard bit-identical to its independent run, at 1 and 4 workers"
+    );
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let requests = if quick { 300 } else { 1500 };
@@ -152,6 +200,7 @@ fn main() {
         }
     }
     println!("inert decomposition: every shard bit-identical to its independent run");
+    cycle_priced_decomposition(&model);
     println!();
 
     println!(

@@ -11,10 +11,12 @@
 //!   routing and the cold tail is sharded with successor replicas,
 //! * **fan-out / rejoin** — each request samples its Zipf rows, fans out
 //!   one sub-request to every shard owning them, each shard prices its
-//!   sub-trace on the existing per-node engine (`BatchPricer` reused per
-//!   shard, node capacity sliced by its DIMM count), and the request
-//!   rejoins at **max-of-shards** latency — the tail-latency math a
-//!   single-node simulator cannot express,
+//!   sub-trace on the existing per-node engine (node capacity sliced by
+//!   its DIMM count; shards of one DIMM count share one sliced model and
+//!   one `BatchPricer`, so each batch shape replays once per cluster, not
+//!   once per shard), and the request rejoins at **max-of-shards**
+//!   latency — the tail-latency math a single-node simulator cannot
+//!   express,
 //! * **robustness** — every node carries its own seeded `FaultPlan`
 //!   (derived via `FaultPlan::for_node`, so per-node streams decorrelate
 //!   while the thinning construction's rate-nesting survives); a

@@ -7,10 +7,10 @@ use tensordimm_exec::par_map;
 use tensordimm_faults::FaultPlan;
 use tensordimm_models::Workload;
 use tensordimm_serving::{
-    simulate, zipf_lookup_rows, AdmissionPolicy, BatchPolicy, LatencySummary, OutcomeCounts,
-    RequestOutcome, RetryPolicy, SimConfig, SimError, SimReport,
+    simulate_with_pricer, zipf_lookup_rows, AdmissionPolicy, BatchPolicy, LatencySummary,
+    OutcomeCounts, RequestOutcome, RetryPolicy, SimConfig, SimError, SimReport,
 };
-use tensordimm_system::{DesignPoint, PricingBackend, SystemModel};
+use tensordimm_system::{BatchPricer, DesignPoint, PricingBackend, SystemModel};
 
 use crate::placement::{mix, ShardId, ShardPlan};
 
@@ -250,12 +250,6 @@ pub fn shard_sim_config(cfg: &ClusterConfig, node: usize) -> SimConfig {
     sim
 }
 
-/// The model shard `node` prices against: the shared model with its node
-/// peak sliced to the node's DIMM count.
-fn shard_model(model: &SystemModel, cfg: &ClusterConfig, node: usize) -> SystemModel {
-    model.clone().with_node_dimms(cfg.nodes[node].dimms)
-}
-
 /// A node's liveness over virtual time, folded from its fault schedule.
 /// Half-open windows `[start, end)`, matching the serving engine's
 /// same-instant order (fault transitions apply before arrivals).
@@ -361,7 +355,8 @@ pub struct RoutingStats {
     pub subrequests: usize,
     /// Hedged duplicate sub-requests.
     pub hedge_subrequests: usize,
-    /// Requests with at least one row rerouted off its primary.
+    /// Requests with at least one row rerouted off a primary owner that
+    /// was dead at the request's arrival.
     pub rerouted_requests: usize,
     /// Requests shed at the router (no live owner for some row).
     pub router_shed: usize,
@@ -383,7 +378,8 @@ pub struct ClusterRecord {
     pub finish_us: Option<f64>,
     /// Distinct primary shards fanned out to.
     pub fanout: usize,
-    /// Whether any row was rerouted off its primary owner.
+    /// Whether any row was rerouted off a primary owner that was dead at
+    /// the request's arrival.
     pub rerouted: bool,
     /// Whether any leg carried a hedged duplicate.
     pub hedged: bool,
@@ -550,7 +546,9 @@ fn route_requests(
                     } else {
                         live[0]
                     };
-                    if chosen != owners[0] {
+                    // Load-balancing across live replicas is not a
+                    // reroute; leaving a dead primary is.
+                    if health[owners[0]].dead_at(t) {
                         route.rerouted = true;
                     }
                     chosen
@@ -691,15 +689,38 @@ pub fn simulate_cluster(
     let (routes, mut stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
     let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes);
 
-    // Fan the per-shard runs across the worker pool. Each shard prices
-    // against its own capacity-sliced model clone; errors surface from
+    // One capacity-sliced model and one pricer per node shape (DIMM
+    // count), built as `simulate` builds them (the pricing knobs are
+    // cluster-wide, so any shard's config carries them). Every shard of a
+    // shape prices through the same pricer, so a batch shape replays once
+    // per cluster and the model's transfer memo fills once. Both memos
+    // are pure functions of their keys: sharing them keeps every shard
+    // bit-identical to an independent run, at any worker count.
+    let mut dimms: Vec<u64> = cfg.nodes.iter().map(|n| n.dimms).collect();
+    dimms.sort_unstable();
+    dimms.dedup();
+    let pricing_cfg = shard_sim_config(cfg, 0);
+    let models: Vec<SystemModel> = dimms
+        .iter()
+        .map(|&d| {
+            pricing_cfg
+                .pricing_model(&model.clone().with_node_dimms(d))
+                .into_owned()
+        })
+        .collect();
+    let pricers: Vec<Box<dyn BatchPricer + '_>> =
+        models.iter().map(|m| pricing_cfg.build_pricer(m)).collect();
+
+    // Fan the per-shard runs across the worker pool; errors surface from
     // the lowest shard index for determinism.
     let inputs: Vec<usize> = (0..cfg.plan.nodes()).collect();
     let results: Vec<Result<SimReport, SimError>> = par_map(&inputs, cfg.workers, |_, &node| {
         let arrivals: Vec<f64> = shard_subs[node].iter().map(|&(t, _, _)| t).collect();
-        let m = shard_model(model, cfg, node);
+        let shape = dimms
+            .binary_search(&cfg.nodes[node].dimms)
+            .expect("every node's shape has a pricer");
         let sim_cfg = shard_sim_config(cfg, node);
-        simulate(&m, workload, &sim_cfg, &arrivals)
+        simulate_with_pricer(workload, &sim_cfg, &arrivals, pricers[shape].as_ref())
     });
     let mut shards = Vec::with_capacity(results.len());
     for (node, result) in results.into_iter().enumerate() {
@@ -878,7 +899,7 @@ fn rejoin(
 mod tests {
     use super::*;
     use tensordimm_faults::{NodeOutage, RankOutage};
-    use tensordimm_serving::ArrivalProcess;
+    use tensordimm_serving::{simulate, ArrivalProcess};
 
     fn model() -> SystemModel {
         SystemModel::paper_defaults()
@@ -929,7 +950,7 @@ mod tests {
         let traces = shard_traces(&cfg, &w, &trace).expect("valid");
         for (node, sub_trace) in traces.iter().enumerate() {
             let independent = simulate(
-                &shard_model(&m, &cfg, node),
+                &m.clone().with_node_dimms(cfg.nodes[node].dimms),
                 &w,
                 &shard_sim_config(&cfg, node),
                 sub_trace,
@@ -976,6 +997,24 @@ mod tests {
         assert!(r2.routing.rerouted_requests > 0);
         assert_eq!(r2.shards[0].subrequests, 0, "dead node receives nothing");
         assert_eq!(r2.completed, r2.arrived);
+    }
+
+    #[test]
+    fn fault_free_cluster_reroutes_nothing() {
+        // Hot rows load-balance across live replicas, so many requests
+        // leave a row's first owner; with every node alive none of that
+        // is a reroute.
+        let m = model();
+        let w = Workload::facebook();
+        let trace = arrivals(60_000.0, 200, 17);
+        for failover in [FailoverPolicy::Reroute, FailoverPolicy::HedgeDegraded] {
+            let mut cfg = base_cfg(4, 2).with_failover(failover);
+            cfg.plan = ShardPlan::hot_cold(4, 2, 64).expect("valid");
+            let r = simulate_cluster(&m, &w, &cfg, &trace).expect("valid");
+            assert!(r.is_conserved());
+            assert_eq!(r.routing.rerouted_requests, 0, "{failover:?}");
+            assert!(r.records.iter().all(|rec| !rec.rerouted), "{failover:?}");
+        }
     }
 
     #[test]

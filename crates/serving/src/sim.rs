@@ -80,6 +80,7 @@
 //! # Ok::<(), tensordimm_serving::SimError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
@@ -253,6 +254,24 @@ impl SimConfig {
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
         self.admission = admission;
         self
+    }
+
+    /// The model a run under this configuration prices against:
+    /// `transfer` overrides `model`'s contended-transfer engine (cloning
+    /// only when they actually differ); `None` inherits the model's own.
+    pub fn pricing_model<'a>(&self, model: &'a SystemModel) -> Cow<'a, SystemModel> {
+        match self.transfer {
+            Some(t) if t != model.config().transfer => Cow::Owned(model.clone().with_transfer(t)),
+            _ => Cow::Borrowed(model),
+        }
+    }
+
+    /// The pricer [`simulate`] builds over `model` (a
+    /// [`SimConfig::pricing_model`]): the `pricing` backend behind the
+    /// `hot_rows` tier. Callers that share one pricer across runs build it
+    /// here so it prices exactly as a fresh per-run pricer would.
+    pub fn build_pricer<'a>(&self, model: &'a SystemModel) -> Box<dyn BatchPricer + 'a> {
+        self.pricing.build_with_hot_rows(model, self.hot_rows)
     }
 
     fn validate(&self) -> Result<(), SimError> {
@@ -703,24 +722,9 @@ pub fn simulate(
     cfg: &SimConfig,
     arrivals_us: &[f64],
 ) -> Result<SimReport, SimError> {
-    let model = resolve_transfer(model, cfg);
-    let pricer = cfg.pricing.build_with_hot_rows(&model, cfg.hot_rows);
+    let model = cfg.pricing_model(model);
+    let pricer = cfg.build_pricer(&model);
     simulate_with_pricer(workload, cfg, arrivals_us, pricer.as_ref())
-}
-
-/// The model to price with: `cfg.transfer` overrides the model's
-/// contended-transfer engine (cloning only when they actually differ);
-/// `None` inherits the model's own configuration.
-pub(crate) fn resolve_transfer<'a>(
-    model: &'a SystemModel,
-    cfg: &SimConfig,
-) -> std::borrow::Cow<'a, SystemModel> {
-    match cfg.transfer {
-        Some(t) if t != model.config().transfer => {
-            std::borrow::Cow::Owned(model.clone().with_transfer(t))
-        }
-        _ => std::borrow::Cow::Borrowed(model),
-    }
 }
 
 /// [`simulate`] with an explicit pricing backend. `cfg.pricing` is ignored

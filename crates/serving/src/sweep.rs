@@ -89,8 +89,8 @@ pub fn offered_load_sweep_par(
     seed: u64,
     workers: usize,
 ) -> Result<Vec<LoadPoint>, SimError> {
-    let model = crate::sim::resolve_transfer(model, cfg);
-    let pricer = cfg.pricing.build_with_hot_rows(&model, cfg.hot_rows);
+    let model = cfg.pricing_model(model);
+    let pricer = cfg.build_pricer(&model);
     let pricer = pricer.as_ref();
     // Sample every rate's arrivals before any pricing happens.
     let jobs: Vec<(f64, Vec<f64>)> = rates_qps

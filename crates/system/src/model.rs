@@ -119,12 +119,15 @@ pub struct SystemModel {
     /// backend cloned the GPU link and built a fresh `Switch` (plus a flow
     /// `Vec`) per priced batch, and the fabric backend would re-simulate.
     transfer_cache: Mutex<HashMap<(u64, usize), f64>>,
+    /// DIMMs provisioned in the TensorNode ([`SystemModel::with_node_dimms`]).
+    node_dimms: u64,
 }
 
 impl Clone for SystemModel {
     fn clone(&self) -> Self {
         SystemModel {
             config: self.config.clone(),
+            node_dimms: self.node_dimms,
             cpu_bw_cache: Mutex::new(self.cpu_bw_cache.lock().expect("cache lock").clone()),
             transfer_cache: Mutex::new(self.transfer_cache.lock().expect("cache lock").clone()),
         }
@@ -142,6 +145,7 @@ impl SystemModel {
             config,
             cpu_bw_cache: Mutex::new(HashMap::new()),
             transfer_cache: Mutex::new(HashMap::new()),
+            node_dimms: Self::PAPER_NODE_DIMMS,
         }
     }
 
@@ -189,7 +193,15 @@ impl SystemModel {
         let per_dimm =
             SystemModelConfig::paper_defaults().node_peak_gbps / Self::PAPER_NODE_DIMMS as f64;
         self.config.node_peak_gbps = per_dimm * dimms as f64;
+        self.node_dimms = dimms;
         self
+    }
+
+    /// DIMMs in the TensorNode: [`SystemModel::PAPER_NODE_DIMMS`] unless
+    /// re-provisioned by [`SystemModel::with_node_dimms`]. The cycle
+    /// pricer replays one DIMM's slice and scales by this count.
+    pub fn node_dimms(&self) -> u64 {
+        self.node_dimms
     }
 
     /// Effective CPU gather bandwidth for a workload, GB/s (memoized
@@ -675,6 +687,11 @@ mod transfer_tests {
         );
         let half = SystemModel::paper_defaults().with_node_dimms(16);
         assert_eq!(half.config().node_peak_gbps, 819.2 / 2.0);
+        assert_eq!(half.node_dimms(), 16);
+        assert_eq!(
+            SystemModel::paper_defaults().node_dimms(),
+            SystemModel::PAPER_NODE_DIMMS
+        );
         assert!(
             half.evaluate(&w, 64, DesignPoint::Tdimm).total_us()
                 > full.evaluate(&w, 64, DesignPoint::Tdimm).total_us(),

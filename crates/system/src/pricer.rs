@@ -79,7 +79,7 @@ impl PricingBackend {
         match self {
             PricingBackend::Analytic => Box::new(AnalyticPricer::new(model)),
             PricingBackend::CycleCalibrated => {
-                let mut cfg = CyclePricerConfig::paper_defaults();
+                let mut cfg = CyclePricerConfig::for_model(model);
                 cfg.nmp.hot_rows = hot_rows;
                 Box::new(CyclePricer::with_config(model, cfg))
             }
@@ -332,6 +332,16 @@ impl CyclePricerConfig {
         }
     }
 
+    /// [`CyclePricerConfig::paper_defaults`] replaying `model`'s TensorNode:
+    /// `dimms` is [`SystemModel::node_dimms`], so a capacity-sliced node
+    /// measures its own per-DIMM slice instead of the 32-DIMM paper node's.
+    pub fn for_model(model: &SystemModel) -> Self {
+        CyclePricerConfig {
+            dimms: model.node_dimms(),
+            ..CyclePricerConfig::paper_defaults()
+        }
+    }
+
     /// The exact gather this configuration replays for `(workload, batch)`
     /// at Zipf skew `zipf_s`: the lowered instruction, its runtime index
     /// list and the per-DIMM context. This *is* the trace
@@ -486,9 +496,9 @@ pub struct CyclePricer<'a> {
 
 impl<'a> CyclePricer<'a> {
     /// A cycle-calibrated pricer over `model` with
-    /// [`CyclePricerConfig::paper_defaults`].
+    /// [`CyclePricerConfig::for_model`].
     pub fn new(model: &'a SystemModel) -> Self {
-        CyclePricer::with_config(model, CyclePricerConfig::paper_defaults())
+        CyclePricer::with_config(model, CyclePricerConfig::for_model(model))
     }
 
     /// A pricer with explicit knobs.
@@ -1290,5 +1300,36 @@ mod tests {
             assert_eq!(pricer.backend(), b);
             assert!(!b.label().is_empty());
         }
+    }
+
+    /// The built cycle pricer replays the model's own DIMM count: a
+    /// capacity-sliced node's measured gather slows with its slice, as the
+    /// analytic gather term does, instead of borrowing the 32-DIMM
+    /// measurement (which moved service time by ~1% where the analytic
+    /// model moves it by ~35%).
+    #[test]
+    fn cycle_pricer_replays_the_node_dimm_count() {
+        let w = Workload::facebook();
+        let service_us = |pricing: PricingBackend, dimms: u64| {
+            let model = SystemModel::paper_defaults().with_node_dimms(dimms);
+            let pricer = pricing.build(&model);
+            let cost = pricer.price(&w, 32, DesignPoint::Tdimm, 1).expect("valid");
+            cost.service_us
+        };
+        assert_eq!(
+            CyclePricer::new(&SystemModel::paper_defaults().with_node_dimms(8))
+                .config()
+                .dimms,
+            8
+        );
+        let cycle_slowdown = service_us(PricingBackend::CycleCalibrated, 8)
+            - service_us(PricingBackend::CycleCalibrated, 32);
+        let analytic_slowdown =
+            service_us(PricingBackend::Analytic, 8) - service_us(PricingBackend::Analytic, 32);
+        assert!(
+            cycle_slowdown > 0.5 * analytic_slowdown,
+            "8-DIMM cycle gather must slow like the analytic one: \
+             +{cycle_slowdown:.1} µs vs analytic +{analytic_slowdown:.1} µs"
+        );
     }
 }

@@ -4,7 +4,9 @@
 //! arbitrary fault/failover/horizon combinations, an inert cluster
 //! decomposes into independent single-node runs, availability is monotone
 //! in the per-node fault rate, and an all-dead cluster produces finite
-//! metrics (the all-shed contract at cluster scale).
+//! metrics (the all-shed contract at cluster scale). A cycle-priced,
+//! mixed-DIMM cluster decomposes the same way, with one shared pricer
+//! per node shape.
 //!
 //! Exercises the `tensordimm::cluster` facade path end to end.
 
@@ -19,7 +21,7 @@ use tensordimm::models::{Workload, WorkloadName};
 use tensordimm::serving::{
     simulate, AdmissionPolicy, ArrivalProcess, BatchPolicy, RequestOutcome, RetryPolicy,
 };
-use tensordimm::system::{DesignPoint, SystemModel};
+use tensordimm::system::{DesignPoint, PricingBackend, SystemModel};
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     prop_oneof![
@@ -206,6 +208,53 @@ fn inert_cluster_decomposes_into_independent_runs() {
             );
         }
     }
+}
+
+/// The cycle-priced shard path on a mixed-DIMM cluster: shards of one
+/// DIMM count share one pricer and one sliced model, yet every per-shard
+/// report is bit-identical to an independent `simulate` with its own
+/// fresh pricer, and the whole report is bit-identical at 1 and 4
+/// workers.
+#[test]
+fn cycle_priced_mixed_dimm_cluster_decomposes_into_independent_runs() {
+    let model = SystemModel::paper_defaults();
+    let w = Workload::ncf();
+    let arrivals = ArrivalProcess::Poisson {
+        rate_qps: 150_000.0,
+    }
+    .sample_arrivals_us(120, 21);
+    let dimms = [32, 16, 32, 8];
+    let nodes = dimms
+        .iter()
+        .map(|&d| NodeSpec {
+            dimms: d,
+            ..NodeSpec::paper(2)
+        })
+        .collect();
+    let cfg = ClusterConfig::new(
+        ShardPlan::hash(dimms.len(), 1).expect("valid"),
+        nodes,
+        DesignPoint::Tdimm,
+        BatchPolicy::new(8, 250.0),
+    )
+    .with_pricing(PricingBackend::CycleCalibrated)
+    .with_failover(FailoverPolicy::None);
+    let report = simulate_cluster(&model, &w, &cfg, &arrivals).expect("valid");
+    assert!(report.is_conserved());
+    let traces = shard_traces(&cfg, &w, &arrivals).expect("valid");
+    for (node, trace) in traces.iter().enumerate() {
+        assert!(!trace.is_empty(), "shard {node} must see traffic");
+        let shard_model = model.clone().with_node_dimms(dimms[node]);
+        let independent =
+            simulate(&shard_model, &w, &shard_sim_config(&cfg, node), trace).expect("valid");
+        assert_eq!(
+            report.shards[node].report, independent,
+            "shard {node} ({} DIMMs) diverged from its independent run",
+            dimms[node]
+        );
+    }
+    let par = simulate_cluster(&model, &w, &cfg.clone().with_workers(4), &arrivals).expect("valid");
+    assert_eq!(report, par, "worker count must not perturb results");
 }
 
 /// Availability at the SLA never rises with the per-node DIMM fault rate:

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use tensordimm_interconnect::{Link, Topology, TopologyKind};
 use tensordimm_models::Workload;
-use tensordimm_system::{price_batch, DesignPoint, SystemModel, TransferBackend};
+use tensordimm_system::{AnalyticPricer, BatchPricer, DesignPoint, SystemModel, TransferBackend};
 
 /// Maximum |fabric − analytic| / analytic allowed on any grid point.
 const AGREEMENT_BAND: f64 = 0.10;
@@ -118,7 +118,8 @@ fn main() {
                 .iter()
                 .map(|&bw| {
                     let m = model_at(bw, TransferBackend::Fabric(TopologyKind::FullyConnected));
-                    price_batch(&m, w, BATCH, design, GPUS)
+                    AnalyticPricer::new(&m)
+                        .price(w, BATCH, design, GPUS)
                         .expect("nonzero gpus")
                         .service_us
                 })

@@ -21,7 +21,7 @@
 //!   delivery, and [`Fabric::run_until_idle`] drains them all; cutting a
 //!   run at "no new injections" would silently drop messages mid-route.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::fabric::topology::{FabricTopology, LinkId};
 use crate::InterconnectError;
@@ -120,7 +120,7 @@ struct Resources {
     /// Resource count: `2 * nodes + links`.
     count: usize,
     nodes: usize,
-    link_index: HashMap<LinkId, usize>,
+    link_index: BTreeMap<LinkId, usize>,
 }
 
 impl Resources {

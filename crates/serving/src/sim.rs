@@ -82,7 +82,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::error::Error;
 use std::fmt;
 
@@ -517,12 +517,12 @@ struct Engine<'a> {
     /// Per-GPU: the logical batch whose copy it is running.
     in_flight: Vec<Option<u64>>,
     in_flight_requests: usize,
-    batches: HashMap<u64, LogicalBatch>,
+    batches: BTreeMap<u64, LogicalBatch>,
     next_batch: u64,
     batch_stats: BatchStats,
     /// Memoized backend prices — valid because [`BatchPricer`]
     /// implementations are deterministic pure functions of the key.
-    price_cache: HashMap<PriceKey, f64>,
+    price_cache: BTreeMap<PriceKey, f64>,
     /// Live fault state, folded from the schedule's transitions.
     state: FaultState,
     retry: RetryPolicy,
@@ -771,10 +771,10 @@ pub fn simulate_with_pricer(
         free_gpus: (0..cfg.gpus).rev().collect(),
         in_flight: vec![None; cfg.gpus],
         in_flight_requests: 0,
-        batches: HashMap::new(),
+        batches: BTreeMap::new(),
         next_batch: 0,
         batch_stats: BatchStats::new(cfg.policy.max_batch),
-        price_cache: HashMap::new(),
+        price_cache: BTreeMap::new(),
         state: FaultState::healthy(cfg.faults.dimms),
         retry: cfg.retry,
         admission: cfg.admission,
@@ -1168,10 +1168,9 @@ mod tests {
             _batch: usize,
             _design: DesignPoint,
             active_gpus: usize,
-        ) -> Result<tensordimm_system::BatchCost, tensordimm_system::serving::ServingError>
-        {
+        ) -> Result<tensordimm_system::BatchCost, InterconnectError> {
             if active_gpus == 0 {
-                return Err(tensordimm_system::serving::ServingError::InvalidLink {
+                return Err(InterconnectError::InvalidLink {
                     parameter: "active_gpus",
                 });
             }
@@ -1239,8 +1238,7 @@ mod tests {
             _batch: usize,
             _design: DesignPoint,
             active_gpus: usize,
-        ) -> Result<tensordimm_system::BatchCost, tensordimm_system::serving::ServingError>
-        {
+        ) -> Result<tensordimm_system::BatchCost, InterconnectError> {
             Ok(tensordimm_system::BatchCost {
                 service_us: self.0 * active_gpus as f64,
                 port_bound: false,

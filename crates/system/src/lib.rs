@@ -36,17 +36,15 @@ pub mod breakdown;
 pub mod design;
 pub mod model;
 pub mod pricer;
-pub mod serving;
 pub mod sweep;
 
 pub use breakdown::PhaseBreakdown;
 pub use design::DesignPoint;
 pub use model::{SystemModel, SystemModelConfig, TransferBackend};
 pub use pricer::{
-    AnalyticPricer, BatchPricer, CycleKey, CycleMeasure, CyclePricer, CyclePricerConfig,
+    AnalyticPricer, BatchCost, BatchPricer, CycleKey, CycleMeasure, CyclePricer, CyclePricerConfig,
     DegradedNode, PricingBackend,
 };
-pub use serving::{node_sharing, price_batch, sharing_sweep, BatchCost, ServingReport};
 pub use sweep::{geometric_mean, normalized_performance, speedup_matrix, SweepPoint};
 pub use tensordimm_cache::{HotRowCacheConfig, HotRowStats};
 pub use tensordimm_interconnect::TopologyKind;

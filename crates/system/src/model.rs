@@ -1,6 +1,6 @@
 //! The latency model for the five design points.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use tensordimm_cache::{GatherModel, GatherWorkload};
@@ -112,13 +112,13 @@ impl SystemModelConfig {
 #[derive(Debug)]
 pub struct SystemModel {
     config: SystemModelConfig,
-    cpu_bw_cache: Mutex<HashMap<(u64, u64), f64>>,
+    cpu_bw_cache: Mutex<BTreeMap<(u64, u64), f64>>,
     /// Contended node → GPU transfer times, keyed by (bytes, active GPUs).
     /// The serving sweeps price the same few (workload, batch, gpus)
     /// combinations millions of times; without this memo the analytic
     /// backend cloned the GPU link and built a fresh `Switch` (plus a flow
     /// `Vec`) per priced batch, and the fabric backend would re-simulate.
-    transfer_cache: Mutex<HashMap<(u64, usize), f64>>,
+    transfer_cache: Mutex<BTreeMap<(u64, usize), f64>>,
     /// DIMMs provisioned in the TensorNode ([`SystemModel::with_node_dimms`]).
     node_dimms: u64,
 }
@@ -143,8 +143,8 @@ impl SystemModel {
     pub fn new(config: SystemModelConfig) -> Self {
         SystemModel {
             config,
-            cpu_bw_cache: Mutex::new(HashMap::new()),
-            transfer_cache: Mutex::new(HashMap::new()),
+            cpu_bw_cache: Mutex::new(BTreeMap::new()),
+            transfer_cache: Mutex::new(BTreeMap::new()),
             node_dimms: Self::PAPER_NODE_DIMMS,
         }
     }
@@ -310,21 +310,6 @@ impl SystemModel {
         design: DesignPoint,
     ) -> PhaseBreakdown {
         self.evaluate_with_node_peak(workload, batch, design, self.config.node_peak_gbps)
-    }
-
-    /// [`SystemModel::evaluate`] with the node bandwidth scaled by
-    /// `factor` — a TensorNode serving with `alive`/`total` DIMMs keeps
-    /// `alive/total` of its aggregated peak (the Fig. 7 stripe mapping
-    /// spreads every gather over all DIMMs symmetrically). Only the
-    /// node-backed designs (`Pmem`, `Tdimm`) are affected.
-    pub fn evaluate_degraded(
-        &self,
-        workload: &Workload,
-        batch: usize,
-        design: DesignPoint,
-        factor: f64,
-    ) -> PhaseBreakdown {
-        self.evaluate_with_node_peak(workload, batch, design, self.config.node_peak_gbps * factor)
     }
 
     /// The evaluation body, parameterized over the effective TensorNode

@@ -4,10 +4,9 @@
 //! [`BatchPricer`]. Two backends are provided:
 //!
 //! * [`AnalyticPricer`] — the closed-form model: [`SystemModel::evaluate`]
-//!   plus the shared-TensorNode contention math of
-//!   [`crate::serving::price_batch`]. Fast (µs per price) but blind to
-//!   DRAM-level behaviour: its node-side lookup phase is `bytes / (peak ×
-//!   utilization-constant)`.
+//!   plus the shared-TensorNode contention math. Fast (µs per price) but
+//!   blind to DRAM-level behaviour: its node-side lookup phase is `bytes /
+//!   (peak × utilization-constant)`.
 //! * [`CyclePricer`] — cycle-calibrated: the batch's embedding gathers are
 //!   lowered to a TensorISA `GATHER` access plan over one DIMM's slice
 //!   (the batch's own Zipf row draws, via
@@ -21,12 +20,14 @@
 //!   pattern — see [`CycleKey`]), so steady-state serving runs pay the
 //!   cycle cost once per distinct batch shape.
 //!
-//! Both backends share the identical contention model, so they diverge
-//! only where the cycle simulation disagrees with the utilization
-//! constants (see `EXPERIMENTS.md`, "Analytic vs cycle-calibrated
-//! serving", and the `sweep_backend_compare` binary).
+//! Both backends price through one composition (the Fig. 13 phases, the
+//! degraded-node view, the contention model) and differ in one input
+//! only: where the node's gather bandwidth comes from. They diverge only
+//! where the cycle simulation disagrees with the utilization constants
+//! (see `EXPERIMENTS.md`, "Analytic vs cycle-calibrated serving", and the
+//! `sweep_backend_compare` binary).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -38,9 +39,9 @@ use tensordimm_isa::{AccessPlan, DimmContext, Instruction};
 use tensordimm_models::Workload;
 use tensordimm_nmp::{NmpConfig, NmpCore};
 
+use crate::breakdown::PhaseBreakdown;
 use crate::design::DesignPoint;
 use crate::model::SystemModel;
-use crate::serving::{contended_cost, price_batch, BatchCost};
 
 /// Which pricing backend a serving run should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -198,10 +199,10 @@ pub trait BatchPricer: Send + Sync {
     /// scales the healthy cost by `total/alive` (lost ranks slow the
     /// whole batch, not just the node phases) and by the gray multiplier,
     /// and ignores `reread_rows`; non-node designs are unaffected (their
-    /// memory paths are not the TensorNode's). Both built-in backends
-    /// override this to degrade only the node-side phases exactly. Every
-    /// implementation must price a [`DegradedNode::healthy`] view
-    /// bit-identically to `price`.
+    /// memory paths are not the TensorNode's). The built-in backends
+    /// degrade only the node-side phases, and price `price` itself as the
+    /// [`DegradedNode::healthy`] view. Every implementation must price a
+    /// healthy view bit-identically to `price`.
     ///
     /// # Errors
     ///
@@ -218,7 +219,7 @@ pub trait BatchPricer: Send + Sync {
     ) -> Result<BatchCost, InterconnectError> {
         degraded.validate()?;
         let mut cost = self.price(workload, batch, design, active_gpus)?;
-        if matches!(design, DesignPoint::Pmem | DesignPoint::Tdimm) {
+        if is_node_design(design) {
             cost.service_us *= degraded.latency_multiplier / degraded.bandwidth_factor();
         }
         Ok(cost)
@@ -228,14 +229,125 @@ pub trait BatchPricer: Send + Sync {
     fn backend(&self) -> PricingBackend;
 }
 
+/// Cost of one batch dispatched to a GPU while `active_gpus` GPUs in total
+/// (including this one) are concurrently reading from the shared TensorNode.
+///
+/// This is the per-batch unit the request-level serving simulator prices
+/// every formed batch with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchCost {
+    /// Wall-clock time from dispatch to completion, µs.
+    pub service_us: f64,
+    /// Whether the node's switch port (rather than its internal DRAM
+    /// bandwidth) is the binding shared resource.
+    pub port_bound: bool,
+}
+
+/// Whether `design` reads its embeddings from the TensorNode.
+fn is_node_design(design: DesignPoint) -> bool {
+    matches!(design, DesignPoint::Pmem | DesignPoint::Tdimm)
+}
+
+/// The shared-node contention math over a solo per-phase breakdown.
+///
+/// For the node-backed designs (`Pmem`, `Tdimm`) the node's internal
+/// lookup bandwidth and its single switch port are divided across all
+/// `active_gpus`. The remaining designs have no shared TensorNode, so
+/// their cost is the solo latency regardless of concurrency (CPU-side
+/// contention for `CpuOnly`/`CpuGpu` is not modeled).
+///
+/// # Errors
+///
+/// Returns [`InterconnectError::InvalidLink`] when `active_gpus` is zero.
+fn contended_cost(
+    model: &SystemModel,
+    workload: &Workload,
+    batch: usize,
+    design: DesignPoint,
+    active_gpus: usize,
+    solo: &PhaseBreakdown,
+) -> Result<BatchCost, InterconnectError> {
+    if active_gpus == 0 {
+        return Err(InterconnectError::InvalidLink {
+            parameter: "active_gpus",
+        });
+    }
+    if !is_node_design(design) {
+        return Ok(BatchCost {
+            service_us: solo.total_us(),
+            port_bound: false,
+        });
+    }
+    let bytes = match design {
+        DesignPoint::Tdimm => workload.pooled_bytes(batch),
+        _ => workload.gathered_bytes(batch),
+    };
+    // All active GPUs pull their transfer from node port 0 concurrently;
+    // the model memoizes the result per (bytes, active_gpus) and prices it
+    // with the configured backend (analytic crossbar or measured fabric).
+    let contended_transfer_us = model.contended_node_transfer_us(bytes, active_gpus)?;
+
+    let other_phases_us = solo.lookup_us + solo.dnn_us + solo.other_us;
+    // The node-side lookup phase is also shared: N GPUs' gathers divide the
+    // node's internal bandwidth.
+    let shared_lookup_us = solo.lookup_us * active_gpus as f64;
+    // Per-GPU latency: its own compute + the contended transfer; the
+    // node-internal phases pipeline across GPUs, so the effective per-round
+    // latency is whichever shared resource saturates first.
+    let service_us = (other_phases_us + contended_transfer_us)
+        .max(shared_lookup_us + solo.dnn_us + solo.other_us);
+    Ok(BatchCost {
+        service_us,
+        port_bound: contended_transfer_us > shared_lookup_us,
+    })
+}
+
 /// Extra gather traffic of `reread_rows` forced re-reads, priced at the
 /// (degraded) effective gather bandwidth.
 fn reread_us(workload: &Workload, reread_rows: u64, gather_gbps: f64) -> f64 {
     reread_rows as f64 * workload.embedding_bytes() as f64 / (gather_gbps * 1e3)
 }
 
-/// The closed-form analytic backend: delegates to
-/// [`crate::serving::price_batch`].
+/// The price composition both built-in backends share. They differ only
+/// in where the node's gather bandwidth comes from: `solo_at(f)` is the
+/// solo breakdown with the node's bandwidth scaled by `f`, and
+/// `gather_gbps_at(f)` the effective gather bandwidth at that scale.
+///
+/// For node designs the view keeps `alive/total` of the node's bandwidth
+/// (the Fig. 7 stripe mapping spreads every gather over all ranks), forced
+/// re-reads are charged as extra gather traffic at the degraded bandwidth,
+/// and the gray multiplier inflates the contended cost. Non-node designs
+/// are unaffected: their memory paths are not the TensorNode's. A healthy
+/// view scales by exactly `1.0` and adds nothing, so it prices
+/// bit-identically to the fault-free composition.
+#[allow(clippy::too_many_arguments)]
+fn price_view(
+    model: &SystemModel,
+    workload: &Workload,
+    batch: usize,
+    design: DesignPoint,
+    active_gpus: usize,
+    view: DegradedNode,
+    solo_at: impl FnOnce(f64) -> PhaseBreakdown,
+    gather_gbps_at: impl FnOnce(f64) -> f64,
+) -> Result<BatchCost, InterconnectError> {
+    view.validate()?;
+    let node = is_node_design(design);
+    let factor = if node { view.bandwidth_factor() } else { 1.0 };
+    let mut solo = solo_at(factor);
+    if node && view.reread_rows > 0 {
+        solo.lookup_us += reread_us(workload, view.reread_rows, gather_gbps_at(factor));
+    }
+    let mut cost = contended_cost(model, workload, batch, design, active_gpus, &solo)?;
+    if node {
+        cost.service_us *= view.latency_multiplier;
+    }
+    Ok(cost)
+}
+
+/// The closed-form analytic backend: [`SystemModel`]'s solo breakdown at
+/// the node's peak × utilization-constant bandwidth, plus the
+/// shared-node contention math.
 #[derive(Debug, Clone)]
 pub struct AnalyticPricer<'a> {
     model: &'a SystemModel,
@@ -256,14 +368,12 @@ impl BatchPricer for AnalyticPricer<'_> {
         design: DesignPoint,
         active_gpus: usize,
     ) -> Result<BatchCost, InterconnectError> {
-        price_batch(self.model, workload, batch, design, active_gpus)
+        let healthy = DegradedNode::healthy(self.model.node_dimms());
+        self.price_degraded(workload, batch, design, active_gpus, healthy)
     }
 
-    /// Exact degraded pricing: the node-side phases are re-evaluated at
-    /// the surviving `alive/total` bandwidth fraction
-    /// ([`SystemModel::evaluate_degraded`]), forced re-reads are charged
-    /// as extra gather traffic at the degraded bandwidth, and the gray
-    /// multiplier inflates the final contended cost.
+    /// The node-side phases are re-evaluated at the surviving fraction of
+    /// the node's peak bandwidth.
     fn price_degraded(
         &self,
         workload: &Workload,
@@ -272,24 +382,24 @@ impl BatchPricer for AnalyticPricer<'_> {
         active_gpus: usize,
         degraded: DegradedNode,
     ) -> Result<BatchCost, InterconnectError> {
-        degraded.validate()?;
-        if degraded.is_healthy() || !matches!(design, DesignPoint::Pmem | DesignPoint::Tdimm) {
-            return self.price(workload, batch, design, active_gpus);
-        }
         let cfg = self.model.config();
-        let factor = degraded.bandwidth_factor();
-        let node_peak = cfg.node_peak_gbps * factor;
-        let mut solo = self
-            .model
-            .evaluate_with_node_peak(workload, batch, design, node_peak);
-        let gather_gbps = match design {
-            DesignPoint::Pmem => node_peak * cfg.pmem_read_utilization,
-            _ => node_peak * cfg.node_gather_utilization,
+        let utilization = match design {
+            DesignPoint::Pmem => cfg.pmem_read_utilization,
+            _ => cfg.node_gather_utilization,
         };
-        solo.lookup_us += reread_us(workload, degraded.reread_rows, gather_gbps);
-        let mut cost = contended_cost(self.model, workload, batch, design, active_gpus, &solo)?;
-        cost.service_us *= degraded.latency_multiplier;
-        Ok(cost)
+        price_view(
+            self.model,
+            workload,
+            batch,
+            design,
+            active_gpus,
+            degraded,
+            |f| {
+                self.model
+                    .evaluate_with_node_peak(workload, batch, design, cfg.node_peak_gbps * f)
+            },
+            |f| cfg.node_peak_gbps * f * utilization,
+        )
     }
 
     fn backend(&self) -> PricingBackend {
@@ -417,12 +527,6 @@ fn workload_fingerprint(w: &Workload) -> (u64, u64, u64) {
     )
 }
 
-/// How many independent `Mutex`-guarded slices the latency table is split
-/// into: concurrent warm-up replays for *different* keys never contend on
-/// one lock (the shard mutex is only held for the map probe, never across
-/// a replay).
-const TABLE_SHARDS: usize = 8;
-
 /// The invalidation unit: replay knobs plus the latency table they
 /// produced, swapped/cleared together under one `RwLock` so a
 /// reconfiguration can never race a concurrent replay into the fresh
@@ -433,38 +537,23 @@ struct CycleState {
     /// batch, dimms, hot-row fingerprint)` (shared by the node designs —
     /// see [`CycleKey`]). Each entry is a per-key [`OnceLock`] cell:
     /// concurrent cold misses on the *same* key block on one replay
-    /// instead of duplicating it.
-    shards: Vec<Mutex<HashMap<CycleKey, Arc<OnceLock<CycleMeasure>>>>>,
+    /// instead of duplicating it. The mutex is held only for the map
+    /// probe, never across a replay.
+    table: Mutex<BTreeMap<CycleKey, Arc<OnceLock<CycleMeasure>>>>,
 }
 
 impl CycleState {
     fn fresh(config: CyclePricerConfig) -> Self {
         CycleState {
             config,
-            shards: (0..TABLE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            table: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    fn shard_of(key: &CycleKey) -> usize {
-        // Deterministic mix of the key fields; batch (`key.3`) is the
-        // field that actually varies within one sweep.
-        let mix = key
-            .0
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key.1)
-            .wrapping_add(key.2)
-            .wrapping_add(key.3 as u64)
-            .wrapping_add(key.4)
-            .wrapping_add(key.5);
-        (mix % TABLE_SHARDS as u64) as usize
     }
 
     /// The memo cell for `key`, inserted empty if absent.
     fn cell(&self, key: &CycleKey) -> Arc<OnceLock<CycleMeasure>> {
-        let mut shard = self.shards[Self::shard_of(key)].lock().expect("shard lock");
-        Arc::clone(shard.entry(*key).or_default())
+        let mut table = self.table.lock().expect("table lock");
+        Arc::clone(table.entry(*key).or_default())
     }
 }
 
@@ -477,10 +566,10 @@ impl CycleState {
 /// live pricer).
 ///
 /// The pricer is `Sync`: one instance can serve every worker of a
-/// parallel sweep. The table is sharded ([`TABLE_SHARDS`] mutexes, held
-/// only for map probes) and each entry is a [`OnceLock`] cell, so cold
-/// misses for distinct keys replay concurrently while concurrent misses
-/// for the *same* key serialize behind exactly one replay
+/// parallel sweep. The table's mutex is held only for map probes and each
+/// entry is a [`OnceLock`] cell, so cold misses for distinct keys replay
+/// concurrently while concurrent misses for the *same* key serialize
+/// behind exactly one replay
 /// ([`CyclePricer::replay_count`] counts them; see the concurrent-warm
 /// stress tests). Reconfiguration ([`CyclePricer::set_config`] /
 /// [`CyclePricer::set_dram_config`]) takes the state's write lock, so it
@@ -535,18 +624,6 @@ impl<'a> CyclePricer<'a> {
         *state = CycleState::fresh(config);
     }
 
-    /// Replace only the hot-row cache configuration, invalidating the
-    /// latency table (measurements taken behind a different cache tier
-    /// must never be served for the new one). The fingerprint is also in
-    /// [`CycleKey`], so even a stale read could not alias — the clear
-    /// keeps the table from accumulating dead entries.
-    pub fn set_hot_row_config(&self, hot_rows: HotRowCacheConfig) {
-        let mut state = self.state.write().expect("state lock");
-        let mut config = state.config.clone();
-        config.nmp.hot_rows = hot_rows;
-        *state = CycleState::fresh(config);
-    }
-
     /// Entries currently memoized (initialized cells only).
     pub fn cached_entries(&self) -> usize {
         self.cached_table().len()
@@ -573,19 +650,11 @@ impl<'a> CyclePricer<'a> {
 
     fn cached_measures(&self) -> Vec<(CycleKey, CycleMeasure)> {
         let state = self.state.read().expect("state lock");
-        let mut out: Vec<(CycleKey, CycleMeasure)> = state
-            .shards
+        let table = state.table.lock().expect("table lock");
+        table
             .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("shard lock")
-                    .iter()
-                    .filter_map(|(k, cell)| cell.get().map(|&v| (*k, v)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
+            .filter_map(|(k, cell)| cell.get().map(|&v| (*k, v)))
+            .collect()
     }
 
     /// Cold replays performed so far (monotone over the pricer's
@@ -605,24 +674,13 @@ impl<'a> CyclePricer<'a> {
     /// [`CyclePricer::replay_count`]).
     ///
     /// Shapes that alias the same [`CycleKey`] (duplicates, or workloads
-    /// with identical gather fingerprints) are deduplicated up front, and
-    /// the per-key [`OnceLock`] cells make even racing external `price`
-    /// calls share one replay — warming is idempotent and never measures
-    /// a key twice.
+    /// with identical gather fingerprints) share one per-key [`OnceLock`]
+    /// cell, as do racing external `price` calls: only the closure that
+    /// fills a cell replays and counts, so warming is idempotent and never
+    /// measures a key twice.
     pub fn warm(&self, shapes: &[(Workload, usize)], workers: usize) -> u64 {
-        let config = self.config();
-        let dimms = config.dimms;
-        let hot_rows = config.nmp.hot_rows.fingerprint();
-        let mut seen = std::collections::HashSet::new();
-        let distinct: Vec<&(Workload, usize)> = shapes
-            .iter()
-            .filter(|(w, batch)| {
-                let (emb, lps, rows) = workload_fingerprint(w);
-                seen.insert((emb, lps, rows, *batch, dimms, hot_rows))
-            })
-            .collect();
         let fresh = AtomicU64::new(0);
-        tensordimm_exec::par_map(&distinct, workers, |_, (w, batch)| {
+        tensordimm_exec::par_map(shapes, workers, |_, (w, batch)| {
             self.measured_counted(w, *batch, Some(&fresh));
         });
         fresh.load(Ordering::SeqCst)
@@ -667,7 +725,7 @@ impl<'a> CyclePricer<'a> {
             state.config.nmp.hot_rows.fingerprint(),
         );
         let cell = state.cell(&key);
-        // The replay runs outside the shard mutex (other keys proceed in
+        // The replay runs outside the table mutex (other keys proceed in
         // parallel) but inside the state read lock (a reconfiguration
         // waits for it, then starts from an empty table).
         *cell.get_or_init(|| {
@@ -721,13 +779,13 @@ impl<'a> CyclePricer<'a> {
         batch: usize,
         design: DesignPoint,
         bw_factor: f64,
-    ) -> crate::breakdown::PhaseBreakdown {
+    ) -> PhaseBreakdown {
         let cfg = self.model.config();
         let node_peak = cfg.node_peak_gbps * bw_factor;
         let mut solo = self
             .model
             .evaluate_with_node_peak(workload, batch, design, node_peak);
-        if !matches!(design, DesignPoint::Pmem | DesignPoint::Tdimm) {
+        if !is_node_design(design) {
             return solo;
         }
         let measured_gbps = self.measured_node_gbps(workload, batch) * bw_factor;
@@ -762,16 +820,13 @@ impl BatchPricer for CyclePricer<'_> {
         design: DesignPoint,
         active_gpus: usize,
     ) -> Result<BatchCost, InterconnectError> {
-        let solo = self.calibrated_solo(workload, batch, design, 1.0);
-        contended_cost(self.model, workload, batch, design, active_gpus, &solo)
+        let healthy = DegradedNode::healthy(self.model.node_dimms());
+        self.price_degraded(workload, batch, design, active_gpus, healthy)
     }
 
-    /// Exact degraded pricing on the cycle-calibrated path: the memoized
-    /// per-rank measurement is reused (per-rank bandwidth does not change
-    /// when a *different* rank dies — the aggregate just sums fewer
-    /// ranks), scaled by `alive/total`, with forced re-reads charged at
-    /// the degraded measured bandwidth and the gray multiplier applied to
-    /// the contended cost.
+    /// The memoized per-rank measurement is reused (per-rank bandwidth
+    /// does not change when a *different* rank dies — the aggregate just
+    /// sums fewer ranks), scaled by `alive/total`.
     fn price_degraded(
         &self,
         workload: &Workload,
@@ -780,17 +835,16 @@ impl BatchPricer for CyclePricer<'_> {
         active_gpus: usize,
         degraded: DegradedNode,
     ) -> Result<BatchCost, InterconnectError> {
-        degraded.validate()?;
-        if degraded.is_healthy() || !matches!(design, DesignPoint::Pmem | DesignPoint::Tdimm) {
-            return self.price(workload, batch, design, active_gpus);
-        }
-        let factor = degraded.bandwidth_factor();
-        let mut solo = self.calibrated_solo(workload, batch, design, factor);
-        let measured_gbps = self.measured_node_gbps(workload, batch) * factor;
-        solo.lookup_us += reread_us(workload, degraded.reread_rows, measured_gbps);
-        let mut cost = contended_cost(self.model, workload, batch, design, active_gpus, &solo)?;
-        cost.service_us *= degraded.latency_multiplier;
-        Ok(cost)
+        price_view(
+            self.model,
+            workload,
+            batch,
+            design,
+            active_gpus,
+            degraded,
+            |f| self.calibrated_solo(workload, batch, design, f),
+            |f| self.measured_node_gbps(workload, batch) * f,
+        )
     }
 
     fn backend(&self) -> PricingBackend {
@@ -1043,7 +1097,9 @@ mod tests {
         assert_eq!(uncached_keys[0].0 .5, 0, "disabled cache fingerprints 0");
 
         // A cache sized for the whole replayed trace's hot head.
-        pricer.set_hot_row_config(HotRowCacheConfig::fully_associative(100_000));
+        let mut cfg = pricer.config();
+        cfg.nmp.hot_rows = HotRowCacheConfig::fully_associative(100_000);
+        pricer.set_config(cfg);
         assert_eq!(pricer.cached_entries(), 0, "setter invalidates");
         let cached = pricer.measured_node_gbps(&w, 16);
         let stats = pricer.measured_hot_rows(&w, 16);
@@ -1158,63 +1214,71 @@ mod tests {
     #[test]
     fn gray_multiplier_inflates_and_rereads_add_traffic() {
         let model = SystemModel::paper_defaults();
+        let cycle = quick_pricer(&model);
         let analytic = AnalyticPricer::new(&model);
         let w = Workload::youtube();
         let base = DegradedNode {
             dimms_alive: 31,
             ..DegradedNode::healthy(32)
         };
-        let plain = analytic
-            .price_degraded(&w, 16, DesignPoint::Tdimm, 2, base)
-            .expect("valid");
-        let gray = analytic
-            .price_degraded(
-                &w,
-                16,
-                DesignPoint::Tdimm,
-                2,
-                DegradedNode {
-                    latency_multiplier: 2.0,
-                    ..base
-                },
-            )
-            .expect("valid");
-        assert_eq!(
-            gray.service_us.to_bits(),
-            (plain.service_us * 2.0).to_bits(),
-            "gray inflates the final cost exactly"
-        );
-        let reread = analytic
-            .price_degraded(
-                &w,
-                16,
-                DesignPoint::Tdimm,
-                2,
-                DegradedNode {
-                    reread_rows: 10_000,
-                    ..base
-                },
-            )
-            .expect("valid");
-        assert!(reread.service_us > plain.service_us);
-        // Non-node designs ignore the degradation entirely.
-        let gpu = analytic
-            .price_degraded(
-                &w,
-                16,
-                DesignPoint::GpuOnly,
-                2,
-                DegradedNode {
-                    dimms_alive: 1,
-                    latency_multiplier: 4.0,
-                    ..DegradedNode::healthy(32)
-                },
-            )
-            .expect("valid");
-        let gpu_plain = analytic
-            .price(&w, 16, DesignPoint::GpuOnly, 2)
-            .expect("valid");
-        assert_eq!(gpu.service_us.to_bits(), gpu_plain.service_us.to_bits());
+        for pricer in [&analytic as &dyn BatchPricer, &cycle as &dyn BatchPricer] {
+            let backend = pricer.backend();
+            let plain = pricer
+                .price_degraded(&w, 16, DesignPoint::Tdimm, 2, base)
+                .expect("valid");
+            let gray = pricer
+                .price_degraded(
+                    &w,
+                    16,
+                    DesignPoint::Tdimm,
+                    2,
+                    DegradedNode {
+                        latency_multiplier: 2.0,
+                        ..base
+                    },
+                )
+                .expect("valid");
+            assert_eq!(
+                gray.service_us.to_bits(),
+                (plain.service_us * 2.0).to_bits(),
+                "gray inflates the final cost exactly on {backend:?}"
+            );
+            let reread = pricer
+                .price_degraded(
+                    &w,
+                    16,
+                    DesignPoint::Tdimm,
+                    2,
+                    DegradedNode {
+                        reread_rows: 10_000,
+                        ..base
+                    },
+                )
+                .expect("valid");
+            assert!(reread.service_us > plain.service_us, "{backend:?}");
+            // Non-node designs ignore the degradation entirely.
+            let gpu = pricer
+                .price_degraded(
+                    &w,
+                    16,
+                    DesignPoint::GpuOnly,
+                    2,
+                    DegradedNode {
+                        dimms_alive: 1,
+                        latency_multiplier: 4.0,
+                        ..DegradedNode::healthy(32)
+                    },
+                )
+                .expect("valid");
+            let gpu_plain = pricer
+                .price(&w, 16, DesignPoint::GpuOnly, 2)
+                .expect("valid");
+            assert_eq!(
+                gpu.service_us.to_bits(),
+                gpu_plain.service_us.to_bits(),
+                "{backend:?}"
+            );
+        }
     }
 
     /// The trait's conservative default: scales node costs, leaves the
@@ -1262,6 +1326,7 @@ mod tests {
     #[test]
     fn unpriceable_degraded_views_rejected() {
         let model = SystemModel::paper_defaults();
+        let cycle = quick_pricer(&model);
         let analytic = AnalyticPricer::new(&model);
         let w = Workload::ncf();
         for view in [
@@ -1282,12 +1347,86 @@ mod tests {
                 ..DegradedNode::healthy(32)
             },
         ] {
-            assert!(
-                analytic
-                    .price_degraded(&w, 8, DesignPoint::Tdimm, 1, view)
-                    .is_err(),
-                "{view:?}"
-            );
+            for pricer in [&analytic as &dyn BatchPricer, &cycle as &dyn BatchPricer] {
+                assert!(
+                    pricer
+                        .price_degraded(&w, 8, DesignPoint::Tdimm, 1, view)
+                        .is_err(),
+                    "{view:?} on {:?}",
+                    pricer.backend()
+                );
+            }
+        }
+        assert_eq!(cycle.replay_count(), 0, "rejected before any replay");
+    }
+
+    /// Node-sharing throughput of `gpus` GPUs, each running one batch of
+    /// 64 at that concurrency.
+    fn sharing_qps(pricer: &AnalyticPricer<'_>, w: &Workload, d: DesignPoint, gpus: usize) -> f64 {
+        let cost = pricer.price(w, 64, d, gpus).expect("valid");
+        gpus as f64 / (cost.service_us * 1e-6)
+    }
+
+    #[test]
+    fn tdimm_scales_to_more_gpus_than_pmem() {
+        let model = SystemModel::paper_defaults();
+        let pricer = AnalyticPricer::new(&model);
+        let w = Workload::facebook();
+        // Throughput at 16 GPUs relative to 1 GPU: TDIMM keeps scaling,
+        // PMEM saturates on the node port.
+        let scaling = |d| sharing_qps(&pricer, &w, d, 16) / sharing_qps(&pricer, &w, d, 1);
+        let tdimm_scaling = scaling(DesignPoint::Tdimm);
+        let pmem_scaling = scaling(DesignPoint::Pmem);
+        assert!(
+            tdimm_scaling > 1.5 * pmem_scaling,
+            "tdimm {tdimm_scaling:.1}x vs pmem {pmem_scaling:.1}x"
+        );
+        let pmem16 = pricer.price(&w, 64, DesignPoint::Pmem, 16).expect("valid");
+        assert!(pmem16.port_bound, "PMEM at 16 GPUs should be port-bound");
+    }
+
+    #[test]
+    fn throughput_grows_monotonically_for_tdimm_small_counts() {
+        let model = SystemModel::paper_defaults();
+        let pricer = AnalyticPricer::new(&model);
+        let w = Workload::youtube();
+        let qps: Vec<f64> = [1, 2, 4]
+            .iter()
+            .map(|&g| sharing_qps(&pricer, &w, DesignPoint::Tdimm, g))
+            .collect();
+        assert!(qps[1] > qps[0]);
+        assert!(qps[2] > qps[1]);
+    }
+
+    #[test]
+    fn analytic_non_node_designs_ignore_concurrency() {
+        let model = SystemModel::paper_defaults();
+        let pricer = AnalyticPricer::new(&model);
+        let w = Workload::youtube();
+        for d in [
+            DesignPoint::CpuOnly,
+            DesignPoint::CpuGpu,
+            DesignPoint::GpuOnly,
+        ] {
+            let solo = model.evaluate(&w, 64, d).total_us();
+            for gpus in [1usize, 4, 16] {
+                let cost = pricer.price(&w, 64, d, gpus).expect("valid");
+                assert_eq!(cost.service_us, solo, "{d} at {gpus} GPUs");
+                assert!(!cost.port_bound);
+            }
+        }
+        assert!(pricer.price(&w, 64, DesignPoint::GpuOnly, 0).is_err());
+    }
+
+    #[test]
+    fn analytic_contention_grows_with_active_gpus() {
+        let model = SystemModel::paper_defaults();
+        let pricer = AnalyticPricer::new(&model);
+        let w = Workload::facebook();
+        for d in [DesignPoint::Pmem, DesignPoint::Tdimm] {
+            let solo = pricer.price(&w, 64, d, 1).expect("valid").service_us;
+            let shared = pricer.price(&w, 64, d, 8).expect("valid").service_us;
+            assert!(shared > solo, "{d}: shared {shared} vs solo {solo}");
         }
     }
 

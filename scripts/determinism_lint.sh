@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES="crates/dram/src crates/nmp/src crates/serving/src crates/system/src crates/faults/src crates/cluster/src"
+CRATES="crates/dram/src crates/nmp/src crates/serving/src crates/system/src crates/faults/src crates/cluster/src crates/interconnect/src crates/cache/src"
 PATTERNS='std::time|Instant::now|SystemTime|thread::current|ThreadId|HashMap|HashSet'
 ALLOW=scripts/determinism_allowlist.txt
 

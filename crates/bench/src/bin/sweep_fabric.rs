@@ -1,14 +1,16 @@
-//! Measured interconnect fabric vs the closed-form crossbar oracle.
+//! The event-driven interconnect fabric vs the closed-form crossbar.
 //!
-//! The contended node → GPU transfer can be priced two ways: the analytic
-//! `Switch` (max-min fluid allocation, closed form) or the cycle-level
-//! message [`Fabric`](tensordimm_interconnect::Fabric), which forwards
-//! every transfer hop by hop under finite per-link bandwidth. This harness
+//! Both transfer backends run on the one event-driven
+//! [`Fabric`](tensordimm_interconnect::Fabric), which forwards every
+//! transfer hop by hop under finite per-link bandwidth: `Analytic` is the
+//! fully-connected crossbar with zero handoff, `Fabric(kind)` is `kind`
+//! with the default handoff. This harness
 //!
-//! * gates `FullyConnected`-fabric vs analytic agreement within
-//!   ±10% across the Fig. 16 link grid (25 / 50 / 150 GB/s) × the
-//!   paper workloads' transfer sizes at batch 64 — the two model the same
-//!   non-blocking crossbar, so a larger gap means one of them regressed,
+//! * gates exactness across the Fig. 16 link grid (25 / 50 / 150 GB/s) ×
+//!   the paper workloads' transfer sizes at batch 64: `Analytic` must equal
+//!   the closed-form equal-share time `setup + bytes / (capacity / GPUs)`,
+//!   and `Fabric(FullyConnected)` must equal it plus `DEFAULT_HANDOFF_US`,
+//!   both within 1e-12 relative,
 //! * re-checks the Fig. 16 ordering (25 GB/s slower than 50 slower than
 //!   150) with the transfer *measured* on the fabric instead of assumed
 //!   closed-form, for both node-backed designs, and
@@ -26,12 +28,14 @@
 
 use std::time::Instant;
 
+use tensordimm_interconnect::fabric::DEFAULT_HANDOFF_US;
 use tensordimm_interconnect::{Link, Topology, TopologyKind};
 use tensordimm_models::Workload;
 use tensordimm_system::{AnalyticPricer, BatchPricer, DesignPoint, SystemModel, TransferBackend};
 
-/// Maximum |fabric − analytic| / analytic allowed on any grid point.
-const AGREEMENT_BAND: f64 = 0.10;
+/// Maximum relative distance from the closed form on any grid point:
+/// float rounding only.
+const EXACT: f64 = 1e-12;
 
 const BATCH: usize = 64;
 const GPUS: usize = 8;
@@ -56,16 +60,17 @@ fn main() {
     };
     let gpu_grid: &[usize] = if quick { &[GPUS] } else { &[2, 4, GPUS] };
 
-    // ---- Gate 1: FullyConnected fabric vs analytic Switch ----------------
-    println!("FullyConnected fabric vs analytic Switch (batch {BATCH}):");
+    // ---- Gate 1: both crossbars vs the closed form ------------------------
+    println!("Crossbar transfer vs closed form (batch {BATCH}):");
     println!(
-        "{:>7} {:>10} {:>5} {:>6} | {:>12} {:>12} {:>7}",
-        "link", "workload", "kind", "gpus", "analytic µs", "fabric µs", "delta"
+        "{:>7} {:>10} {:>5} {:>6} | {:>12} {:>12} {:>12} {:>9}",
+        "link", "workload", "kind", "gpus", "closed µs", "analytic µs", "fabric µs", "offset µs"
     );
     let mut worst: f64 = 0.0;
     for &bw in links {
         let analytic = model_at(bw, TransferBackend::Analytic);
         let fabric = model_at(bw, TransferBackend::Fabric(TopologyKind::FullyConnected));
+        let link = analytic.config().topology.gpu_link();
         for w in workloads {
             // Both node designs' transfer sizes: pooled (TDIMM) and
             // gathered (PMEM) bytes.
@@ -74,35 +79,37 @@ fn main() {
                 ("gath", w.gathered_bytes(BATCH)),
             ] {
                 for &gpus in gpu_grid {
+                    // Every GPU streams at an equal share of the node port.
+                    let closed = link.setup_us()
+                        + bytes as f64 / (link.effective_gbps() * 1e3 / gpus as f64);
                     let a = analytic
                         .contended_node_transfer_us(bytes, gpus)
                         .expect("nonzero gpus");
                     let f = fabric
                         .contended_node_transfer_us(bytes, gpus)
                         .expect("nonzero gpus");
-                    let delta = (f - a).abs() / a;
-                    worst = worst.max(delta);
+                    worst = worst
+                        .max((a - closed).abs() / closed)
+                        .max((f - DEFAULT_HANDOFF_US - closed).abs() / closed);
                     println!(
-                        "{:>4.0}GB {:>10} {:>5} {:>6} | {:>12.2} {:>12.2} {:>6.2}%",
+                        "{:>4.0}GB {:>10} {:>5} {:>6} | {:>12.2} {:>12.2} {:>12.2} {:>9.4}",
                         bw,
                         w.name,
                         kind,
                         gpus,
+                        closed,
                         a,
                         f,
-                        100.0 * delta
+                        f - a
                     );
                 }
             }
         }
     }
-    println!("worst fabric-vs-analytic delta: {:.2}%", 100.0 * worst);
+    println!("worst relative distance from the closed form: {worst:.1e}");
     assert!(
-        worst < AGREEMENT_BAND,
-        "fully-connected fabric diverged {:.1}% from the analytic switch \
-         (band {:.0}%)",
-        100.0 * worst,
-        100.0 * AGREEMENT_BAND
+        worst < EXACT,
+        "a crossbar left the closed form by {worst:e} relative (bound {EXACT:e})"
     );
 
     // ---- Gate 2: Fig. 16 ordering under the measured fabric --------------

@@ -2,12 +2,15 @@
 //!
 //! [`Fabric`] forwards injected messages along the routes a
 //! [`FabricTopology`] computes, one link at a time, under finite per-link
-//! (and per-port) bandwidth. Time advances in fixed ticks; each tick the
-//! engine recomputes max-min fair rates for every message currently
-//! streaming on a link, so the measured completion times converge to the
-//! fluid allocation of the analytic [`Switch`](crate::Switch) as the tick
-//! shrinks — the agreement the `sweep_fabric` gate pins for the
-//! [`FullyConnected`](crate::fabric::FullyConnected) layout.
+//! (and per-port) bandwidth. Every message is in one phase at a time: the
+//! local handoff, a hop's wire latency, or streaming its payload across a
+//! hop. Max-min fair rates change only when some phase ends, so the engine
+//! is event-driven and exact: it computes the rates once per event, jumps
+//! straight to the earliest phase end and retires every phase that ends
+//! there. There is no time quantum. On the
+//! [`FullyConnected`](crate::fabric::FullyConnected) layout with zero
+//! handoff this is the closed-form max-min crossbar allocation, to float
+//! rounding.
 //!
 //! Two pitfalls the exemplar literature names are load-bearing here:
 //!
@@ -60,7 +63,7 @@ impl Delivery {
     }
 }
 
-/// Where a message currently is.
+/// Where a message currently is, and how much of that phase is left.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
     /// Local handoff from the sender core to its link controller.
@@ -69,6 +72,30 @@ enum Phase {
     HopLatency { remaining_us: f64 },
     /// Streaming payload bytes across the current hop.
     Streaming { remaining_bytes: f64 },
+}
+
+impl Phase {
+    /// Time until the phase ends at `rate` bytes/µs (the rate matters
+    /// only while streaming, and is then positive).
+    fn time_left_us(&self, rate: f64) -> f64 {
+        match *self {
+            Phase::Handoff { remaining_us } | Phase::HopLatency { remaining_us } => remaining_us,
+            Phase::Streaming { remaining_bytes } => remaining_bytes / rate,
+        }
+    }
+
+    /// Spend `dt_us` of the phase at `rate`. The remainder is clamped at
+    /// zero so float rounding can never schedule an event in the past.
+    fn progress(&mut self, dt_us: f64, rate: f64) {
+        match self {
+            Phase::Handoff { remaining_us } | Phase::HopLatency { remaining_us } => {
+                *remaining_us = (*remaining_us - dt_us).max(0.0);
+            }
+            Phase::Streaming { remaining_bytes } => {
+                *remaining_bytes = (*remaining_bytes - rate * dt_us).max(0.0);
+            }
+        }
+    }
 }
 
 /// One message in flight, carrying its whole physical route and a cursor.
@@ -112,42 +139,32 @@ pub struct FabricStats {
 /// Bandwidth-sharing resources: every directed link, plus one egress and
 /// one ingress port per node (a hop on `u → v` consumes all three), all at
 /// the topology's uniform link capacity. Ports are what make endpoint
-/// contention appear even on private pair links — the effect the analytic
-/// `Switch` models, and the reason the fully-connected fabric converges to
-/// it.
+/// contention appear even on private pair links, as on the paper's
+/// NVSwitch crossbar.
 #[derive(Debug)]
 struct Resources {
-    /// Resource count: `2 * nodes + links`.
-    count: usize,
     nodes: usize,
-    link_index: BTreeMap<LinkId, usize>,
+    /// Position of each link in [`Fabric::links`].
+    link_pos: BTreeMap<LinkId, usize>,
 }
 
 impl Resources {
-    fn new(nodes: usize, links: &[LinkId]) -> Self {
-        let link_index = links
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, 2 * nodes + i))
-            .collect();
-        Resources {
-            count: 2 * nodes + links.len(),
-            nodes,
-            link_index,
-        }
+    /// Resource count: `2 * nodes + links`.
+    fn count(&self) -> usize {
+        2 * self.nodes + self.link_pos.len()
     }
 
     /// The three resources a traversal of `link` consumes.
     fn of(&self, link: LinkId) -> [usize; 3] {
         [
-            link.from,              // egress port
-            self.nodes + link.to,   // ingress port
-            self.link_index[&link], // the wire
+            link.from,                             // egress port
+            self.nodes + link.to,                  // ingress port
+            2 * self.nodes + self.link_pos[&link], // the wire
         ]
     }
 }
 
-/// The cycle-level message fabric over a [`FabricTopology`].
+/// The event-driven message fabric over a [`FabricTopology`].
 ///
 /// # Example
 ///
@@ -163,7 +180,7 @@ impl Resources {
 /// fabric.inject(0, 1, 64 << 20)?;
 /// fabric.inject(0, 2, 64 << 20)?;
 /// fabric.inject(3, 4, 64 << 20)?;
-/// let deliveries = fabric.run_until_idle(1.0)?;
+/// let deliveries = fabric.run_until_idle();
 /// assert!(fabric.is_idle());
 /// let t = |id: u64| deliveries.iter().find(|d| d.id == id).unwrap().transit_us();
 /// assert!(t(0) > 1.8 * t(2) && t(0) < 2.2 * t(2));
@@ -175,7 +192,15 @@ pub struct Fabric {
     links: Vec<LinkId>,
     /// Bytes per µs per resource.
     cap: f64,
+    /// In id order.
     in_flight: Vec<InFlightMessage>,
+    /// Max-min rate of each in-flight message, bytes/µs (zero unless
+    /// streaming), constant since `event_us`.
+    rates: Vec<f64>,
+    /// Virtual time of the last event; every in-flight phase's remainder
+    /// is measured from here, so stopping at an arbitrary time in between
+    /// never perturbs the events that follow.
+    event_us: f64,
     now_us: f64,
     next_id: u64,
     stats: FabricStats,
@@ -185,7 +210,10 @@ impl Fabric {
     /// A fabric over `topo`, at virtual time zero.
     pub fn new(topo: Box<dyn FabricTopology>) -> Self {
         let links = topo.links();
-        let resources = Resources::new(topo.nodes(), &links);
+        let resources = Resources {
+            nodes: topo.nodes(),
+            link_pos: links.iter().enumerate().map(|(i, &l)| (l, i)).collect(),
+        };
         let cap = topo.link_capacity_gbps() * 1e3;
         let per_link = links.iter().map(|&l| (l, LinkStats::default())).collect();
         Fabric {
@@ -194,6 +222,8 @@ impl Fabric {
             links,
             cap,
             in_flight: Vec::new(),
+            rates: Vec::new(),
+            event_us: 0.0,
             now_us: 0.0,
             next_id: 0,
             stats: FabricStats {
@@ -249,6 +279,15 @@ impl Fabric {
         bytes: u64,
     ) -> Result<InjectReceipt, InterconnectError> {
         let route = self.topo.route(from, to)?;
+        // Re-anchor the in-flight phases at now. A handoff moves no bytes,
+        // so the rates stand.
+        let dt = self.now_us - self.event_us;
+        if dt > 0.0 {
+            for (m, &rate) in self.in_flight.iter_mut().zip(&self.rates) {
+                m.phase.progress(dt, rate);
+            }
+            self.event_us = self.now_us;
+        }
         let handoff_us = self.topo.local_handoff_us();
         let id = self.next_id;
         self.next_id += 1;
@@ -264,191 +303,159 @@ impl Fabric {
             },
             injected_us: self.now_us,
         });
+        self.rates.push(0.0);
         self.stats.injected += 1;
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight.len());
         Ok(InjectReceipt { id, handoff_us })
     }
 
-    /// Max-min fair rate (bytes/µs) for each in-flight message; zero for
-    /// messages not currently streaming. The same progressive-filling
-    /// allocation as [`Switch::concurrent_transfer_us`], generalized to
-    /// the per-hop resource sets (egress port, wire, ingress port).
-    ///
-    /// [`Switch::concurrent_transfer_us`]: crate::Switch::concurrent_transfer_us
-    fn fair_share_rates(&self) -> Vec<f64> {
-        let n = self.in_flight.len();
-        let mut rate = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
-        let streaming: Vec<usize> = (0..n)
-            .filter(|&i| matches!(self.in_flight[i].phase, Phase::Streaming { .. }))
-            .collect();
-        if streaming.is_empty() {
-            return rate;
-        }
-        let uses = |i: usize| {
-            self.resources
-                .of(self.in_flight[i].route[self.in_flight[i].hop])
-        };
-        loop {
-            let mut residual = vec![self.cap; self.resources.count];
-            let mut degree = vec![0usize; self.resources.count];
-            for &i in &streaming {
-                for r in uses(i) {
-                    if frozen[i] {
-                        residual[r] -= rate[i];
-                    } else {
-                        degree[r] += 1;
-                    }
-                }
-            }
-            let bottleneck = (0..self.resources.count)
-                .filter(|&r| degree[r] > 0)
-                .map(|r| (residual[r] / degree[r] as f64, r))
-                .min_by(|a, b| a.0.total_cmp(&b.0));
-            let Some((share, port)) = bottleneck else {
-                break;
-            };
-            // Float-error floor: a legitimately-allocated share is a
-            // meaningful fraction of capacity; clamping keeps every
-            // streaming message progressing so `run_until_idle` always
-            // terminates.
-            let share = share.max(self.cap * 1e-9);
-            let mut changed = false;
-            for &i in &streaming {
-                if !frozen[i] && uses(i).contains(&port) {
-                    rate[i] = share;
-                    frozen[i] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        rate
-    }
-
-    /// Advance virtual time by one tick, moving every in-flight message
-    /// through its current phase, and return the messages delivered during
-    /// the tick.
+    /// Advance virtual time to `t_us`, retiring every phase that ends by
+    /// then, and return the messages delivered on the way in completion
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns [`InterconnectError::InvalidLink`] for a non-positive or
-    /// non-finite tick.
-    pub fn advance(&mut self, tick_us: f64) -> Result<Vec<Delivery>, InterconnectError> {
-        if !tick_us.is_finite() || tick_us <= 0.0 {
-            return Err(InterconnectError::InvalidLink {
-                parameter: "tick_us",
+    /// Returns [`InterconnectError::InvalidTime`] for a non-finite time or
+    /// one before [`Fabric::now_us`].
+    pub fn advance_to(&mut self, t_us: f64) -> Result<Vec<Delivery>, InterconnectError> {
+        if !t_us.is_finite() || t_us < self.now_us {
+            return Err(InterconnectError::InvalidTime {
+                t_us,
+                now_us: self.now_us,
             });
         }
-        let rates = self.fair_share_rates();
-        // Per-link concurrency at this tick, for the peak-demand counters.
-        for (link, stats) in &mut self.stats.per_link {
-            let on_link = self
-                .in_flight
-                .iter()
-                .filter(|m| matches!(m.phase, Phase::Streaming { .. }) && m.route[m.hop] == *link)
-                .count();
-            stats.peak_in_flight = stats.peak_in_flight.max(on_link);
-        }
-        self.now_us += tick_us;
-        let now = self.now_us;
-        let hop_latency = self.topo.hop_latency_us();
-
-        let mut delivered = Vec::new();
-        // Advance in injection (id) order — determinism is part of the
-        // fabric's contract.
-        for (i, m) in self.in_flight.iter_mut().enumerate() {
-            let mut hop_completed = false;
-            match &mut m.phase {
-                Phase::Handoff { remaining_us } => {
-                    *remaining_us -= tick_us;
-                    if *remaining_us <= 0.0 {
-                        if m.hop < m.route.len() {
-                            // First hop pays its wire latency like any other.
-                            m.phase = Phase::HopLatency {
-                                remaining_us: hop_latency + *remaining_us,
-                            };
-                        } else {
-                            // Empty route (self-delivery): done after the
-                            // handoff alone.
-                            delivered.push(Delivery {
-                                id: m.id,
-                                from: m.from,
-                                to: m.to,
-                                bytes: m.bytes,
-                                injected_us: m.injected_us,
-                                delivered_us: now,
-                            });
-                        }
-                    }
-                }
-                Phase::HopLatency { remaining_us } => {
-                    *remaining_us -= tick_us;
-                    if *remaining_us <= 0.0 {
-                        m.phase = Phase::Streaming {
-                            remaining_bytes: m.bytes as f64,
-                        };
-                    }
-                }
-                Phase::Streaming { remaining_bytes } => {
-                    *remaining_bytes -= rates[i] * tick_us;
-                    if *remaining_bytes <= 0.0 {
-                        hop_completed = true;
-                    }
-                }
+        let mut out = Vec::new();
+        while let Some(dt) = self.next_phase_end() {
+            if self.event_us + dt > t_us {
+                break;
             }
-            if hop_completed {
-                let link = m.route[m.hop];
-                let (_, stats) = self
-                    .stats
-                    .per_link
-                    .iter_mut()
-                    .find(|(l, _)| *l == link)
-                    .expect("routed hops are physical links");
+            self.retire_phases(dt, &mut out);
+        }
+        self.now_us = t_us;
+        Ok(out)
+    }
+
+    /// Run until every in-flight message has been delivered, returning all
+    /// deliveries in completion order. This is the fabric's termination
+    /// contract: it never declares the run over while a message is still
+    /// mid-route. Each event ends at least one of the finitely many phases
+    /// left, so the loop always terminates.
+    pub fn run_until_idle(&mut self) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        while let Some(dt) = self.next_phase_end() {
+            self.retire_phases(dt, &mut out);
+        }
+        out
+    }
+
+    /// Time from `event_us` to the earliest phase end; `None` when idle.
+    fn next_phase_end(&self) -> Option<f64> {
+        self.in_flight
+            .iter()
+            .zip(&self.rates)
+            .map(|(m, &rate)| m.phase.time_left_us(rate))
+            .min_by(f64::total_cmp)
+    }
+
+    /// Jump `dt` past the last event, where the earliest phases end: move
+    /// every message through its phase and, in id order, retire each phase
+    /// that ends exactly there. Then re-solve the rates.
+    fn retire_phases(&mut self, dt: f64, out: &mut Vec<Delivery>) {
+        let t = self.event_us + dt;
+        let hop_latency = self.topo.hop_latency_us();
+        let first = out.len();
+        for (m, &rate) in self.in_flight.iter_mut().zip(&self.rates) {
+            if m.phase.time_left_us(rate) != dt {
+                m.phase.progress(dt, rate);
+                continue;
+            }
+            if let Phase::Streaming { .. } = m.phase {
+                let stats = &mut self.stats.per_link[self.resources.link_pos[&m.route[m.hop]]].1;
                 stats.forwarded_messages += 1;
                 stats.forwarded_bytes += m.bytes;
                 m.hop += 1;
-                if m.hop == m.route.len() {
-                    delivered.push(Delivery {
+            }
+            m.phase = match m.phase {
+                // The last hop streamed (or the route is empty and the
+                // handoff was all there was): delivered.
+                Phase::Handoff { .. } | Phase::Streaming { .. } if m.hop == m.route.len() => {
+                    out.push(Delivery {
                         id: m.id,
                         from: m.from,
                         to: m.to,
                         bytes: m.bytes,
                         injected_us: m.injected_us,
-                        delivered_us: now,
+                        delivered_us: t,
                     });
-                } else {
-                    // Store-and-forward: the next hop pays its own wire
-                    // latency before streaming restarts.
-                    m.phase = Phase::HopLatency {
-                        remaining_us: hop_latency,
-                    };
+                    continue;
                 }
+                Phase::HopLatency { .. } => Phase::Streaming {
+                    remaining_bytes: m.bytes as f64,
+                },
+                // Store-and-forward: every hop, the first included, pays
+                // its own wire latency before streaming.
+                Phase::Handoff { .. } | Phase::Streaming { .. } => Phase::HopLatency {
+                    remaining_us: hop_latency,
+                },
+            };
+        }
+        let delivered = &out[first..];
+        self.in_flight
+            .retain(|m| delivered.binary_search_by_key(&m.id, |d| d.id).is_err());
+        self.stats.delivered += delivered.len() as u64;
+        self.event_us = t;
+        self.now_us = t;
+        self.rates = self.fair_share_rates();
+        let mut on_link = vec![0usize; self.links.len()];
+        for m in &self.in_flight {
+            if let Phase::Streaming { .. } = m.phase {
+                on_link[self.resources.link_pos[&m.route[m.hop]]] += 1;
             }
         }
-        let done: Vec<u64> = delivered.iter().map(|d| d.id).collect();
-        self.in_flight.retain(|m| !done.contains(&m.id));
-        self.stats.delivered += done.len() as u64;
-        Ok(delivered)
+        for ((_, stats), n) in self.stats.per_link.iter_mut().zip(on_link) {
+            stats.peak_in_flight = stats.peak_in_flight.max(n);
+        }
     }
 
-    /// Run ticks of `tick_us` until every in-flight message has been
-    /// delivered, returning all deliveries in completion order. This is
-    /// the fabric's termination contract: it never declares the run over
-    /// while a message is still mid-route.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterconnectError::InvalidLink`] for a non-positive or
-    /// non-finite tick.
-    pub fn run_until_idle(&mut self, tick_us: f64) -> Result<Vec<Delivery>, InterconnectError> {
-        let mut out = Vec::new();
-        while !self.is_idle() {
-            out.extend(self.advance(tick_us)?);
+    /// Max-min fair rate (bytes/µs) for each in-flight message; zero for
+    /// messages not currently streaming. Progressive filling over the
+    /// per-hop resource sets (egress port, wire, ingress port): the
+    /// tightest resource fixes the share of every message using it, its
+    /// users leave, and the rest refill from what remains.
+    fn fair_share_rates(&self) -> Vec<f64> {
+        let mut rate = vec![0.0f64; self.in_flight.len()];
+        let mut unfrozen: Vec<(usize, [usize; 3])> = self
+            .in_flight
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| matches!(m.phase, Phase::Streaming { .. }))
+            .map(|(i, m)| (i, self.resources.of(m.route[m.hop])))
+            .collect();
+        let mut residual = vec![self.cap; self.resources.count()];
+        while !unfrozen.is_empty() {
+            let mut degree = vec![0usize; residual.len()];
+            for (_, uses) in &unfrozen {
+                for &r in uses {
+                    degree[r] += 1;
+                }
+            }
+            let (share, bottleneck) = (0..residual.len())
+                .filter(|&r| degree[r] > 0)
+                .map(|r| (residual[r] / degree[r] as f64, r))
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("a streaming message uses three resources");
+            unfrozen.retain(|&(i, uses)| {
+                if !uses.contains(&bottleneck) {
+                    return true;
+                }
+                rate[i] = share;
+                for r in uses {
+                    residual[r] -= share;
+                }
+                false
+            });
         }
-        Ok(out)
+        rate
     }
 }
 
@@ -485,12 +492,12 @@ mod tests {
         let receipt = f.inject(0, 1, bytes).expect("in range");
         assert_eq!(receipt.handoff_us, f.topology().local_handoff_us());
         let expected = receipt.handoff_us + nv().transfer_time_us(bytes);
-        let d = f.run_until_idle(expected / 4096.0).expect("positive tick");
+        let d = f.run_until_idle();
         assert_eq!(d.len(), 1);
         let err = (d[0].transit_us() - expected).abs() / expected;
         assert!(
-            err < 0.01,
-            "transit {} vs {expected} ({err:.4})",
+            err < 1e-12,
+            "transit {} vs {expected} ({err:e})",
             d[0].transit_us()
         );
     }
@@ -503,7 +510,7 @@ mod tests {
         let near = f.inject(0, 1, 1 << 20).expect("in range");
         let far = f.inject(2, 5, 1 << 20).expect("in range");
         assert_eq!(near.handoff_us, far.handoff_us);
-        let d = f.run_until_idle(0.05).expect("positive tick");
+        let d = f.run_until_idle();
         let t = |id: u64| {
             d.iter()
                 .find(|x| x.id == id)
@@ -524,13 +531,13 @@ mod tests {
         assert!(f.is_idle());
         f.inject(0, 2, 64 << 20).expect("in range");
         assert!(!f.is_idle(), "an injected message is in-flight work");
-        // A few ticks in, the message is still mid-route.
-        for _ in 0..3 {
-            f.advance(1.0).expect("positive tick");
+        // A few microseconds in, the message is still mid-route.
+        for k in 1..=3 {
+            f.advance_to(k as f64).expect("forward in time");
         }
         assert!(!f.is_idle());
         assert_eq!(f.stats().delivered, 0);
-        let d = f.run_until_idle(1.0).expect("positive tick");
+        let d = f.run_until_idle();
         assert_eq!(d.len(), 1);
         assert!(f.is_idle());
         assert_eq!(f.stats().delivered, 1);
@@ -540,7 +547,7 @@ mod tests {
     fn line_forwards_hop_by_hop_through_intermediate_links() {
         let mut f = fabric(TopologyKind::Line, 4);
         f.inject(0, 3, 8 << 20).expect("in range");
-        f.run_until_idle(0.25).expect("positive tick");
+        f.run_until_idle();
         let stats = f.stats().clone();
         let forwarded = |from: usize, to: usize| {
             stats
@@ -566,7 +573,7 @@ mod tests {
         let a = f.inject(0, 1, 32 << 20).expect("in range");
         f.inject(0, 2, 32 << 20).expect("in range");
         let solo = nv().transfer_time_us(32 << 20);
-        let d = f.run_until_idle(solo / 2048.0).expect("positive tick");
+        let d = f.run_until_idle();
         let t = |id: u64| {
             d.iter()
                 .find(|x| x.id == id)
@@ -593,13 +600,12 @@ mod tests {
     fn self_delivery_costs_only_the_handoff() {
         let mut f = fabric(TopologyKind::FullyConnected, 3);
         let r = f.inject(1, 1, 1 << 30).expect("in range");
-        let d = f.run_until_idle(0.1).expect("positive tick");
+        let d = f.run_until_idle();
         assert_eq!(d.len(), 1);
-        assert!(
-            (d[0].transit_us() - r.handoff_us).abs() <= 0.1 + 1e-9,
-            "self-delivery transit {} vs handoff {}",
+        assert_eq!(
             d[0].transit_us(),
-            r.handoff_us
+            r.handoff_us,
+            "self-delivery transit is exactly the handoff"
         );
     }
 
@@ -608,9 +614,15 @@ mod tests {
         let mut f = fabric(TopologyKind::Line, 2);
         assert!(f.inject(0, 2, 64).is_err());
         f.inject(0, 1, 64).expect("in range");
-        assert!(f.advance(0.0).is_err());
-        assert!(f.advance(f64::NAN).is_err());
-        assert!(f.run_until_idle(-1.0).is_err());
+        assert!(f.advance_to(f64::NAN).is_err());
+        assert!(f.advance_to(f64::INFINITY).is_err());
+        f.advance_to(1.0).expect("forward in time");
+        assert!(matches!(
+            f.advance_to(0.5),
+            Err(InterconnectError::InvalidTime { .. })
+        ));
+        assert_eq!(f.now_us(), 1.0, "a rejected advance leaves time alone");
+        f.advance_to(1.0).expect("standing still is allowed");
     }
 
     #[test]
@@ -620,8 +632,7 @@ mod tests {
             for g in 1..6 {
                 f.inject(0, g, (g as u64) << 20).expect("in range");
             }
-            f.run_until_idle(0.5)
-                .expect("positive tick")
+            f.run_until_idle()
                 .iter()
                 .map(|d| (d.id, d.delivered_us.to_bits()))
                 .collect::<Vec<_>>()
@@ -640,8 +651,7 @@ mod tests {
             for g in 1..5 {
                 f.inject(0, g, bytes).expect("in range");
             }
-            f.run_until_idle(1.0)
-                .expect("positive tick")
+            f.run_until_idle()
                 .iter()
                 .map(|d| d.delivered_us)
                 .fold(0.0f64, f64::max)
@@ -665,7 +675,7 @@ mod tests {
         for g in 1..8 {
             f.inject(0, g, 4 << 20).expect("in range");
         }
-        let d = f.run_until_idle(0.5).expect("positive tick");
+        let d = f.run_until_idle();
         assert_eq!(d.len(), 7);
         assert_eq!(f.stats().injected, 7);
         assert_eq!(f.stats().delivered, 7);

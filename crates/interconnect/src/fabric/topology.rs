@@ -1,7 +1,5 @@
 //! Route-aware fabric topologies.
 //!
-//! The closed-form [`Switch`](crate::Switch) prices flows against endpoint
-//! ports only — it has no notion of *where* a message physically travels.
 //! A [`FabricTopology`] makes the wiring explicit: it enumerates the
 //! directed links of the fabric and answers `route(from, to)` with the
 //! ordered sequence of links a message must traverse, so the
@@ -18,13 +16,12 @@
 //!   direction (ties go clockwise), roughly halving the worst-case hop
 //!   count and splitting a hot endpoint's traffic over two links,
 //! * [`FullyConnected`] — a dedicated link per ordered pair, so contention
-//!   appears only at shared endpoint ports. This is the layout whose
-//!   measured behaviour must converge to the analytic
-//!   [`Switch`](crate::Switch) fluid model (see the agreement gates in
+//!   appears only at shared endpoint ports. With zero handoff this is the
+//!   paper's NVSwitch crossbar: the fabric then prices it exactly as the
+//!   closed-form max-min fluid allocation (see the exactness gates in
 //!   `sweep_fabric` and `tests/fabric_properties.rs`).
 
 use std::fmt;
-use std::str::FromStr;
 
 use crate::link::Link;
 use crate::InterconnectError;
@@ -373,8 +370,8 @@ impl FabricTopology for FullyConnected {
     }
 }
 
-/// Run-time topology selection (the `--topology` knob of the fabric
-/// sweep, and the payload of the system model's fabric transfer backend).
+/// Run-time topology selection: the payload of the system model's fabric
+/// transfer backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// [`Line`].
@@ -425,21 +422,6 @@ impl TopologyKind {
 impl fmt::Display for TopologyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl FromStr for TopologyKind {
-    type Err = InterconnectError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "line" => Ok(TopologyKind::Line),
-            "ring" => Ok(TopologyKind::Ring),
-            "full" | "fully-connected" | "fullyconnected" => Ok(TopologyKind::FullyConnected),
-            _ => Err(InterconnectError::InvalidLink {
-                parameter: "topology",
-            }),
-        }
     }
 }
 
@@ -540,8 +522,6 @@ mod tests {
     #[test]
     fn kind_round_trips_and_builds() {
         for kind in TopologyKind::all() {
-            let parsed: TopologyKind = kind.label().parse().expect("label parses");
-            assert_eq!(parsed, kind);
             let topo = kind.build(4, nv()).expect("valid");
             assert_eq!(topo.nodes(), 4);
             assert_eq!(topo.name(), kind.label());
@@ -549,11 +529,6 @@ mod tests {
             assert!(topo.hop_latency_us() >= 0.0);
             assert!(topo.local_handoff_us() >= 0.0);
         }
-        assert_eq!(
-            "full".parse::<TopologyKind>().expect("alias"),
-            TopologyKind::FullyConnected
-        );
-        assert!("mesh-of-trees".parse::<TopologyKind>().is_err());
     }
 
     #[test]

@@ -24,12 +24,10 @@
 
 pub mod fabric;
 pub mod link;
-pub mod switch;
 pub mod topology;
 
 pub use fabric::{Fabric, FabricTopology, LinkId, TopologyKind};
 pub use link::{Link, TransferReport};
-pub use switch::{Flow, Switch};
 pub use topology::{Device, Topology};
 
 use std::error::Error;
@@ -65,6 +63,13 @@ pub enum InterconnectError {
         /// Nodes present.
         nodes: usize,
     },
+    /// A fabric was asked to advance to a non-finite or past time.
+    InvalidTime {
+        /// The requested virtual time, µs.
+        t_us: f64,
+        /// The fabric's current virtual time, µs.
+        now_us: f64,
+    },
 }
 
 impl fmt::Display for InterconnectError {
@@ -81,6 +86,9 @@ impl fmt::Display for InterconnectError {
             }
             InterconnectError::UnknownNode { index, nodes } => {
                 write!(f, "node {index} does not exist (fabric has {nodes})")
+            }
+            InterconnectError::InvalidTime { t_us, now_us } => {
+                write!(f, "cannot advance the fabric from {now_us} µs to {t_us} µs")
             }
         }
     }

@@ -231,8 +231,9 @@ impl SimConfig {
         self
     }
 
-    /// Price contended node → GPU transfers with this engine (analytic
-    /// crossbar or measured fabric) instead of the model's configured one.
+    /// Price contended node → GPU transfers on this fabric layout (the
+    /// analytic crossbar or a topology) instead of the model's configured
+    /// one.
     pub fn with_transfer(mut self, transfer: TransferBackend) -> Self {
         self.transfer = Some(transfer);
         self

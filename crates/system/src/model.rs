@@ -4,27 +4,29 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use tensordimm_cache::{GatherModel, GatherWorkload};
-use tensordimm_interconnect::fabric::Fabric;
-use tensordimm_interconnect::{Device, Flow, InterconnectError, Switch, Topology, TopologyKind};
+use tensordimm_interconnect::fabric::{Fabric, FabricTopology, FullyConnected};
+use tensordimm_interconnect::{Device, InterconnectError, Topology, TopologyKind};
 use tensordimm_models::{DeviceModel, Workload};
 
 use crate::breakdown::PhaseBreakdown;
 use crate::design::DesignPoint;
 
-/// Which engine prices the contended node → GPU transfer when several
-/// GPUs read from the shared TensorNode at once.
+/// Which layout the contended node → GPU transfer crosses when several
+/// GPUs read from the shared TensorNode at once. Both are priced by the
+/// one event-driven [`Fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransferBackend {
-    /// The closed-form max-min fluid allocation on the NVSwitch crossbar
-    /// ([`Switch::concurrent_transfer_us`]) — fast, and the oracle the
-    /// fabric is validated against.
+    /// The paper's NVSwitch: the [`FullyConnected`] crossbar with zero
+    /// handoff, which is exactly the closed-form max-min fluid allocation
+    /// over the node and GPU ports.
     #[default]
     Analytic,
-    /// Measured on the cycle-level message [`Fabric`] over the given
-    /// layout: hop-by-hop forwarding under finite per-link bandwidth.
-    /// `Fabric(TopologyKind::FullyConnected)` models the same non-blocking
-    /// crossbar as `Analytic` and agrees with it within a few percent;
-    /// `Line`/`Ring` expose what cheaper physical layouts would cost.
+    /// The given layout with the default local handoff
+    /// ([`DEFAULT_HANDOFF_US`](tensordimm_interconnect::fabric::DEFAULT_HANDOFF_US)):
+    /// hop-by-hop forwarding under finite per-link bandwidth.
+    /// `Fabric(TopologyKind::FullyConnected)` is `Analytic` plus that
+    /// handoff; `Line`/`Ring` expose what cheaper physical layouts would
+    /// cost.
     Fabric(TopologyKind),
 }
 
@@ -115,9 +117,8 @@ pub struct SystemModel {
     cpu_bw_cache: Mutex<BTreeMap<(u64, u64), f64>>,
     /// Contended node → GPU transfer times, keyed by (bytes, active GPUs).
     /// The serving sweeps price the same few (workload, batch, gpus)
-    /// combinations millions of times; without this memo the analytic
-    /// backend cloned the GPU link and built a fresh `Switch` (plus a flow
-    /// `Vec`) per priced batch, and the fabric backend would re-simulate.
+    /// combinations millions of times; this memo runs the fabric once per
+    /// key instead of once per priced batch.
     transfer_cache: Mutex<BTreeMap<(u64, usize), f64>>,
     /// DIMMs provisioned in the TensorNode ([`SystemModel::with_node_dimms`]).
     node_dimms: u64,
@@ -254,47 +255,27 @@ impl SystemModel {
         if let Some(&t) = self.transfer_cache.lock().expect("cache lock").get(&key) {
             return Ok(t);
         }
-        // Compute outside the lock (like `cpu_gather_gbps`): both engines
-        // are deterministic pure functions of the key and the config, so a
+        // Compute outside the lock (like `cpu_gather_gbps`): the fabric is
+        // a deterministic pure function of the key and the config, so a
         // concurrent cold miss inserts the identical value.
+        let nodes = active_gpus + 1;
         let link = self.config.topology.gpu_link().clone();
-        let t = match self.config.transfer {
+        let topo: Box<dyn FabricTopology> = match self.config.transfer {
             TransferBackend::Analytic => {
-                // Node port 0, GPUs 1..=active_gpus, all pulling at once.
-                let switch = Switch::new(active_gpus + 1, link)?;
-                let flows: Vec<Flow> = (0..active_gpus)
-                    .map(|g| Flow {
-                        from: 0,
-                        to: g + 1,
-                        bytes,
-                    })
-                    .collect();
-                switch
-                    .concurrent_transfer_us(&flows)?
-                    .into_iter()
-                    .fold(0.0f64, f64::max)
+                Box::new(FullyConnected::new(nodes, link)?.with_handoff_us(0.0))
             }
-            TransferBackend::Fabric(kind) => {
-                let mut fabric = Fabric::new(kind.build(active_gpus + 1, link)?);
-                for g in 0..active_gpus {
-                    fabric.inject(0, g + 1, bytes)?;
-                }
-                // Tick fine enough that phase quantization stays well
-                // under the ±10% analytic-agreement gate: ~2k ticks over a
-                // serialized-egress estimate of the run, clamped away from
-                // degenerate sizes.
-                let est_us = fabric.topology().local_handoff_us()
-                    + fabric.topology().hop_latency_us()
-                    + (bytes as f64 * active_gpus as f64)
-                        / (fabric.topology().link_capacity_gbps() * 1e3);
-                let tick_us = (est_us / 2048.0).clamp(1e-3, 100.0);
-                fabric
-                    .run_until_idle(tick_us)?
-                    .into_iter()
-                    .map(|d| d.delivered_us)
-                    .fold(0.0f64, f64::max)
-            }
+            TransferBackend::Fabric(kind) => kind.build(nodes, link)?,
         };
+        // Node 0 feeds GPUs 1..=active_gpus, all pulling at once.
+        let mut fabric = Fabric::new(topo);
+        for gpu in 1..nodes {
+            fabric.inject(0, gpu, bytes)?;
+        }
+        let t = fabric
+            .run_until_idle()
+            .into_iter()
+            .map(|d| d.delivered_us)
+            .fold(0.0f64, f64::max);
         self.transfer_cache
             .lock()
             .expect("cache lock")
@@ -623,6 +604,7 @@ mod transfer_tests {
 
     #[test]
     fn fully_connected_fabric_agrees_with_analytic() {
+        use tensordimm_interconnect::fabric::DEFAULT_HANDOFF_US;
         let analytic = SystemModel::paper_defaults();
         let fabric = SystemModel::paper_defaults()
             .with_transfer(TransferBackend::Fabric(TopologyKind::FullyConnected));
@@ -634,11 +616,21 @@ mod transfer_tests {
                 let f = fabric
                     .contended_node_transfer_us(bytes, gpus)
                     .expect("nonzero gpus");
-                let err = (f - a).abs() / a;
+                // The crossbars differ by exactly the handoff.
+                let err = (f - DEFAULT_HANDOFF_US - a).abs() / a;
                 assert!(
-                    err < 0.10,
+                    err < 1e-12,
                     "{gpus} gpus, {bytes} bytes: fabric {f} vs analytic {a}"
                 );
+                // One message alone is the link's alpha-beta time.
+                if gpus == 1 {
+                    let solo = analytic
+                        .config()
+                        .topology
+                        .gpu_link()
+                        .transfer_time_us(bytes);
+                    assert!((a - solo).abs() / solo < 1e-12, "{a} vs {solo}");
+                }
             }
         }
     }

@@ -284,7 +284,7 @@ fn contended_cost(
     };
     // All active GPUs pull their transfer from node port 0 concurrently;
     // the model memoizes the result per (bytes, active_gpus) and prices it
-    // with the configured backend (analytic crossbar or measured fabric).
+    // on the configured fabric layout (analytic crossbar or a topology).
     let contended_transfer_us = model.contended_node_transfer_us(bytes, active_gpus)?;
 
     let other_phases_us = solo.lookup_us + solo.dnn_us + solo.other_us;

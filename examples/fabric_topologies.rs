@@ -1,11 +1,20 @@
-//! Tour of the cycle-level interconnect fabric: route a broadcast over
+//! Tour of the event-driven interconnect fabric: route a broadcast over
 //! `Line`, `Ring` and `FullyConnected` layouts, watch per-link traffic,
-//! and compare the measured crossbar against the closed-form `Switch`.
+//! and check the crossbar against the closed-form max-min allocation.
 //!
 //! Run with: `cargo run --release --example fabric_topologies`
 
-use tensordimm::interconnect::fabric::Fabric;
-use tensordimm::interconnect::{Flow, Link, Switch, TopologyKind};
+use tensordimm::interconnect::fabric::{Fabric, FullyConnected, DEFAULT_HANDOFF_US};
+use tensordimm::interconnect::{Link, TopologyKind};
+
+/// The slowest delivery of a broadcast from node 0 to every other node.
+fn slowest_delivery_us(fabric: &mut Fabric) -> f64 {
+    fabric
+        .run_until_idle()
+        .into_iter()
+        .map(|d| d.delivered_us)
+        .fold(0.0f64, f64::max)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let link = Link::nvlink2_x6();
@@ -15,6 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same broadcast — the TensorNode feeding every GPU 16 MiB — on
     // each physical layout.
     println!("TensorNode broadcast to {} GPUs, 16 MiB each:", nodes - 1);
+    let mut crossbar_us = 0.0;
     for kind in TopologyKind::all() {
         let mut fabric = Fabric::new(kind.build(nodes, link.clone())?);
         for gpu in 1..nodes {
@@ -23,15 +33,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let receipt = fabric.inject(0, gpu, bytes)?;
             assert_eq!(receipt.handoff_us, fabric.topology().local_handoff_us());
         }
-        let deliveries = fabric.run_until_idle(1.0)?;
-        let slowest = deliveries
-            .iter()
-            .map(|d| d.delivered_us)
-            .fold(0.0f64, f64::max);
+        let slowest = slowest_delivery_us(&mut fabric);
         println!(
             "  {:>16}: slowest delivery {slowest:>7.1} µs",
             kind.to_string()
         );
+        if kind == TopologyKind::FullyConnected {
+            crossbar_us = slowest;
+        }
 
         // Per-link traffic: on the line, everything funnels through the
         // 0→1 wire; the full crossbar spreads it over private links.
@@ -51,34 +60,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The fully-connected fabric is the measured twin of the analytic
-    // Switch: same flows, agreement within a few percent.
-    let switch = Switch::new(nodes, link.clone())?;
-    let flows: Vec<Flow> = (1..nodes)
-        .map(|g| Flow {
-            from: 0,
-            to: g,
-            bytes,
-        })
-        .collect();
-    let analytic = switch
-        .concurrent_transfer_us(&flows)?
-        .into_iter()
-        .fold(0.0f64, f64::max);
-    let mut fabric = Fabric::new(TopologyKind::FullyConnected.build(nodes, link)?);
-    for g in 1..nodes {
-        fabric.inject(0, g, bytes)?;
+    // The crossbar without the handoff is the paper's NVSwitch: every GPU
+    // streams at an equal share of the node's egress port, so the
+    // closed form is setup + bytes / (capacity / GPUs).
+    let mut bare = Fabric::new(Box::new(
+        FullyConnected::new(nodes, link.clone())?.with_handoff_us(0.0),
+    ));
+    for gpu in 1..nodes {
+        bare.inject(0, gpu, bytes)?;
     }
-    let measured = fabric
-        .run_until_idle(analytic / 4096.0)?
-        .into_iter()
-        .map(|d| d.delivered_us)
-        .fold(0.0f64, f64::max);
-    let delta = 100.0 * (measured - analytic).abs() / analytic;
+    let bare_us = slowest_delivery_us(&mut bare);
+    let closed_form =
+        link.setup_us() + bytes as f64 / (link.effective_gbps() * 1e3 / (nodes - 1) as f64);
+    let rel = |t: f64| (t - closed_form).abs() / closed_form;
     println!();
     println!(
-        "analytic Switch {analytic:.1} µs vs measured crossbar {measured:.1} µs ({delta:.1}% apart)"
+        "closed form {closed_form:.3} µs; zero-handoff crossbar {bare_us:.3} µs; \
+         crossbar {crossbar_us:.3} µs = closed form + {:.3} µs handoff",
+        crossbar_us - closed_form
     );
-    assert!(delta < 10.0, "fabric and oracle should agree");
+    assert!(rel(bare_us) < 1e-12, "zero-handoff crossbar is exact");
+    assert!(
+        rel(crossbar_us - DEFAULT_HANDOFF_US) < 1e-12,
+        "the crossbar sits exactly one handoff later"
+    );
     Ok(())
 }

@@ -9,30 +9,16 @@
 //!
 //! Run with: `cargo run --release --example multi_gpu_sharing`
 
-use tensordimm::interconnect::{Flow, Link, Switch};
 use tensordimm::models::Workload;
+use tensordimm::system::SystemModel;
 
-const NODE_PORT: usize = 0;
 const BATCH: usize = 64;
 
-fn serve(gpus: usize, bytes_per_inference: u64, switch: &Switch) -> f64 {
-    // Every GPU pulls one inference's embedding payload from the node
-    // concurrently; the slowest flow gates the round.
-    let flows: Vec<Flow> = (0..gpus)
-        .map(|g| Flow {
-            from: NODE_PORT,
-            to: g + 1,
-            bytes: bytes_per_inference,
-        })
-        .collect();
-    let times = switch
-        .concurrent_transfer_us(&flows)
-        .expect("ports in range");
-    times.into_iter().fold(0.0, f64::max)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let switch = Switch::new(17, Link::nvlink2_x6())?; // node + 16 GPUs (DGX-2)
+    // NVLINK2 x6 to every GPU through the switch; every GPU pulls one
+    // inference's embedding payload from the node concurrently, and the
+    // slowest transfer gates the round.
+    let model = SystemModel::paper_defaults();
     let w = Workload::facebook();
     let pooled = w.pooled_bytes(BATCH); // TDIMM ships this
     let gathered = w.gathered_bytes(BATCH); // PMEM ships this
@@ -47,9 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>5} | {:>16} {:>18} | {:>16} {:>18}",
         "GPUs", "TDIMM round (us)", "TDIMM inf/s/node", "PMEM round (us)", "PMEM inf/s/node"
     );
+    // Up to a DGX-2's 16 GPUs.
     for gpus in [1usize, 2, 4, 8, 16] {
-        let t_tdimm = serve(gpus, pooled, &switch);
-        let t_pmem = serve(gpus, gathered, &switch);
+        let t_tdimm = model.contended_node_transfer_us(pooled, gpus)?;
+        let t_pmem = model.contended_node_transfer_us(gathered, gpus)?;
         println!(
             "{:>5} | {:>16.1} {:>18.0} | {:>16.1} {:>18.0}",
             gpus,

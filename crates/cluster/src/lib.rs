@@ -24,8 +24,12 @@
 //!   the replicas absorb its Zipf-hot load, so the induced hotspot is
 //!   modeled, not wished away — and hedges sub-requests aimed at nodes
 //!   inside their repair window,
-//! * **accounting** — a [`ClusterReport`] carries per-request rejoined
-//!   outcomes, routing statistics, and every per-shard `SimReport`;
+//! * **accounting** — the rejoin reads each shard's records back in
+//!   routing order (one cursor per shard), and a [`ClusterReport`]
+//!   carries per-request rejoined outcomes, routing statistics, and every
+//!   per-shard `SimReport`. Its outcome fields come from the same
+//!   `OutcomeFold` the per-node report uses, so both layers share one
+//!   rate formula and one availability contract;
 //!   [`ClusterReport::is_conserved`] extends the single-node conservation
 //!   law to the fan-out (every offered request resolves exactly once,
 //!   including at a horizon cut).

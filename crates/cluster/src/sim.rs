@@ -7,8 +7,9 @@ use tensordimm_exec::par_map;
 use tensordimm_faults::FaultPlan;
 use tensordimm_models::Workload;
 use tensordimm_serving::{
-    simulate_with_pricer, zipf_lookup_rows, AdmissionPolicy, BatchPolicy, LatencySummary,
-    OutcomeCounts, RequestOutcome, RetryPolicy, SimConfig, SimError, SimReport,
+    simulate_with_pricer, validate_arrivals, zipf_lookup_rows, AdmissionPolicy, BatchPolicy,
+    LatencySummary, OutcomeCounts, OutcomeFold, RequestOutcome, RequestRecord, RetryPolicy,
+    SimConfig, SimError, SimReport,
 };
 use tensordimm_system::{BatchPricer, DesignPoint, PricingBackend, SystemModel};
 
@@ -393,11 +394,6 @@ impl ClusterRecord {
             _ => None,
         }
     }
-
-    /// Whether the request completed within `sla_us` of arrival.
-    pub fn completed_within(&self, sla_us: f64) -> bool {
-        self.latency_us().is_some_and(|l| l <= sla_us)
-    }
 }
 
 /// One shard's share of the run.
@@ -450,35 +446,41 @@ impl ClusterReport {
         self.offered - self.arrived
     }
 
-    /// Cluster-level flow conservation: every offered request resolves
-    /// exactly once after the rejoin, the typed counts agree with the
-    /// flat counters, and every per-shard report conserves too.
+    /// Cluster-level flow conservation: every offered request has a
+    /// record, every arrived one resolves exactly once after the rejoin,
+    /// the typed counts agree with the flat counters, and every per-shard
+    /// report conserves too.
     pub fn is_conserved(&self) -> bool {
-        self.outcomes.is_conserved(self.arrived)
+        self.arrived <= self.offered
+            && self.records.len() == self.offered
+            && self.outcomes.is_conserved(self.arrived)
             && self.outcomes.completed == self.completed
-            && self.arrived + self.not_arrived() == self.offered
             && self.shards.iter().all(|s| s.report.is_conserved())
     }
 
     /// Fraction of arrived requests whose slowest leg finished within
-    /// `sla_us` (`1.0` with no arrivals; `0.0` at an all-shed point —
-    /// same contract as the per-node report).
+    /// `sla_us`: the report's [`OutcomeFold`] re-run at another SLA, with
+    /// the per-node report's contracts (`1.0` with no arrivals, `0.0` at
+    /// an all-shed point).
     ///
     /// # Panics
     ///
     /// Panics on a NaN `sla_us`.
     pub fn availability_at(&self, sla_us: f64) -> f64 {
-        assert!(!sla_us.is_nan(), "availability_at: NaN SLA");
-        if self.arrived == 0 {
-            return 1.0;
-        }
-        let within = self
-            .records
-            .iter()
-            .filter(|r| r.completed_within(sla_us))
-            .count();
-        within as f64 / self.arrived as f64
+        fold_records(&self.records, sla_us, self.end_us).availability
     }
+}
+
+/// The outcome fold over the rejoined records; requests the horizon cut
+/// off before arrival carry no outcome and are skipped.
+fn fold_records(records: &[ClusterRecord], sla_us: f64, end_us: f64) -> OutcomeFold {
+    OutcomeFold::fold(
+        records
+            .iter()
+            .filter_map(|r| r.outcome.map(|o| (o, r.latency_us()))),
+        sla_us,
+        end_us,
+    )
 }
 
 /// Route every request: sample its rows, pick an owner per row, group
@@ -616,28 +618,19 @@ pub fn shard_traces(
     arrivals_us: &[f64],
 ) -> Result<Vec<Vec<f64>>, ClusterError> {
     cfg.validate()?;
-    validate_trace(arrivals_us)?;
+    validate_arrivals(arrivals_us)?;
     let health = node_healths(cfg, arrivals_us)?;
     let (routes, _) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
-    Ok(per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes)
-        .into_iter()
-        .map(|subs| subs.into_iter().map(|(t, _, _)| t).collect())
-        .collect())
-}
-
-fn validate_trace(arrivals_us: &[f64]) -> Result<(), ClusterError> {
-    for (i, &t) in arrivals_us.iter().enumerate() {
-        let sorted = i == 0 || arrivals_us[i - 1] <= t;
-        if !t.is_finite() || t < 0.0 || !sorted {
-            return Err(ClusterError::Shard(SimError::BadArrival { index: i }));
-        }
-    }
-    Ok(())
+    Ok(per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes))
 }
 
 fn node_healths(cfg: &ClusterConfig, arrivals_us: &[f64]) -> Result<Vec<NodeHealth>, ClusterError> {
-    // The same window the per-shard engine expands its plan over: the
-    // horizon when set, the last arrival otherwise.
+    // The router expands each plan over the horizon when set, the
+    // cluster's last arrival otherwise; a shard's engine expands the same
+    // plan over the horizon or *its own* last arrival, which can be
+    // earlier. They still agree at every arrival the shard sees: a longer
+    // window only adds transitions after the shorter one ends (pinned by
+    // `schedule_is_a_pure_function_of_plan_and_horizon`).
     let horizon = cfg
         .horizon_us
         .unwrap_or_else(|| arrivals_us.last().copied().unwrap_or(0.0));
@@ -647,19 +640,16 @@ fn node_healths(cfg: &ClusterConfig, arrivals_us: &[f64]) -> Result<Vec<NodeHeal
         .collect()
 }
 
-/// Sub-request: (arrival, request id, is_hedge).
-fn per_shard_arrivals(
-    nodes: usize,
-    arrivals_us: &[f64],
-    routes: &[Route],
-) -> Vec<Vec<(f64, usize, bool)>> {
-    let mut shard_subs: Vec<Vec<(f64, usize, bool)>> = vec![Vec::new(); nodes];
-    for (id, route) in routes.iter().enumerate() {
-        let t = arrivals_us[id];
+/// Every shard's sub-request arrivals, pushed in routing order: request
+/// id, then leg, then primary before hedge. The rejoin reads the shards'
+/// records back in exactly this order, one cursor per shard.
+fn per_shard_arrivals(nodes: usize, arrivals_us: &[f64], routes: &[Route]) -> Vec<Vec<f64>> {
+    let mut shard_subs = vec![Vec::new(); nodes];
+    for (route, &t) in routes.iter().zip(arrivals_us) {
         for leg in &route.legs {
-            shard_subs[leg.primary].push((t, id, false));
+            shard_subs[leg.primary].push(t);
             if let Some(h) = leg.hedge {
-                shard_subs[h].push((t, id, true));
+                shard_subs[h].push(t);
             }
         }
     }
@@ -684,9 +674,9 @@ pub fn simulate_cluster(
     arrivals_us: &[f64],
 ) -> Result<ClusterReport, ClusterError> {
     cfg.validate()?;
-    validate_trace(arrivals_us)?;
+    validate_arrivals(arrivals_us)?;
     let health = node_healths(cfg, arrivals_us)?;
-    let (routes, mut stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
+    let (routes, stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
     let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes);
 
     // One capacity-sliced model and one pricer per node shape (DIMM
@@ -715,12 +705,11 @@ pub fn simulate_cluster(
     // the lowest shard index for determinism.
     let inputs: Vec<usize> = (0..cfg.plan.nodes()).collect();
     let results: Vec<Result<SimReport, SimError>> = par_map(&inputs, cfg.workers, |_, &node| {
-        let arrivals: Vec<f64> = shard_subs[node].iter().map(|&(t, _, _)| t).collect();
         let shape = dimms
             .binary_search(&cfg.nodes[node].dimms)
             .expect("every node's shape has a pricer");
         let sim_cfg = shard_sim_config(cfg, node);
-        simulate_with_pricer(workload, &sim_cfg, &arrivals, pricers[shape].as_ref())
+        simulate_with_pricer(workload, &sim_cfg, &shard_subs[node], &*pricers[shape])
     });
     let mut shards = Vec::with_capacity(results.len());
     for (node, result) in results.into_iter().enumerate() {
@@ -731,27 +720,11 @@ pub fn simulate_cluster(
         });
     }
 
-    // Local index of each sub-request within its shard's trace, keyed
-    // back to (request, leg role) for the rejoin.
-    let mut leg_outcomes: Vec<Vec<LegOutcome>> = vec![Vec::new(); arrivals_us.len()];
-    for (node, subs) in shard_subs.iter().enumerate() {
-        for (local, &(_, id, is_hedge)) in subs.iter().enumerate() {
-            let rec = &shards[node].report.records[local];
-            let finish = rec.completion.map(|c| c.finish_us);
-            leg_outcomes[id].push((node, rec.outcome, finish, is_hedge));
-        }
-    }
-
-    let horizon = cfg.horizon_us;
+    // Rejoin in routing order: each shard's next unread record is this
+    // request's sub-request there (see `per_shard_arrivals`).
+    let mut cursors = vec![0usize; shards.len()];
     let mut records = Vec::with_capacity(arrivals_us.len());
-    let mut outcomes = OutcomeCounts::default();
-    let mut latencies = Vec::new();
-    let mut arrived = 0usize;
-    let sla_us = cfg.retry.deadline_us;
-    let mut within_sla = 0usize;
-    for (id, route) in routes.iter().enumerate() {
-        let t = arrivals_us[id];
-        let in_window = horizon.is_none_or(|h| t <= h);
+    for (route, &t) in routes.iter().zip(arrivals_us) {
         let mut record = ClusterRecord {
             arrival_us: t,
             outcome: None,
@@ -760,70 +733,50 @@ pub fn simulate_cluster(
             rerouted: route.rerouted,
             hedged: route.legs.iter().any(|l| l.hedge.is_some()),
         };
-        if !in_window {
-            records.push(record);
-            continue;
-        }
-        arrived += 1;
-        let outcome = if route.router_shed {
-            Some(RequestOutcome::Shed)
-        } else {
-            rejoin(&route.legs, &leg_outcomes[id], &mut record)
-        };
-        record.outcome = outcome;
-        match outcome {
-            Some(RequestOutcome::Completed) => {
-                outcomes.completed += 1;
-                let latency = record.finish_us.expect("completed has a finish") - t;
-                if latency <= sla_us {
-                    within_sla += 1;
-                }
-                latencies.push(latency);
-            }
-            Some(RequestOutcome::Shed) => outcomes.shed += 1,
-            Some(RequestOutcome::TimedOut) => outcomes.timed_out += 1,
-            Some(RequestOutcome::InFlightAtHorizon) => outcomes.in_flight_at_horizon += 1,
-            None => unreachable!("every in-window request resolves"),
+        // A request the horizon cut off leaves its sub-requests unread;
+        // the trace is sorted, so every later request is cut off too and
+        // no cursor is read again.
+        if cfg.horizon_us.is_none_or(|h| t <= h) {
+            record.outcome = Some(if route.router_shed {
+                RequestOutcome::Shed
+            } else {
+                let next = |shard: ShardId| {
+                    let rec = &shards[shard].report.records[cursors[shard]];
+                    cursors[shard] += 1;
+                    rec
+                };
+                rejoin(&route.legs, next, &mut record)
+            });
         }
         records.push(record);
-    }
-    if arrivals_us.is_empty() {
-        stats.mean_fanout = 0.0;
     }
 
     let end_us = shards
         .iter()
         .map(|s| s.report.end_us)
         .fold(0.0f64, f64::max);
-    let completed = outcomes.completed;
+    let sla_us = cfg.retry.deadline_us;
+    let OutcomeFold {
+        arrived,
+        outcomes,
+        latency,
+        availability,
+        throughput_qps,
+        goodput_qps,
+        shed_rate,
+    } = fold_records(&records, sla_us, end_us);
     let report = ClusterReport {
         offered: arrivals_us.len(),
         arrived,
-        completed,
+        completed: outcomes.completed,
         outcomes,
-        latency: LatencySummary::from_latencies(latencies),
-        availability: if arrived > 0 {
-            within_sla as f64 / arrived as f64
-        } else {
-            1.0
-        },
+        latency,
+        availability,
         sla_us,
         end_us,
-        throughput_qps: if end_us > 0.0 {
-            completed as f64 / end_us * 1e6
-        } else {
-            0.0
-        },
-        goodput_qps: if end_us > 0.0 {
-            within_sla as f64 / end_us * 1e6
-        } else {
-            0.0
-        },
-        shed_rate: if arrived > 0 {
-            outcomes.shed as f64 / arrived as f64
-        } else {
-            0.0
-        },
+        throughput_qps,
+        goodput_qps,
+        shed_rate,
         routing: stats,
         records,
         shards,
@@ -832,67 +785,51 @@ pub fn simulate_cluster(
     Ok(report)
 }
 
-/// Rejoin a request's legs: a leg resolves to the best of its copies
-/// (hedged duplicates race — first completion wins), the request to the
-/// worst of its legs (every leg must finish; max-of-shards latency). A
-/// terminally failed leg (shed / timed out) fails the request even if
-/// other legs are still in flight.
-/// One resolved sub-request at the rejoin: `(shard, outcome, finish, is_hedge)`.
-type LegOutcome = (ShardId, Option<RequestOutcome>, Option<f64>, bool);
-
-fn rejoin(
-    legs: &[Leg],
-    sub_outcomes: &[LegOutcome],
-    record: &mut ClusterRecord,
-) -> Option<RequestOutcome> {
-    // Outcome severity for the cross-leg "worst" fold.
-    fn worst_rank(o: RequestOutcome) -> u8 {
-        match o {
-            RequestOutcome::Shed => 0,
-            RequestOutcome::TimedOut => 1,
-            RequestOutcome::InFlightAtHorizon => 2,
-            RequestOutcome::Completed => 3,
-        }
+/// Outcome severity for the rejoin's folds: a leg keeps its best copy,
+/// a request its worst leg.
+fn rank(o: RequestOutcome) -> u8 {
+    match o {
+        RequestOutcome::Shed => 0,
+        RequestOutcome::TimedOut => 1,
+        RequestOutcome::InFlightAtHorizon => 2,
+        RequestOutcome::Completed => 3,
     }
+}
+
+/// Rejoin a request's legs, reading each copy's shard record through
+/// `next` in routing order (primary, then its hedge). A leg resolves to
+/// the best of its copies (hedged duplicates race — first completion
+/// wins), the request to the worst of its legs (every leg must finish;
+/// max-of-shards latency, written to `record.finish_us` on completion).
+/// A terminally failed leg (shed / timed out) fails the request even if
+/// other legs are still in flight.
+fn rejoin<'a>(
+    legs: &[Leg],
+    mut next: impl FnMut(ShardId) -> &'a RequestRecord,
+    record: &mut ClusterRecord,
+) -> RequestOutcome {
     let mut request_outcome = RequestOutcome::Completed;
     let mut slowest_finish = 0.0f64;
     for leg in legs {
-        // Copies of this leg: the primary sub plus (iff hedged) the
-        // duplicate on the hedge shard.
-        let mut leg_outcome: Option<RequestOutcome> = None;
-        let mut leg_finish: Option<f64> = None;
-        for &(shard, outcome, finish, is_hedge) in sub_outcomes {
-            let belongs =
-                (shard == leg.primary && !is_hedge) || (Some(shard) == leg.hedge && is_hedge);
-            if !belongs {
-                continue;
-            }
-            let o = outcome.expect("in-window sub-request resolves");
-            if o == RequestOutcome::Completed {
-                let f = finish.expect("completed sub has a finish");
-                leg_finish = Some(leg_finish.map_or(f, |cur: f64| cur.min(f)));
-                leg_outcome = Some(RequestOutcome::Completed);
-            } else if leg_outcome != Some(RequestOutcome::Completed) {
-                // Best surviving copy: in-flight can still complete, a
-                // timeout beats a shed.
-                let better = leg_outcome.is_none_or(|cur| worst_rank(o) > worst_rank(cur));
-                if better {
-                    leg_outcome = Some(o);
-                }
-            }
-        }
-        let o = leg_outcome.expect("every leg has at least one sub-request");
-        if worst_rank(o) < worst_rank(request_outcome) {
-            request_outcome = o;
-        }
-        if let Some(f) = leg_finish {
-            slowest_finish = slowest_finish.max(f);
+        let copies = [Some(next(leg.primary)), leg.hedge.map(&mut next)];
+        let copies = copies.iter().flatten();
+        let leg_outcome = copies
+            .clone()
+            .map(|rec| rec.outcome.expect("in-window sub-request resolves"))
+            .max_by_key(|&o| rank(o))
+            .expect("every leg has a primary copy");
+        request_outcome = std::cmp::min_by_key(request_outcome, leg_outcome, |&o| rank(o));
+        if leg_outcome == RequestOutcome::Completed {
+            let first_finish = copies
+                .filter_map(|rec| rec.completion)
+                .fold(f64::INFINITY, |f, c| f.min(c.finish_us));
+            slowest_finish = slowest_finish.max(first_finish);
         }
     }
     if request_outcome == RequestOutcome::Completed {
         record.finish_us = Some(slowest_finish);
     }
-    Some(request_outcome)
+    request_outcome
 }
 
 #[cfg(test)]
@@ -1045,6 +982,202 @@ mod tests {
         .expect("valid");
         assert!(plain.routing.subrequests < r.routing.subrequests);
         assert_eq!(plain.routing.hedge_subrequests, 0);
+    }
+
+    /// The scan-based rejoin the cursor rejoin replaced, kept as its
+    /// oracle: every copy of a request is tagged `(leg, is_hedge, outcome,
+    /// finish)`, and each leg scans the request's copies for its own.
+    /// Copies are keyed by leg, not by shard: two legs can hedge onto the
+    /// same shard, and each races only its own copy there.
+    fn scan_rejoin(
+        legs: &[Leg],
+        sub_outcomes: &[(usize, bool, Option<RequestOutcome>, Option<f64>)],
+        record: &mut ClusterRecord,
+    ) -> Option<RequestOutcome> {
+        let mut request_outcome = RequestOutcome::Completed;
+        let mut slowest_finish = 0.0f64;
+        for (leg, _) in legs.iter().enumerate() {
+            let mut leg_outcome: Option<RequestOutcome> = None;
+            let mut leg_finish: Option<f64> = None;
+            for &(copy_leg, _, outcome, finish) in sub_outcomes {
+                if copy_leg != leg {
+                    continue;
+                }
+                let o = outcome.expect("in-window sub-request resolves");
+                if o == RequestOutcome::Completed {
+                    let f = finish.expect("completed sub has a finish");
+                    leg_finish = Some(leg_finish.map_or(f, |cur: f64| cur.min(f)));
+                    leg_outcome = Some(RequestOutcome::Completed);
+                } else if leg_outcome != Some(RequestOutcome::Completed) {
+                    let better = leg_outcome.is_none_or(|cur| rank(o) > rank(cur));
+                    if better {
+                        leg_outcome = Some(o);
+                    }
+                }
+            }
+            let o = leg_outcome.expect("every leg has at least one sub-request");
+            if rank(o) < rank(request_outcome) {
+                request_outcome = o;
+            }
+            if let Some(f) = leg_finish {
+                slowest_finish = slowest_finish.max(f);
+            }
+        }
+        if request_outcome == RequestOutcome::Completed {
+            record.finish_us = Some(slowest_finish);
+        }
+        Some(request_outcome)
+    }
+
+    #[test]
+    fn cursor_rejoin_matches_the_scan_oracle() {
+        let m = model();
+        let w = Workload::facebook();
+        let trace = arrivals(150_000.0, 400, 21);
+        let end = *trace.last().expect("nonempty");
+        // Nodes 0-2 limp with a rank out (their legs hedge); node 3 dies
+        // for a stretch (its legs reroute).
+        let limping = FaultPlan::none().with_rank_outage(RankOutage {
+            rank: 0,
+            start_us: 0.0,
+            duration_us: end + 1.0,
+        });
+        let mut cfg = base_cfg(4, 2)
+            .with_failover(FailoverPolicy::HedgeDegraded)
+            .with_horizon(trace[300])
+            .with_retry(RetryPolicy::none().with_deadline(2_000.0))
+            .with_admission(AdmissionPolicy::bounded(16))
+            .with_lookups(4, 0.9, 7);
+        cfg.plan = ShardPlan::hot_cold(4, 2, 4_096).expect("valid");
+        for node in &mut cfg.nodes[..3] {
+            *node = node.with_faults(limping);
+        }
+        cfg.nodes[3] = cfg.nodes[3].with_faults(FaultPlan::none().with_node_outage(NodeOutage {
+            start_us: end / 4.0,
+            duration_us: end / 4.0,
+        }));
+        let report = simulate_cluster(&m, &w, &cfg, &trace).expect("valid");
+        assert!(report.is_conserved());
+        assert!(report.not_arrived() > 0, "the horizon cuts arrivals off");
+
+        let health = node_healths(&cfg, &trace).expect("valid");
+        let (routes, _) = route_requests(&cfg, w.rows_per_table, &trace, &health);
+        let hedge_on =
+            |r: &Route, shard: ShardId| r.legs.iter().filter(|l| l.hedge == Some(shard)).count();
+        assert!(
+            routes
+                .iter()
+                .any(|r| r.legs.iter().any(|l| hedge_on(r, l.primary) > 0)),
+            "some hedge must land on another leg's primary shard"
+        );
+        assert!(
+            routes
+                .iter()
+                .any(|r| (0..cfg.plan.nodes()).any(|s| hedge_on(r, s) > 1)),
+            "some request must hedge two legs onto one shard"
+        );
+        // Tag every sub-request with (request, leg, is_hedge) in dispatch
+        // order, then key each shard record back to its request.
+        let mut tagged: Vec<Vec<(usize, usize, bool)>> = vec![Vec::new(); cfg.plan.nodes()];
+        for (id, route) in routes.iter().enumerate() {
+            for (leg_index, leg) in route.legs.iter().enumerate() {
+                tagged[leg.primary].push((id, leg_index, false));
+                if let Some(h) = leg.hedge {
+                    tagged[h].push((id, leg_index, true));
+                }
+            }
+        }
+        let mut subs = vec![Vec::new(); trace.len()];
+        for (node, tags) in tagged.iter().enumerate() {
+            for (local, &(id, leg, is_hedge)) in tags.iter().enumerate() {
+                let rec = &report.shards[node].report.records[local];
+                let finish = rec.completion.map(|c| c.finish_us);
+                subs[id].push((leg, is_hedge, rec.outcome, finish));
+            }
+        }
+        let horizon = cfg.horizon_us.expect("set");
+        let oracle: Vec<ClusterRecord> = routes
+            .iter()
+            .enumerate()
+            .map(|(id, route)| {
+                let mut record = ClusterRecord {
+                    arrival_us: trace[id],
+                    outcome: None,
+                    finish_us: None,
+                    fanout: route.legs.len(),
+                    rerouted: route.rerouted,
+                    hedged: route.legs.iter().any(|l| l.hedge.is_some()),
+                };
+                if trace[id] <= horizon {
+                    record.outcome = if route.router_shed {
+                        Some(RequestOutcome::Shed)
+                    } else {
+                        scan_rejoin(&route.legs, &subs[id], &mut record)
+                    };
+                }
+                record
+            })
+            .collect();
+        // Debug prints every f64 in its shortest round-trip form, so equal
+        // strings are equal bits.
+        assert_eq!(format!("{oracle:?}"), format!("{:?}", report.records));
+        assert!(report.outcomes.completed > 0 && report.outcomes.total() > report.completed);
+    }
+
+    /// Two legs hedged onto the same shard each race only their own copy
+    /// there: leg A's hedge was shed, so leg A waits for its primary even
+    /// though leg B's hedge on the same shard finished early.
+    #[test]
+    fn a_leg_never_takes_another_legs_hedge() {
+        let done = |finish_us: f64| RequestRecord {
+            completion: Some(tensordimm_serving::CompletionRecord {
+                dispatch_us: 0.0,
+                finish_us,
+                batch_size: 1,
+                gpu: 0,
+            }),
+            outcome: Some(RequestOutcome::Completed),
+            ..RequestRecord::pending(0.0)
+        };
+        let shed = RequestRecord {
+            outcome: Some(RequestOutcome::Shed),
+            ..RequestRecord::pending(0.0)
+        };
+        let legs = [
+            Leg {
+                primary: 0,
+                hedge: Some(2),
+            },
+            Leg {
+                primary: 1,
+                hedge: Some(2),
+            },
+        ];
+        // Routing order: A's primary, A's hedge, B's primary, B's hedge.
+        let shard_records = [
+            vec![done(900.0)],
+            vec![done(500.0)],
+            vec![shed, done(100.0)],
+        ];
+        let mut cursors = [0usize; 3];
+        let mut record = ClusterRecord {
+            arrival_us: 0.0,
+            outcome: None,
+            finish_us: None,
+            fanout: 2,
+            rerouted: false,
+            hedged: true,
+        };
+        let next = |shard: ShardId| {
+            let rec = &shard_records[shard][cursors[shard]];
+            cursors[shard] += 1;
+            rec
+        };
+        let outcome = rejoin(&legs, next, &mut record);
+        assert_eq!(outcome, RequestOutcome::Completed);
+        // Leg A finishes at 900 (its own hedge was shed), leg B at 100.
+        assert_eq!(record.finish_us, Some(900.0));
+        assert_eq!(cursors, [1, 1, 2], "every copy read exactly once");
     }
 
     #[test]

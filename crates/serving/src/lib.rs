@@ -20,7 +20,10 @@
 //!   shared-TensorNode contention that grows with the number of batches
 //!   in flight,
 //! * **metrics** — p50/p95/p99 latency, throughput, time-weighted queue
-//!   depth and batch-occupancy histograms ([`SimReport`]),
+//!   depth and batch-occupancy histograms ([`SimReport`]); the outcome
+//!   fields (counts, latency summary, availability, throughput, goodput,
+//!   shed rate) come from [`OutcomeFold`], the one outcome fold the node
+//!   and cluster reports share,
 //! * **sweeps** — offered-load curves and sustainable-QPS-at-SLA search
 //!   ([`offered_load_sweep`], [`sustainable_qps`]), with the independent
 //!   load points optionally fanned across a deterministic worker pool
@@ -56,10 +59,10 @@ pub mod sweep;
 
 pub use arrivals::{hot_row_share, zipf_lookup_rows, ArrivalProcess};
 pub use batcher::{BatchPolicy, DynamicBatcher, QueuedRequest};
-pub use metrics::{percentile, BatchStats, LatencySummary, OutcomeCounts, QueueStats};
+pub use metrics::{percentile, BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueStats};
 pub use policy::{AdmissionPolicy, RetryPolicy};
 pub use request::{CompletionRecord, RequestOutcome, RequestRecord, RequestTrace};
-pub use sim::{simulate, simulate_with_pricer, SimConfig, SimError, SimReport};
+pub use sim::{simulate, simulate_with_pricer, validate_arrivals, SimConfig, SimError, SimReport};
 pub use sweep::{
     offered_load_sweep, offered_load_sweep_par, sustainable_qps, sweep_arrivals_us, LoadPoint,
 };

@@ -1,5 +1,8 @@
-//! Serving metrics: latency percentiles, queue-depth statistics and
-//! batch-occupancy histograms.
+//! Serving metrics: the outcome fold both simulators build their reports
+//! from, latency percentiles, queue-depth statistics and batch-occupancy
+//! histograms.
+
+use crate::request::RequestOutcome;
 
 /// Nearest-rank percentile of an ascending-sorted sample, `pct` in
 /// `[0, 100]`. Empty samples yield `0.0`; `pct = 0` yields the minimum
@@ -67,10 +70,8 @@ impl LatencySummary {
     }
 }
 
-/// Where every arrived request ended up, by
-/// [`RequestOutcome`](crate::request::RequestOutcome).
-///
-/// Produced by the simulator; the conservation law
+/// Where every arrived request ended up, by [`RequestOutcome`], as
+/// counted by [`OutcomeFold::fold`]. The conservation law
 /// `completed + shed + timed_out + in_flight_at_horizon == arrived` holds
 /// at every grid point (enforced by
 /// [`SimReport::is_conserved`](crate::sim::SimReport::is_conserved) and the
@@ -101,6 +102,88 @@ impl OutcomeCounts {
     /// sweep point including the horizon cut).
     pub fn is_conserved(&self, arrived: usize) -> bool {
         self.total() == arrived
+    }
+}
+
+/// The outcome fields a node and a cluster report share, folded from
+/// every arrived request's final fate. Both simulators build their
+/// reports from [`OutcomeFold::fold`], and both `availability_at` methods
+/// re-run it at another SLA, so the two layers cannot disagree on what
+/// availability, goodput or a rate means.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OutcomeFold {
+    /// Requests folded: those that arrived inside the simulated window.
+    pub arrived: usize,
+    /// Where every arrived request ended up.
+    pub outcomes: OutcomeCounts,
+    /// End-to-end latency summary over completed requests.
+    pub latency: LatencySummary,
+    /// Fraction of arrived requests completed within the SLA.
+    pub availability: f64,
+    /// Completed requests per second of virtual time.
+    pub throughput_qps: f64,
+    /// Requests completed within the SLA per second of virtual time.
+    pub goodput_qps: f64,
+    /// Fraction of arrived requests shed.
+    pub shed_rate: f64,
+}
+
+impl OutcomeFold {
+    /// Fold each arrived request's `(outcome, latency_us)` (the latency
+    /// is read only for completed requests), judging completions against
+    /// `sla_us` over a run of `end_us` µs. No arrivals ⇒ availability
+    /// `1.0`; a zero-length run has zero rates; an all-shed run reports
+    /// availability `0.0` and an all-zero latency summary, never NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN `sla_us` (`f64::INFINITY` is the spelling for "no
+    /// SLA") and on a completed request without a latency.
+    pub fn fold(
+        requests: impl IntoIterator<Item = (RequestOutcome, Option<f64>)>,
+        sla_us: f64,
+        end_us: f64,
+    ) -> Self {
+        assert!(!sla_us.is_nan(), "availability_at: NaN SLA");
+        let mut arrived = 0usize;
+        let mut outcomes = OutcomeCounts::default();
+        let mut within = 0usize;
+        let mut latencies = Vec::new();
+        for (outcome, latency_us) in requests {
+            arrived += 1;
+            match outcome {
+                RequestOutcome::Completed => {
+                    let latency = latency_us.expect("a completed request has a latency");
+                    outcomes.completed += 1;
+                    within += usize::from(latency <= sla_us);
+                    latencies.push(latency);
+                }
+                RequestOutcome::Shed => outcomes.shed += 1,
+                RequestOutcome::TimedOut => outcomes.timed_out += 1,
+                RequestOutcome::InFlightAtHorizon => outcomes.in_flight_at_horizon += 1,
+            }
+        }
+        let per_arrival = |n: usize| n as f64 / arrived.max(1) as f64;
+        let per_second = |n: usize| {
+            if end_us > 0.0 {
+                n as f64 / (end_us * 1e-6)
+            } else {
+                0.0
+            }
+        };
+        OutcomeFold {
+            arrived,
+            outcomes,
+            latency: LatencySummary::from_latencies(latencies),
+            availability: if arrived == 0 {
+                1.0
+            } else {
+                per_arrival(within)
+            },
+            throughput_qps: per_second(outcomes.completed),
+            goodput_qps: per_second(within),
+            shed_rate: per_arrival(outcomes.shed),
+        }
     }
 }
 
@@ -278,6 +361,36 @@ mod tests {
         };
         assert_eq!(c.total(), 11);
         assert_eq!(OutcomeCounts::default().total(), 0);
+    }
+
+    #[test]
+    fn fold_counts_rates_and_the_empty_contract() {
+        use RequestOutcome::*;
+        let fates = [
+            (Completed, Some(100.0)),
+            (Completed, Some(300.0)),
+            (Shed, None),
+            (TimedOut, None),
+            (InFlightAtHorizon, None),
+        ];
+        let f = OutcomeFold::fold(fates, 200.0, 1_000.0);
+        assert_eq!(f.arrived, 5);
+        assert!(f.outcomes.is_conserved(5));
+        assert_eq!(f.latency.count, 2);
+        assert_eq!(f.availability, 1.0 / 5.0);
+        assert_eq!(f.shed_rate, 1.0 / 5.0);
+        assert_eq!(f.throughput_qps, 2.0 / (1_000.0 * 1e-6));
+        assert_eq!(f.goodput_qps, 1.0 / (1_000.0 * 1e-6));
+        let empty = OutcomeFold::fold([], 200.0, 0.0);
+        assert_eq!(
+            empty.availability, 1.0,
+            "no arrivals is vacuously available"
+        );
+        assert_eq!(empty.latency, LatencySummary::default());
+        assert_eq!(
+            [empty.throughput_qps, empty.goodput_qps, empty.shed_rate],
+            [0.0; 3]
+        );
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl RequestRecord {
     pub fn queue_wait_us(&self) -> Option<f64> {
         self.completion.map(|c| c.dispatch_us - self.arrival_us)
     }
-
-    /// Whether the request completed within `sla_us` of its arrival.
-    pub fn completed_within(&self, sla_us: f64) -> bool {
-        self.outcome == Some(RequestOutcome::Completed)
-            && self.latency_us().is_some_and(|l| l <= sla_us)
-    }
 }
 
 /// How many lookups to sample when estimating a trace's row locality.
@@ -209,18 +203,8 @@ mod tests {
         };
         assert_eq!(r.latency_us(), Some(90.0));
         assert_eq!(r.queue_wait_us(), Some(15.0));
-        assert!(r.completed_within(90.0));
-        assert!(!r.completed_within(89.9));
         let unfinished = RequestRecord::pending(10.0);
         assert_eq!(unfinished.latency_us(), None);
         assert_eq!(unfinished.outcome, None);
-        assert!(!unfinished.completed_within(f64::INFINITY));
-        // A shed request never counts toward availability even with an
-        // infinite SLA.
-        let shed = RequestRecord {
-            outcome: Some(RequestOutcome::Shed),
-            ..RequestRecord::pending(10.0)
-        };
-        assert!(!shed.completed_within(f64::INFINITY));
     }
 }

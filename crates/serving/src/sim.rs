@@ -95,7 +95,9 @@ use tensordimm_system::{
 };
 
 use crate::batcher::{BatchPolicy, DynamicBatcher, QueuedRequest, TIMER_SLACK_US};
-use crate::metrics::{BatchStats, LatencySummary, OutcomeCounts, QueueDepthTracker, QueueStats};
+use crate::metrics::{
+    BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueDepthTracker, QueueStats,
+};
 use crate::policy::{AdmissionPolicy, RetryPolicy};
 use crate::request::{CompletionRecord, RequestOutcome, RequestRecord};
 
@@ -354,50 +356,45 @@ impl SimReport {
         self.offered - self.arrived
     }
 
-    /// Flow conservation: every offered request is accounted for exactly
-    /// once — completed, shed, timed out, in flight (on a GPU, queued, or
-    /// between retries), or not yet arrived — and the typed outcome
-    /// counts agree with the flat counters.
+    /// Flow conservation: every offered request has a record, every
+    /// arrived one is accounted for exactly once — completed, shed, timed
+    /// out, or in flight — and the records' in-flight count agrees with
+    /// the engine's live counters (on a GPU, queued, or between retries).
     pub fn is_conserved(&self) -> bool {
-        let live = self.in_flight + self.queued + self.retry_pending;
-        self.outcomes.completed == self.completed
-            && self.outcomes.in_flight_at_horizon == live
+        self.arrived <= self.offered
+            && self.records.len() == self.offered
             && self.outcomes.is_conserved(self.arrived)
-            && self.completed
-                + self.outcomes.shed
-                + self.outcomes.timed_out
-                + live
-                + self.not_arrived()
-                == self.offered
+            && self.outcomes.completed == self.completed
+            && self.outcomes.in_flight_at_horizon
+                == self.in_flight + self.queued + self.retry_pending
     }
 
     /// Fraction of arrived requests that completed within `sla_us` of
-    /// their arrival (`1.0` for a run with no arrivals — vacuously
-    /// available). Shed and timed-out requests never count; neither do
-    /// completions slower than the SLA.
-    ///
-    /// The all-shed contract (pinned by `all_shed_point_has_zero_…`): a
-    /// point where every arrived request was shed reports availability
-    /// `0.0` with an all-zero latency summary — never NaN and never a
-    /// zero-denominator, because `arrived`, not `completed`, is the
-    /// denominator.
+    /// their arrival: the report's [`OutcomeFold`] re-run at another SLA,
+    /// so `availability_at(sla_us)` is bit-identical to `availability`.
+    /// Shed and timed-out requests never count; neither do completions
+    /// slower than the SLA. The fold's no-arrival and all-shed contracts
+    /// apply (the latter pinned by `all_shed_point_has_zero_…`).
     ///
     /// # Panics
     ///
-    /// Panics on a NaN `sla_us` (it would silently judge every completion
-    /// late); `f64::INFINITY` is the spelling for "no SLA".
+    /// Panics on a NaN `sla_us`; `f64::INFINITY` is the spelling for "no
+    /// SLA".
     pub fn availability_at(&self, sla_us: f64) -> f64 {
-        assert!(!sla_us.is_nan(), "availability_at: NaN SLA");
-        if self.arrived == 0 {
-            return 1.0;
-        }
-        let within = self
-            .records
-            .iter()
-            .filter(|r| r.completed_within(sla_us))
-            .count();
-        within as f64 / self.arrived as f64
+        fold_records(&self.records, sla_us, self.end_us).availability
     }
+}
+
+/// The outcome fold over a node run's records; records the horizon cut
+/// off before arrival carry no outcome and are skipped.
+fn fold_records(records: &[RequestRecord], sla_us: f64, end_us: f64) -> OutcomeFold {
+    OutcomeFold::fold(
+        records
+            .iter()
+            .filter_map(|r| r.outcome.map(|o| (o, r.latency_us()))),
+        sla_us,
+        end_us,
+    )
 }
 
 /// What a [`EventKind::RetryFire`] event does when it fires.
@@ -728,6 +725,22 @@ pub fn simulate(
     simulate_with_pricer(workload, cfg, arrivals_us, pricer.as_ref())
 }
 
+/// The arrival-trace check every simulator runs: instants must be finite,
+/// non-negative and sorted ascending.
+///
+/// # Errors
+///
+/// Returns [`SimError::BadArrival`] at the first offending index.
+pub fn validate_arrivals(arrivals_us: &[f64]) -> Result<(), SimError> {
+    for (i, &t) in arrivals_us.iter().enumerate() {
+        let sorted = i == 0 || arrivals_us[i - 1] <= t;
+        if !t.is_finite() || t < 0.0 || !sorted {
+            return Err(SimError::BadArrival { index: i });
+        }
+    }
+    Ok(())
+}
+
 /// [`simulate`] with an explicit pricing backend. `cfg.pricing` is ignored
 /// — the caller owns the pricer, which lets a sweep reuse one cycle
 /// pricer's memoized latency table across many runs.
@@ -742,12 +755,7 @@ pub fn simulate_with_pricer(
     pricer: &dyn BatchPricer,
 ) -> Result<SimReport, SimError> {
     cfg.validate()?;
-    for (i, &t) in arrivals_us.iter().enumerate() {
-        let sorted = i == 0 || arrivals_us[i - 1] <= t;
-        if !t.is_finite() || t < 0.0 || !sorted {
-            return Err(SimError::BadArrival { index: i });
-        }
-    }
+    validate_arrivals(arrivals_us)?;
 
     // Expand the fault plan over the simulated window: the horizon when
     // one is set, the last arrival otherwise (repairs may trail it).
@@ -795,12 +803,8 @@ pub fn simulate_with_pricer(
         .iter()
         .map(|&t| RequestRecord::pending(t))
         .collect();
-    let mut latencies: Vec<f64> = Vec::with_capacity(n);
     let mut queue_tracker = QueueDepthTracker::default();
     let mut arrived = 0usize;
-    let mut completed = 0usize;
-    let mut shed = 0usize;
-    let mut timed_out = 0usize;
     let mut clock_us = 0.0f64;
     // Last instant a request changed state — what `end_us` reports.
     // Trailing no-op timers (a deadline firing for a request that already
@@ -830,13 +834,8 @@ pub fn simulate_with_pricer(
                 }
                 match engine.admit(event.time_us, id, records[id].arrival_us)? {
                     Admit::Accepted => {}
-                    Admit::Expired => {
-                        records[id].outcome = Some(RequestOutcome::TimedOut);
-                        timed_out += 1;
-                    }
-                    Admit::QueueFull => {
-                        reject(&mut engine, &mut records, &mut shed, event.time_us, id);
-                    }
+                    Admit::Expired => records[id].outcome = Some(RequestOutcome::TimedOut),
+                    Admit::QueueFull => reject(&mut engine, &mut records, event.time_us, id),
                 }
             }
             EventKind::Flush => {
@@ -853,13 +852,8 @@ pub fn simulate_with_pricer(
                     engine.retry_pending -= 1;
                     match engine.admit(event.time_us, id, records[id].arrival_us)? {
                         Admit::Accepted => {}
-                        Admit::Expired => {
-                            records[id].outcome = Some(RequestOutcome::TimedOut);
-                            timed_out += 1;
-                        }
-                        Admit::QueueFull => {
-                            reject(&mut engine, &mut records, &mut shed, event.time_us, id);
-                        }
+                        Admit::Expired => records[id].outcome = Some(RequestOutcome::TimedOut),
+                        Admit::QueueFull => reject(&mut engine, &mut records, event.time_us, id),
                     }
                 }
             }
@@ -867,7 +861,6 @@ pub fn simulate_with_pricer(
                 if records[id].outcome.is_none() {
                     if engine.batcher.remove(id).is_some() {
                         records[id].outcome = Some(RequestOutcome::TimedOut);
-                        timed_out += 1;
                         progress_us = event.time_us;
                     } else if engine.awaiting_retry[id] {
                         // Cancel the pending re-admission; its Readmit
@@ -875,7 +868,6 @@ pub fn simulate_with_pricer(
                         engine.awaiting_retry[id] = false;
                         engine.retry_pending -= 1;
                         records[id].outcome = Some(RequestOutcome::TimedOut);
-                        timed_out += 1;
                         progress_us = event.time_us;
                     }
                     // Otherwise the request is on a GPU: let it finish —
@@ -904,9 +896,7 @@ pub fn simulate_with_pricer(
                             gpu,
                         });
                         records[q.id].outcome = Some(RequestOutcome::Completed);
-                        latencies.push(event.time_us - records[q.id].arrival_us);
                     }
-                    completed += size;
                     engine.in_flight_requests -= size;
                 }
                 if batch.copies > 0 {
@@ -932,19 +922,17 @@ pub fn simulate_with_pricer(
             rec.outcome = Some(RequestOutcome::InFlightAtHorizon);
         }
     }
-    let outcomes = OutcomeCounts {
-        completed,
-        shed,
-        timed_out,
-        in_flight_at_horizon: engine.in_flight_requests
-            + engine.batcher.depth()
-            + engine.retry_pending,
-    };
     let sla_us = cfg.retry.deadline_us;
-    let within = records
-        .iter()
-        .filter(|r| r.completed_within(sla_us))
-        .count();
+    let OutcomeFold {
+        arrived: folded,
+        outcomes,
+        latency,
+        availability,
+        throughput_qps,
+        goodput_qps,
+        shed_rate,
+    } = fold_records(&records, sla_us, end_us);
+    debug_assert_eq!(folded, arrived, "exactly the arrived records resolve");
     // The tracker has integrated up to `clock_us` (possibly past `end_us`
     // through trailing no-op events, over which the queue is necessarily
     // empty — any depth change is itself progress); normalize over the
@@ -958,35 +946,19 @@ pub fn simulate_with_pricer(
         policy: cfg.policy,
         offered: n,
         arrived,
-        completed,
+        completed: outcomes.completed,
         in_flight: engine.in_flight_requests,
         queued: engine.batcher.depth(),
         retry_pending: engine.retry_pending,
         end_us,
-        throughput_qps: if end_us > 0.0 {
-            completed as f64 / (end_us * 1e-6)
-        } else {
-            0.0
-        },
-        goodput_qps: if end_us > 0.0 {
-            within as f64 / (end_us * 1e-6)
-        } else {
-            0.0
-        },
-        shed_rate: if arrived > 0 {
-            shed as f64 / arrived as f64
-        } else {
-            0.0
-        },
-        availability: if arrived > 0 {
-            within as f64 / arrived as f64
-        } else {
-            1.0
-        },
+        throughput_qps,
+        goodput_qps,
+        shed_rate,
+        availability,
         sla_us,
         outcomes,
         hedge_dispatches: engine.hedge_dispatches,
-        latency: LatencySummary::from_latencies(latencies),
+        latency,
         queue,
         batches,
         records,
@@ -995,13 +967,7 @@ pub fn simulate_with_pricer(
 
 /// Queue-full rejection: consume a retry (scheduling re-admission after
 /// deterministic backoff) or shed for good.
-fn reject(
-    engine: &mut Engine<'_>,
-    records: &mut [RequestRecord],
-    shed: &mut usize,
-    now_us: f64,
-    id: usize,
-) {
+fn reject(engine: &mut Engine<'_>, records: &mut [RequestRecord], now_us: f64, id: usize) {
     let attempt = engine.attempts[id];
     if attempt < engine.retry.max_retries {
         engine.attempts[id] += 1;
@@ -1012,7 +978,6 @@ fn reject(
         engine.push_event(now_us + delay, EventKind::RetryFire(RetryKind::Readmit(id)));
     } else {
         records[id].outcome = Some(RequestOutcome::Shed);
-        *shed += 1;
     }
 }
 

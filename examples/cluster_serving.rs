@@ -15,6 +15,10 @@
 //!    survivors, so the failover hotspot (and the p99 behind it)
 //!    shrinks.
 //!
+//! The example asserts that ladder: the healthy cluster is fully
+//! available, and under the outage static routing < hash rerouting ≤ the
+//! hot-cold split on availability at the SLA.
+//!
 //! Run with: `cargo run --release --example cluster_serving`
 
 use tensordimm::cluster::{simulate_cluster, ClusterConfig, FailoverPolicy, NodeSpec, ShardPlan};
@@ -99,13 +103,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
     let mut last = None;
+    let mut ladder = Vec::new();
     for (label, plan, dead, failover) in scenarios {
         let report = simulate_cluster(&model, &workload, &cfg(plan, dead, failover), &arrivals)?;
         assert!(report.is_conserved(), "cluster accounting must balance");
+        ladder.push(report.availability_at(SLA_US));
         println!(
             "{:<34} {:>13.4} {:>9.2} {:>9} {:>8.2} {:>10.1}",
             label,
-            report.availability_at(SLA_US),
+            ladder[ladder.len() - 1],
             100.0 * report.shed_rate,
             report.routing.rerouted_requests,
             report.routing.mean_fanout,
@@ -113,6 +119,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         last = Some(report);
     }
+
+    let [healthy, static_routing, reroute, hot_cold] = ladder[..] else {
+        unreachable!("four scenarios ran");
+    };
+    assert_eq!(healthy, 1.0, "a healthy cluster meets the SLA");
+    assert!(
+        static_routing < reroute && reroute <= hot_cold,
+        "outage ladder: static {static_routing} < reroute {reroute} <= hot-cold {hot_cold}"
+    );
 
     // The hot-cold run is still live here: show where the failover load
     // actually went.

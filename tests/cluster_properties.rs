@@ -154,6 +154,10 @@ proptest! {
         prop_assert_eq!(report.outcomes.total(), report.arrived);
         prop_assert_eq!(report.arrived + report.not_arrived(), report.offered);
         prop_assert_eq!(report.outcomes.completed, report.latency.count);
+        prop_assert_eq!(
+            report.availability.to_bits(),
+            report.availability_at(report.sla_us).to_bits()
+        );
         if cut {
             prop_assert!(report.not_arrived() > 0, "the cut strands arrivals");
         }

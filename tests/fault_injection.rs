@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use tensordimm::faults::{FaultPlan, GrayRank, NodeOutage, RowFaults};
+use tensordimm::faults::{FaultPlan, FaultSchedule, GrayRank, NodeOutage, RowFaults};
 use tensordimm::models::{Workload, WorkloadName};
 use tensordimm::serving::{
     simulate, AdmissionPolicy, ArrivalProcess, BatchPolicy, RequestOutcome, RetryPolicy, SimConfig,
@@ -127,11 +127,16 @@ proptest! {
 
     /// `FaultPlan::schedule` is a pure function of `(plan, horizon)`:
     /// regenerating yields the identical event list, timestamps compared
-    /// bit-for-bit.
+    /// bit-for-bit. A longer horizon `h2 ≥ h1` only adds transitions after
+    /// `h1`: both schedules agree on every transition at `at_us ≤ h1`. The
+    /// cluster router relies on this — it expands a node's plan over the
+    /// cluster's last arrival, the node's shard over its own, and both must
+    /// see the same fault state at each of the shard's arrivals.
     #[test]
     fn schedule_is_a_pure_function_of_plan_and_horizon(
         plan in arb_plan(),
         horizon_us in 0.0f64..50_000.0,
+        extra_us in 0.0f64..50_000.0,
     ) {
         let a = plan.schedule(horizon_us).expect("valid plan");
         let b = plan.schedule(horizon_us).expect("valid plan");
@@ -140,6 +145,15 @@ proptest! {
         for (ea, eb) in a.events().iter().zip(b.events()) {
             prop_assert_eq!(ea.at_us().to_bits(), eb.at_us().to_bits());
         }
+        let longer = plan.schedule(horizon_us + extra_us).expect("valid plan");
+        let prefix = |s: &FaultSchedule| -> Vec<_> {
+            s.transitions()
+                .into_iter()
+                .filter(|t| t.at_us <= horizon_us)
+                .map(|t| (t.at_us.to_bits(), t.change))
+                .collect()
+        };
+        prop_assert_eq!(prefix(&a), prefix(&longer));
     }
 
     /// Thinning draws candidate failures from a rate-independent stream,

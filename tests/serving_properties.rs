@@ -120,6 +120,7 @@ proptest! {
             cut.offered, cut.completed, cut.in_flight, cut.queued, cut.not_arrived()
         );
         prop_assert!(cut.completed <= report.completed);
+        prop_assert_eq!(cut.availability.to_bits(), cut.availability_at(cut.sla_us).to_bits());
     }
 
     /// Bit-identical replay under a fixed seed, and a different arrival

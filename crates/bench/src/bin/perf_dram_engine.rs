@@ -18,6 +18,12 @@
 //! assertions (not the speed numbers) in seconds. The full run also writes
 //! `BENCH_dram_engine.json`, seeding the repo's perf trajectory.
 //!
+//! Besides wall-clock, the replay rows carry `banks_examined`, the
+//! scheduler's deterministic work counter
+//! ([`MemorySystem::banks_examined`]): bank candidates visited over all
+//! scheduling decisions of the event path (the NMP row reports its
+//! uncached replay).
+//!
 //! The `cached_gather` scenario exercises the hot-row SRAM tier in the
 //! gather replay: a zero-capacity cache must reproduce the uncached
 //! pipeline byte for byte, while a head-sized cache against a Zipf-0.9
@@ -131,6 +137,7 @@ struct PathResult {
     completions: Vec<Completion>,
     final_cycle: u64,
     skipped: u64,
+    banks_examined: u64,
     wall_s: f64,
 }
 
@@ -152,6 +159,7 @@ fn replay(trace: &Trace, config: &DramConfig, event_driven: bool) -> PathResult 
         completions,
         final_cycle: memory.cycle(),
         skipped: memory.idle_cycles_skipped(),
+        banks_examined: memory.banks_examined(),
         wall_s,
     }
 }
@@ -211,6 +219,7 @@ fn main() {
             concat!(
                 "    {{\"scenario\": \"{}\", \"requests\": {}, ",
                 "\"simulated_cycles\": {}, \"idle_cycles_skipped\": {}, ",
+                "\"banks_examined\": {}, ",
                 "\"tick_wall_s\": {:.6}, \"event_wall_s\": {:.6}, ",
                 "\"speedup\": {:.2}, \"identical\": true}}"
             ),
@@ -218,6 +227,7 @@ fn main() {
             sc.trace.len(),
             fast.final_cycle,
             fast.skipped,
+            fast.banks_examined,
             oracle.wall_s,
             fast.wall_s,
             speedup,
@@ -316,6 +326,7 @@ fn main() {
                 "\"table_rows\": {}, \"zipf_s\": {}, \"capacity_rows\": {}, ",
                 "\"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, ",
                 "\"uncached_cycles\": {}, \"cached_cycles\": {}, ",
+                "\"uncached_banks_examined\": {}, ",
                 "\"cycle_speedup\": {:.3}, \"uncached_wall_s\": {:.6}, ",
                 "\"cached_wall_s\": {:.6}, \"wall_speedup\": {:.2}, ",
                 "\"identical_when_disabled\": true}}"
@@ -329,6 +340,7 @@ fn main() {
             cached.hot_rows.misses,
             uncached.cycles,
             cached.cycles,
+            uncached.banks_examined,
             cycle_ratio,
             uncached_wall_s,
             cached_wall_s,
@@ -356,7 +368,7 @@ fn main() {
         if quick {
             cfg.max_replayed_lookups = 256;
         }
-        let pricer = CyclePricer::with_config(&model, cfg);
+        let pricer = CyclePricer::with_config(&model, cfg).expect("valid replay config");
         let w = Workload::facebook();
         let start = Instant::now();
         let cold = pricer
@@ -463,7 +475,7 @@ fn main() {
         let make_pricer = || {
             let mut cfg = CyclePricerConfig::paper_defaults();
             cfg.max_replayed_lookups = if quick { 256 } else { 2000 };
-            CyclePricer::with_config(&model, cfg)
+            CyclePricer::with_config(&model, cfg).expect("valid replay config")
         };
         let batches: &[usize] = if quick { &[8, 32] } else { &[8, 16, 32, 64] };
         let shapes: Vec<(Workload, usize)> = Workload::all()

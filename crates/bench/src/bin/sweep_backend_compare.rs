@@ -46,7 +46,7 @@ fn main() {
     let cycle = if quick {
         let mut cfg = CyclePricerConfig::paper_defaults();
         cfg.max_replayed_lookups = 512;
-        CyclePricer::with_config(&model, cfg)
+        CyclePricer::with_config(&model, cfg).expect("valid replay config")
     } else {
         CyclePricer::new(&model)
     };

@@ -79,7 +79,7 @@ fn main() {
             } else {
                 HotRowCacheConfig::fully_associative(capacity)
             };
-            let pricer = CyclePricer::with_config(&model, pricer_cfg);
+            let pricer = CyclePricer::with_config(&model, pricer_cfg).expect("valid replay config");
             let report =
                 simulate_with_pricer(&w, &cfg, &arrivals, &pricer).expect("valid simulation");
 

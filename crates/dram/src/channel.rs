@@ -112,6 +112,43 @@ impl ChannelState {
         }
     }
 
+    /// The row open in `addr`'s bank, if any.
+    pub(crate) fn open_row(&self, addr: &DramAddr) -> Option<usize> {
+        let rank = &self.ranks[addr.rank];
+        rank.banks[rank.bank_index(addr.bank_group, addr.bank)].open_row
+    }
+
+    /// The next command a request to `addr` needs and the earliest cycle
+    /// it could issue: `col` (its column command) on an open-row hit,
+    /// ACTIVATE on a closed bank, PRECHARGE on a conflicting row. The
+    /// cycle depends only on the command and on `addr`'s rank, bank group
+    /// and bank (plus bus state), so every request queued to one bank
+    /// that needs the same command shares it.
+    pub(crate) fn next_command(
+        &self,
+        t: &DramTiming,
+        addr: &DramAddr,
+        col: DramCommand,
+    ) -> (u64, DramCommand) {
+        let rank = &self.ranks[addr.rank];
+        match self.open_row(addr) {
+            Some(row) if row == addr.row => {
+                let earliest = self
+                    .earliest_issue(t, col, addr)
+                    .expect("a column command to the open row is structurally possible");
+                (earliest, col)
+            }
+            Some(_) => (
+                rank.earliest_precharge(addr.bank_group, addr.bank),
+                DramCommand::Precharge,
+            ),
+            None => (
+                rank.earliest_activate(t, addr.bank_group, addr.bank),
+                DramCommand::Activate,
+            ),
+        }
+    }
+
     /// Whether `cmd` may issue to `addr` at `cycle`.
     pub fn can_issue(&self, t: &DramTiming, cmd: DramCommand, addr: &DramAddr, cycle: u64) -> bool {
         self.earliest_issue(t, cmd, addr)

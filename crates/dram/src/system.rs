@@ -207,10 +207,12 @@ impl MemorySystem {
 
     /// The earliest cycle at or after the current one at which any channel
     /// could act (see [`MemoryController::next_event_cycle`]); `None` when
-    /// every channel is fully idle with refresh disabled.
-    pub fn next_event_cycle(&self) -> Option<u64> {
+    /// every channel is fully idle with refresh disabled. Each channel
+    /// stores the horizon it proves, so the [`MemorySystem::advance_to`]
+    /// that follows reuses it instead of re-evaluating the scheduler.
+    pub fn next_event_cycle(&mut self) -> Option<u64> {
         self.controllers
-            .iter()
+            .iter_mut()
             .filter_map(|c| c.next_event_cycle())
             .min()
     }
@@ -269,6 +271,16 @@ impl MemorySystem {
         self.controllers
             .iter()
             .map(|c| c.idle_cycles_skipped())
+            .sum()
+    }
+
+    /// Banks the channels' schedulers visited over all their decisions,
+    /// summed across channels (deterministic work counter; see
+    /// [`MemoryController::banks_examined`]).
+    pub fn banks_examined(&self) -> u64 {
+        self.controllers
+            .iter()
+            .map(MemoryController::banks_examined)
             .sum()
     }
 

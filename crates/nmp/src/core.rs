@@ -40,6 +40,10 @@ pub struct NmpRunStats {
     pub output_wait_cycles: u64,
     /// Hot-row cache counters (all zero when the cache is disabled).
     pub hot_rows: HotRowStats,
+    /// Banks the local controller's scheduler visited over the run (a
+    /// deterministic measure of simulator work, not a modeled quantity;
+    /// see [`MemorySystem::banks_examined`]).
+    pub banks_examined: u64,
 }
 
 impl NmpRunStats {
@@ -91,22 +95,9 @@ impl NmpCore {
     ///
     /// # Errors
     ///
-    /// Returns [`NmpError::Dram`] for an invalid local-DRAM configuration,
-    /// [`NmpError::Cache`] for a bad hot-row cache geometry, or
-    /// [`NmpError::QueueTooSmall`] for queues below one 64-byte entry.
+    /// Returns what [`NmpConfig::validate`] finds.
     pub fn new(config: NmpConfig) -> Result<Self, NmpError> {
-        config.dram.validate()?;
-        config.hot_rows.validate()?;
-        if config.input_queue_entries() == 0 {
-            return Err(NmpError::QueueTooSmall {
-                bytes: config.input_queue_bytes,
-            });
-        }
-        if config.output_queue_entries() == 0 {
-            return Err(NmpError::QueueTooSmall {
-                bytes: config.output_queue_bytes,
-            });
-        }
+        config.validate()?;
         Ok(NmpCore { config })
     }
 
@@ -165,6 +156,7 @@ impl NmpCore {
             input_stall_cycles: 0,
             output_wait_cycles: 0,
             hot_rows: HotRowStats::default(),
+            banks_examined: runner.memory_mut().banks_examined(),
             memory: stats,
         })
     }
@@ -353,7 +345,7 @@ impl NmpCore {
             }
 
             if progressed {
-                memory.tick();
+                memory.advance_to(now + 1);
                 continue;
             }
 
@@ -399,6 +391,7 @@ impl NmpCore {
             input_stall_cycles,
             output_wait_cycles,
             hot_rows: cache.map(|c| c.stats()).unwrap_or_default(),
+            banks_examined: memory.banks_examined(),
             memory: stats,
         };
         if self.config.verify {
@@ -789,6 +782,99 @@ mod event_engine_pins {
                 s.memory.totals.read_latency_sum,
             ];
             assert_eq!(got, expect, "drift vs tick-stepped baseline: {instr:?}");
+        }
+        pricer_replay_matches_linear_scan_baseline();
+    }
+
+    /// The cycle pricer's replay: its depth-256 trace-replay queues
+    /// (`CyclePricerConfig::paper_defaults`) on the Facebook batch-32
+    /// gather it lowers (`CyclePricerConfig::lowered_gather`, rebuilt here
+    /// because this crate sits below the pricer). The tick and event paths
+    /// share the scheduler, so only exact pins can see a scheduler change;
+    /// these were captured before the per-bank scheduler replaced the
+    /// linear queue scan, under FR-FCFS (the pricer's own setting), FCFS
+    /// and closed page.
+    ///
+    /// The scheduler's work counter is pinned too, so a change that makes
+    /// scheduling costlier shows here. For scale, the linear scan read
+    /// 2 381 254, 45 102 and 2 595 878 queue entries on these replays.
+    fn pricer_replay_matches_linear_scan_baseline() {
+        use tensordimm_dram::{RowPolicy, SchedulerKind};
+
+        let facebook = tensordimm_models::Workload::facebook();
+        let dimms = 32;
+        let vec_blocks = facebook.embedding_bytes().div_ceil(64).div_ceil(dimms) * dimms;
+        let batch = 32u64;
+        let lookups = (batch * facebook.lookups_per_sample()).min(2000);
+        let rows = facebook.rows_per_table;
+        let seed = 0xc1c1e ^ batch.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ rows;
+        let indices = tensordimm_embedding::zipf_lookup_rows(lookups as usize, rows, 0.9, seed);
+        let region = (rows.max(lookups) + 1) * vec_blocks;
+        let gather = Instruction::Gather {
+            table_base: 0,
+            idx_base: 3 * region,
+            output_base: region,
+            count: lookups,
+            vec_blocks,
+        };
+
+        // (scheduler, row policy, [cycles, in_stall, out_wait, busy,
+        //  refreshes, activates, precharges, row_hits, row_misses,
+        //  read_latency_sum], banks examined)
+        let cases = [
+            (
+                SchedulerKind::FrFcfs,
+                RowPolicy::OpenPage,
+                [20215, 17346, 17586, 20196, 3, 2480, 2416, 1878, 104, 312128],
+                379_926,
+            ),
+            (
+                SchedulerKind::Fcfs,
+                RowPolicy::OpenPage,
+                [
+                    111743, 106467, 108961, 111724, 32, 2309, 2245, 1827, 564, 1767101,
+                ],
+                18_528,
+            ),
+            (
+                SchedulerKind::FrFcfs,
+                RowPolicy::ClosedPage,
+                [21464, 18395, 18728, 21445, 3, 4401, 4401, 0, 3858, 329056],
+                494_712,
+            ),
+        ];
+        for (scheduler, row_policy, expect, banks_examined) in cases {
+            let mut cfg = NmpConfig::paper();
+            cfg.dram.read_queue_depth = 256;
+            cfg.dram.write_queue_depth = 256;
+            cfg.dram.write_high_watermark = 192;
+            cfg.dram.write_low_watermark = 64;
+            cfg.dram.scheduler = scheduler;
+            cfg.dram.row_policy = row_policy;
+            let mut core = NmpCore::new(cfg).unwrap();
+            let s = core
+                .run_instruction(&gather, DimmContext::new(dimms, 0), Some(&indices))
+                .unwrap();
+            let got = [
+                s.cycles,
+                s.input_stall_cycles,
+                s.output_wait_cycles,
+                s.memory.totals.busy_cycles,
+                s.memory.totals.refreshes,
+                s.memory.totals.activates,
+                s.memory.totals.precharges,
+                s.memory.totals.row_hits,
+                s.memory.totals.row_misses,
+                s.memory.totals.read_latency_sum,
+            ];
+            assert_eq!(
+                got, expect,
+                "drift vs linear-scan baseline: {scheduler:?}, {row_policy:?}"
+            );
+            assert_eq!(
+                s.banks_examined, banks_examined,
+                "scheduler work moved: {scheduler:?}, {row_policy:?}"
+            );
         }
     }
 }

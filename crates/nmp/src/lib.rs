@@ -108,6 +108,24 @@ impl NmpConfig {
         self.output_queue_bytes / 64
     }
 
+    /// Check everything [`NmpCore::new`] requires of this configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NmpError::Dram`] for an invalid local-DRAM configuration,
+    /// [`NmpError::Cache`] for a bad hot-row cache geometry, or
+    /// [`NmpError::QueueTooSmall`] for queues below one 64-byte entry.
+    pub fn validate(&self) -> Result<(), NmpError> {
+        self.dram.validate()?;
+        self.hot_rows.validate()?;
+        for bytes in [self.input_queue_bytes, self.output_queue_bytes] {
+            if bytes / 64 == 0 {
+                return Err(NmpError::QueueTooSmall { bytes });
+            }
+        }
+        Ok(())
+    }
+
     /// DRAM-clock cycles per ALU operation (one 64-byte block pair).
     pub fn alu_interval_cycles(&self) -> f64 {
         self.dram.timing.clock_mhz as f64 / self.alu_clock_mhz as f64

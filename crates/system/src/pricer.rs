@@ -37,7 +37,7 @@ use tensordimm_embedding::zipf_lookup_rows;
 use tensordimm_interconnect::InterconnectError;
 use tensordimm_isa::{AccessPlan, DimmContext, Instruction};
 use tensordimm_models::Workload;
-use tensordimm_nmp::{NmpConfig, NmpCore};
+use tensordimm_nmp::{NmpConfig, NmpCore, NmpError};
 
 use crate::breakdown::PhaseBreakdown;
 use crate::design::DesignPoint;
@@ -82,7 +82,9 @@ impl PricingBackend {
             PricingBackend::CycleCalibrated => {
                 let mut cfg = CyclePricerConfig::for_model(model);
                 cfg.nmp.hot_rows = hot_rows;
-                Box::new(CyclePricer::with_config(model, cfg))
+                // The hot-row tier is the caller's; an invalid one still
+                // surfaces only at the first replay.
+                Box::new(CyclePricer::unvalidated(model, cfg))
             }
         }
     }
@@ -587,11 +589,25 @@ impl<'a> CyclePricer<'a> {
     /// A cycle-calibrated pricer over `model` with
     /// [`CyclePricerConfig::for_model`].
     pub fn new(model: &'a SystemModel) -> Self {
-        CyclePricer::with_config(model, CyclePricerConfig::for_model(model))
+        // The paper's replay knobs are valid by construction.
+        CyclePricer::unvalidated(model, CyclePricerConfig::for_model(model))
     }
 
     /// A pricer with explicit knobs.
-    pub fn with_config(model: &'a SystemModel, config: CyclePricerConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`NmpConfig::validate`] finds in `config.nmp`, which
+    /// every cold replay would otherwise trip over.
+    pub fn with_config(
+        model: &'a SystemModel,
+        config: CyclePricerConfig,
+    ) -> Result<Self, NmpError> {
+        config.nmp.validate()?;
+        Ok(CyclePricer::unvalidated(model, config))
+    }
+
+    fn unvalidated(model: &'a SystemModel, config: CyclePricerConfig) -> Self {
         CyclePricer {
             model,
             state: RwLock::new(CycleState::fresh(config)),
@@ -611,17 +627,30 @@ impl<'a> CyclePricer<'a> {
     /// under the state's write lock, so concurrent readers either finish
     /// on the old `(config, table)` pair or start on the new one — never
     /// a mix.
-    pub fn set_config(&self, config: CyclePricerConfig) {
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`NmpConfig::validate`] finds in `config.nmp`; the
+    /// pricer then keeps its knobs and table.
+    pub fn set_config(&self, config: CyclePricerConfig) -> Result<(), NmpError> {
+        config.nmp.validate()?;
         *self.state.write().expect("state lock") = CycleState::fresh(config);
+        Ok(())
     }
 
     /// Replace only the local-DRAM configuration (e.g. a timing or
     /// scheduler knob), invalidating the latency table.
-    pub fn set_dram_config(&self, dram: DramConfig) {
+    ///
+    /// # Errors
+    ///
+    /// As [`CyclePricer::set_config`].
+    pub fn set_dram_config(&self, dram: DramConfig) -> Result<(), NmpError> {
         let mut state = self.state.write().expect("state lock");
         let mut config = state.config.clone();
         config.nmp.dram = dram;
+        config.nmp.validate()?;
         *state = CycleState::fresh(config);
+        Ok(())
     }
 
     /// Entries currently memoized (initialized cells only).
@@ -871,7 +900,7 @@ mod tests {
     fn quick_pricer(model: &SystemModel) -> CyclePricer<'_> {
         let mut cfg = CyclePricerConfig::paper_defaults();
         cfg.max_replayed_lookups = 256;
-        CyclePricer::with_config(model, cfg)
+        CyclePricer::with_config(model, cfg).expect("valid replay config")
     }
 
     #[test]
@@ -910,7 +939,7 @@ mod tests {
         // bandwidth must drop.
         let mut dram = pricer.config().nmp.dram;
         dram.timing.clock_mhz /= 2;
-        pricer.set_dram_config(dram);
+        pricer.set_dram_config(dram).expect("valid DRAM config");
         assert_eq!(pricer.cached_entries(), 0, "stale entries must be dropped");
         let after = pricer.measured_node_gbps(&w, 8);
         assert!(
@@ -921,7 +950,7 @@ mod tests {
         // set_config likewise clears.
         let mut cfg = pricer.config();
         cfg.dimms = 16;
-        pricer.set_config(cfg);
+        pricer.set_config(cfg).expect("valid replay config");
         assert_eq!(pricer.cached_entries(), 0);
         // Every replay above was a distinct cold measurement.
         assert_eq!(pricer.replay_count(), 2);
@@ -1000,11 +1029,46 @@ mod tests {
     }
 
     #[test]
+    fn invalid_replay_configs_are_rejected_not_a_panic() {
+        let model = SystemModel::paper_defaults();
+        let mut bad = CyclePricerConfig::paper_defaults();
+        bad.nmp.dram.read_queue_depth = 0;
+        assert!(matches!(
+            CyclePricer::with_config(&model, bad.clone()),
+            Err(NmpError::Dram(_))
+        ));
+
+        // A rejected setter keeps the pricer's knobs and memo.
+        let pricer = quick_pricer(&model);
+        let w = Workload::ncf();
+        let before = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
+        let knobs = pricer.config();
+        assert!(matches!(pricer.set_config(bad), Err(NmpError::Dram(_))));
+        let mut dram = knobs.nmp.dram.clone();
+        dram.write_queue_depth = 0;
+        assert!(matches!(
+            pricer.set_dram_config(dram),
+            Err(NmpError::Dram(_))
+        ));
+        let mut tiny_queues = knobs.clone();
+        tiny_queues.nmp.input_queue_bytes = 32;
+        assert!(matches!(
+            pricer.set_config(tiny_queues),
+            Err(NmpError::QueueTooSmall { bytes: 32 })
+        ));
+        assert_eq!(pricer.config(), knobs);
+        assert_eq!(pricer.cached_entries(), 1);
+        let after = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
+        assert_eq!(before.service_us.to_bits(), after.service_us.to_bits());
+        assert_eq!(pricer.replay_count(), 1);
+    }
+
+    #[test]
     fn zero_replay_cap_is_clamped_not_a_panic() {
         let model = SystemModel::paper_defaults();
         let mut cfg = CyclePricerConfig::paper_defaults();
         cfg.max_replayed_lookups = 0;
-        let pricer = CyclePricer::with_config(&model, cfg);
+        let pricer = CyclePricer::with_config(&model, cfg).expect("valid replay config");
         let cost = pricer
             .price(&Workload::ncf(), 8, DesignPoint::Tdimm, 1)
             .expect("a zero cap degrades to a one-lookup replay");
@@ -1099,7 +1163,7 @@ mod tests {
         // A cache sized for the whole replayed trace's hot head.
         let mut cfg = pricer.config();
         cfg.nmp.hot_rows = HotRowCacheConfig::fully_associative(100_000);
-        pricer.set_config(cfg);
+        pricer.set_config(cfg).expect("valid replay config");
         assert_eq!(pricer.cached_entries(), 0, "setter invalidates");
         let cached = pricer.measured_node_gbps(&w, 16);
         let stats = pricer.measured_hot_rows(&w, 16);
@@ -1138,7 +1202,7 @@ mod tests {
         let b = PricingBackend::CycleCalibrated.build_with_hot_rows(&model, hot);
         let mut cfg = CyclePricerConfig::paper_defaults();
         cfg.nmp.hot_rows = hot;
-        let explicit = CyclePricer::with_config(&model, cfg);
+        let explicit = CyclePricer::with_config(&model, cfg).expect("valid replay config");
         assert_eq!(
             b.price(&w, 8, DesignPoint::Tdimm, 2)
                 .expect("valid")

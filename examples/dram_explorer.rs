@@ -2,12 +2,19 @@
 //! locality, scheduling, and the bank-parallelism effects TensorDIMM
 //! exploits.
 //!
+//! The example asserts two orderings, so running it checks the FCFS
+//! policy and the multi-rank paths of the scheduler: FR-FCFS delivers at
+//! least twice FCFS's bandwidth on the uniform gather, and four ranks beat
+//! one on random 64 B reads.
+//!
 //! Run with: `cargo run --release --example dram_explorer`
 
 use tensordimm::dram::{DramConfig, MemorySystem, Request, SchedulerKind};
 use tensordimm::embedding::{Distribution, IndexStream};
 
-fn run(label: &str, cfg: DramConfig, addrs: &[u64]) {
+/// Replay `addrs` as reads, print the stats line and return the
+/// delivered bandwidth in GB/s.
+fn run(label: &str, cfg: DramConfig, addrs: &[u64]) -> f64 {
     let mut mem = MemorySystem::new(cfg).expect("valid config");
     for &a in addrs {
         mem.push_when_ready(Request::read(a));
@@ -21,6 +28,7 @@ fn run(label: &str, cfg: DramConfig, addrs: &[u64]) {
         100.0 * s.row_hit_rate(),
         s.mean_read_latency_ns()
     );
+    s.achieved_gbps()
 }
 
 fn main() {
@@ -44,7 +52,7 @@ fn main() {
         .into_iter()
         .flat_map(|row| (0..32u64).map(move |b| row * 2048 + b * 64))
         .collect();
-    run("uniform gather (2KiB vectors)", cfg.clone(), &rand_vecs);
+    let fr_fcfs_gbps = run("uniform gather (2KiB vectors)", cfg.clone(), &rand_vecs);
 
     // Zipfian gather: realistic recommendation traffic.
     let mut zipf = IndexStream::new(Distribution::Zipfian { s: 1.0 }, capacity / 2048, 1);
@@ -56,7 +64,7 @@ fn main() {
     run("zipfian gather (2KiB vectors)", cfg.clone(), &zipf_vecs);
 
     // Scheduler matters: strict FCFS on the uniform gather.
-    run(
+    let fcfs_gbps = run(
         "uniform gather, FCFS scheduler",
         cfg.clone().with_scheduler(SchedulerKind::Fcfs),
         &rand_vecs,
@@ -66,7 +74,7 @@ fn main() {
     // internal ranks (an LR-DIMM) hide it; a single rank cannot.
     let mut blocks = IndexStream::new(Distribution::Uniform, capacity / 64, 2);
     let rand_blocks: Vec<u64> = blocks.batch(16_384).iter().map(|b| b * 64).collect();
-    run("random 64B reads, 4 ranks", cfg.clone(), &rand_blocks);
+    let four_rank_gbps = run("random 64B reads, 4 ranks", cfg.clone(), &rand_blocks);
 
     let mut one_rank = cfg.clone();
     one_rank.geometry.ranks_per_channel = 1;
@@ -75,7 +83,18 @@ fn main() {
         .iter()
         .map(|a| a % one_rank.capacity_bytes())
         .collect();
-    run("random 64B reads, single rank", one_rank, &small);
+    let one_rank_gbps = run("random 64B reads, single rank", one_rank, &small);
+
+    assert!(
+        fr_fcfs_gbps >= 2.0 * fcfs_gbps,
+        "FR-FCFS should at least double FCFS on the uniform gather: \
+         {fr_fcfs_gbps:.1} vs {fcfs_gbps:.1} GB/s"
+    );
+    assert!(
+        four_rank_gbps > one_rank_gbps,
+        "four ranks should beat one on random 64B reads: \
+         {four_rank_gbps:.1} vs {one_rank_gbps:.1} GB/s"
+    );
 
     println!();
     println!(

@@ -68,7 +68,7 @@ fn main() {
     let price = |hot_rows: HotRowCacheConfig| {
         let mut cfg = CyclePricerConfig::paper_defaults();
         cfg.nmp.hot_rows = hot_rows;
-        let pricer = CyclePricer::with_config(&model, cfg);
+        let pricer = CyclePricer::with_config(&model, cfg).expect("valid replay config");
         let cost = pricer
             .price(&w, batch, DesignPoint::Tdimm, 8)
             .expect("valid batch");

@@ -200,7 +200,7 @@ fn fig14_orderings_hold_under_cycle_pricer() {
     let analytic = AnalyticPricer::new(&m);
     let mut cfg = CyclePricerConfig::paper_defaults();
     cfg.max_replayed_lookups = 384;
-    let cycle = CyclePricer::with_config(&m, cfg);
+    let cycle = CyclePricer::with_config(&m, cfg).expect("valid replay config");
     let batch = 64;
     for w in Workload::all() {
         let cost = |pricer: &dyn BatchPricer, d: DesignPoint| {

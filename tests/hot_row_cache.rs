@@ -113,7 +113,7 @@ fn fig14_orderings_hold_with_cache_enabled() {
     let mut cfg = CyclePricerConfig::paper_defaults();
     cfg.max_replayed_lookups = 384;
     cfg.nmp.hot_rows = HotRowCacheConfig::fully_associative(4096);
-    let cycle = CyclePricer::with_config(&m, cfg);
+    let cycle = CyclePricer::with_config(&m, cfg).expect("valid replay config");
     let batch = 64;
     for w in Workload::all() {
         let cost = |d: DesignPoint| {

@@ -37,7 +37,7 @@ fn arb_backend() -> impl Strategy<Value = PricingBackend> {
 fn quick_cycle_pricer(model: &SystemModel) -> CyclePricer<'_> {
     let mut cfg = CyclePricerConfig::paper_defaults();
     cfg.max_replayed_lookups = 128;
-    CyclePricer::with_config(model, cfg)
+    CyclePricer::with_config(model, cfg).expect("valid replay config")
 }
 
 fn table_bits(p: &CyclePricer<'_>) -> Vec<(CycleKey, u64)> {
@@ -268,15 +268,17 @@ fn invalidation_races_concurrent_readers_safely() {
             for _ in 0..3 {
                 let mut dram = pricer.config().nmp.dram;
                 dram.timing.clock_mhz /= 2;
-                pricer.set_dram_config(dram);
+                pricer.set_dram_config(dram).expect("valid DRAM config");
             }
         });
     });
     // Post-race: the table reflects the final (eighth-clock) config only.
     let final_config = pricer.config();
-    pricer.set_config(final_config.clone());
+    pricer
+        .set_config(final_config.clone())
+        .expect("valid replay config");
     let slow = pricer.measured_node_gbps(&w, 8);
-    let reference = CyclePricer::with_config(&model, final_config);
+    let reference = CyclePricer::with_config(&model, final_config).expect("valid replay config");
     assert_eq!(
         slow.to_bits(),
         reference.measured_node_gbps(&w, 8).to_bits(),

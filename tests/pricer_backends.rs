@@ -18,7 +18,7 @@ use tensordimm::system::{
 fn quick_cycle_pricer(model: &SystemModel) -> CyclePricer<'_> {
     let mut cfg = CyclePricerConfig::paper_defaults();
     cfg.max_replayed_lookups = 256;
-    CyclePricer::with_config(model, cfg)
+    CyclePricer::with_config(model, cfg).expect("valid replay config")
 }
 
 #[test]

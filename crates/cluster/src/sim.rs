@@ -493,6 +493,10 @@ fn route_requests(
     let mut stats = RoutingStats::default();
     let mut routed_requests = 0usize;
     let mut fanout_sum = 0usize;
+    // Scratch buffers reused across rows and requests.
+    let mut live: Vec<ShardId> = Vec::new();
+    let mut primaries: Vec<ShardId> = Vec::new();
+    let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
     for (id, &t) in arrivals_us.iter().enumerate() {
         let mut rows = zipf_lookup_rows(
             cfg.routing_lookups,
@@ -506,8 +510,8 @@ fn route_requests(
         // replicas without widening the fan-out per row.
         let spread = mix(cfg.lookup_seed ^ mix(id as u64 ^ 0x10d7));
         let mut route = Route::default();
-        let mut primaries: Vec<ShardId> = Vec::new();
-        let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
+        primaries.clear();
+        hedges.clear();
         // Cold rows first (descending ids): their placement is forced,
         // so the hot head's affinity check sees the full cold target set
         // and can narrow the fan-out instead of widening it.
@@ -523,11 +527,8 @@ fn route_requests(
                     primary
                 }
                 FailoverPolicy::Reroute | FailoverPolicy::HedgeDegraded => {
-                    let live: Vec<ShardId> = owners
-                        .iter()
-                        .copied()
-                        .filter(|&o| !health[o].dead_at(t))
-                        .collect();
+                    live.clear();
+                    live.extend(owners.iter().copied().filter(|&o| !health[o].dead_at(t)));
                     if live.is_empty() {
                         route.router_shed = true;
                         break 'rows;

@@ -47,9 +47,18 @@
 //!    arrival (a request arriving exactly at a window expiry joins the
 //!    flushed batch rather than starting a new one).
 //!
-//! This ordering is part of the simulator's contract: it never depends on
-//! heap internals, so [`simulate`] is bit-identical for identical inputs
-//! even with colliding timestamps (see the regression tests).
+//! Ties within a kind go by creation order: arrival `i` of the trace is
+//! event `i`, fault transitions follow, then timers in the order they were
+//! armed.
+//!
+//! Arrivals stream from the sorted trace through a cursor and merge with a
+//! heap that holds only live timers (completions, fault transitions,
+//! flushes, retry fires) under that same (time, kind, creation order)
+//! order, so the heap stays about as large as one deadline window's worth
+//! of timers however long the trace is. This ordering is part of the
+//! simulator's contract: it never depends on heap internals, so
+//! [`simulate`] is bit-identical for identical inputs even with colliding
+//! timestamps (see the regression tests and the record-digest pins).
 //!
 //! Everything is deterministic: same model, configuration, fault plan,
 //! policies, pricing backend and arrival trace ⇒ bit-identical
@@ -289,6 +298,11 @@ impl SimConfig {
                 });
             }
         }
+        self.hot_rows
+            .validate()
+            .map_err(|_| SimError::InvalidConfig {
+                parameter: "hot_rows",
+            })?;
         self.faults.validate()?;
         self.retry.validate()?;
         self.admission.validate()?;
@@ -506,7 +520,16 @@ struct Engine<'a> {
     workload: &'a Workload,
     design: DesignPoint,
     gpus: usize,
+    /// The validated, sorted trace; arrivals stream from it by cursor.
+    arrivals_us: &'a [f64],
+    /// Index of the next arrival not yet handed to the loop.
+    next_arrival: usize,
+    /// Live timers only (completions, fault transitions, flushes, retry
+    /// fires); arrivals never enter it.
     heap: BinaryHeap<Event>,
+    /// Largest `heap.len()` so far.
+    peak_heap: usize,
+    /// Next timer `seq`: arrivals own `0..n`, so timers start at `n`.
     seq: u64,
     batcher: DynamicBatcher,
     /// Free GPU ids; popped from the back (lowest id first by construction).
@@ -524,8 +547,6 @@ struct Engine<'a> {
     state: FaultState,
     retry: RetryPolicy,
     admission: AdmissionPolicy,
-    /// Backoff re-admissions consumed per request.
-    attempts: Vec<u32>,
     /// Whether a `Readmit` timer is outstanding for the request.
     awaiting_retry: Vec<bool>,
     /// Requests currently waiting out a backoff delay.
@@ -541,6 +562,29 @@ impl Engine<'_> {
             kind,
         });
         self.seq += 1;
+        self.peak_heap = self.peak_heap.max(self.heap.len());
+    }
+
+    /// The next event in (time, kind, seq) order: the cursor's arrival
+    /// unless the heap's top timer orders first. Arrival `i` carries
+    /// `seq = i` (arrivals own `0..n`), so the merge orders every event
+    /// exactly as one heap holding them all would.
+    fn pop_event(&mut self) -> Option<Event> {
+        let i = self.next_arrival;
+        let arrival = self.arrivals_us.get(i).map(|&time_us| Event {
+            time_us,
+            seq: i as u64,
+            kind: EventKind::Arrival(i),
+        });
+        match (arrival, self.heap.peek()) {
+            // `Ord` is reversed for the max-heap: greater orders first.
+            (Some(a), Some(top)) if *top > a => self.heap.pop(),
+            (Some(a), _) => {
+                self.next_arrival += 1;
+                Some(a)
+            }
+            (None, _) => self.heap.pop(),
+        }
     }
 
     /// The pricer's view of the current fault state, with `reread_rows`
@@ -710,7 +754,7 @@ impl Engine<'_> {
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for unusable knobs (including
-/// fault-plan and policy knobs), [`SimError::BadArrival`] for an
+/// fault-plan, policy and hot-row-tier knobs), [`SimError::BadArrival`] for an
 /// unsorted/non-finite trace, and [`SimError::Pricing`] if the system
 /// model rejects a batch.
 pub fn simulate(
@@ -753,6 +797,16 @@ pub fn simulate_with_pricer(
     arrivals_us: &[f64],
     pricer: &dyn BatchPricer,
 ) -> Result<SimReport, SimError> {
+    run_engine(workload, cfg, arrivals_us, pricer).map(|(report, _)| report)
+}
+
+/// [`simulate_with_pricer`], also returning the timer heap's peak length.
+fn run_engine(
+    workload: &Workload,
+    cfg: &SimConfig,
+    arrivals_us: &[f64],
+    pricer: &dyn BatchPricer,
+) -> Result<(SimReport, usize), SimError> {
     cfg.validate()?;
     validate_arrivals(arrivals_us)?;
 
@@ -773,8 +827,11 @@ pub fn simulate_with_pricer(
         workload,
         design: cfg.design,
         gpus: cfg.gpus,
-        heap: BinaryHeap::with_capacity(2 * n + cfg.gpus + transitions.len()),
-        seq: 0,
+        arrivals_us,
+        next_arrival: 0,
+        heap: BinaryHeap::with_capacity(cfg.gpus + transitions.len()),
+        peak_heap: 0,
+        seq: n as u64,
         batcher: DynamicBatcher::new(cfg.policy),
         free_gpus: (0..cfg.gpus).rev().collect(),
         in_flight: vec![None; cfg.gpus],
@@ -786,14 +843,10 @@ pub fn simulate_with_pricer(
         state: FaultState::healthy(cfg.faults.dimms),
         retry: cfg.retry,
         admission: cfg.admission,
-        attempts: vec![0; n],
         awaiting_retry: vec![false; n],
         retry_pending: 0,
         hedge_dispatches: 0,
     };
-    for (id, &t) in arrivals_us.iter().enumerate() {
-        engine.push_event(t, EventKind::Arrival(id));
-    }
     for (i, tr) in transitions.iter().enumerate() {
         engine.push_event(tr.at_us, EventKind::FaultTransition(i));
     }
@@ -812,7 +865,7 @@ pub fn simulate_with_pricer(
     let mut progress_us = 0.0f64;
     let mut horizon_hit = false;
 
-    while let Some(event) = engine.heap.pop() {
+    while let Some(event) = engine.pop_event() {
         if let Some(h) = cfg.horizon_us {
             if event.time_us > h {
                 horizon_hit = true;
@@ -938,7 +991,7 @@ pub fn simulate_with_pricer(
     let queue = queue_tracker.finish(clock_us.max(end_us), end_us, engine.batcher.depth());
     let mut batches = engine.batch_stats;
     batches.finalize();
-    Ok(SimReport {
+    let report = SimReport {
         design: cfg.design,
         gpus: cfg.gpus,
         policy: cfg.policy,
@@ -960,15 +1013,15 @@ pub fn simulate_with_pricer(
         queue,
         batches,
         records,
-    })
+    };
+    Ok((report, engine.peak_heap))
 }
 
 /// Queue-full rejection: consume a retry (scheduling re-admission after
 /// deterministic backoff) or shed for good.
 fn reject(engine: &mut Engine<'_>, records: &mut [RequestRecord], now_us: f64, id: usize) {
-    let attempt = engine.attempts[id];
+    let attempt = records[id].retries;
     if attempt < engine.retry.max_retries {
-        engine.attempts[id] += 1;
         records[id].retries += 1;
         engine.awaiting_retry[id] = true;
         engine.retry_pending += 1;
@@ -1639,6 +1692,48 @@ mod tests {
         assert_eq!(r.throughput_qps, 0.0);
         assert_eq!(r.goodput_qps, 0.0);
         assert!(r.shed_rate > 0.0 && r.shed_rate.is_finite());
+    }
+
+    /// A hot-row tier whose set count is not a power of two is rejected
+    /// up front instead of panicking at the cycle backend's first replay.
+    #[test]
+    fn invalid_hot_row_tier_is_an_error_not_a_panic() {
+        let m = model();
+        let w = Workload::youtube();
+        let cfg = SimConfig::new(DesignPoint::Tdimm, 1, BatchPolicy::new(4, 50.0))
+            .with_pricing(PricingBackend::CycleCalibrated)
+            .with_hot_rows(HotRowCacheConfig::set_associative(12, 4));
+        assert_eq!(
+            simulate(&m, &w, &cfg, &[0.0, 1.0]),
+            Err(SimError::InvalidConfig {
+                parameter: "hot_rows"
+            })
+        );
+    }
+
+    /// Arrivals stream from the trace, so the timer heap holds only live
+    /// timers: at a fixed offered load its peak tracks the deadline
+    /// window, not the trace length.
+    #[test]
+    fn timer_heap_peak_does_not_grow_with_the_trace() {
+        let m = model();
+        let w = Workload::facebook();
+        let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
+            .with_retry(RetryPolicy::none().with_deadline(2_000.0))
+            .with_admission(AdmissionPolicy::bounded(256));
+        let pricer = cfg.build_pricer(&m);
+        let peak = |n| {
+            let arrivals = poisson(300_000.0, n, 3);
+            let (report, peak) = run_engine(&w, &cfg, &arrivals, pricer.as_ref()).expect("valid");
+            assert_eq!(report.completed, n);
+            peak
+        };
+        let (small, large) = (peak(10_000), peak(200_000));
+        assert!(small > 0 && small < 10_000, "peak {small} for 10k requests");
+        assert!(
+            large <= 2 * small,
+            "peak heap grew from {small} (10k requests) to {large} (200k)"
+        );
     }
 
     /// A NaN SLA would silently judge every completion late; the report

@@ -82,8 +82,9 @@ impl PricingBackend {
             PricingBackend::CycleCalibrated => {
                 let mut cfg = CyclePricerConfig::for_model(model);
                 cfg.nmp.hot_rows = hot_rows;
-                // The hot-row tier is the caller's; an invalid one still
-                // surfaces only at the first replay.
+                // The hot-row tier is the caller's (`SimConfig` validates
+                // it before a run); here an invalid one surfaces only at
+                // the first replay.
                 Box::new(CyclePricer::unvalidated(model, cfg))
             }
         }

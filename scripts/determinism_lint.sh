@@ -19,7 +19,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES="crates/dram/src crates/nmp/src crates/serving/src crates/system/src crates/faults/src crates/cluster/src crates/interconnect/src crates/cache/src"
+# The second line holds the crates feeding the simulators: embedding draws
+# the cluster router's rows and the replay traces, isa/exec/analysis build
+# and check the plans the NMP core runs, models/core supply the workloads.
+CRATES="crates/dram/src crates/nmp/src crates/serving/src crates/system/src crates/faults/src crates/cluster/src crates/interconnect/src crates/cache/src
+        crates/embedding/src crates/isa/src crates/exec/src crates/models/src crates/core/src crates/analysis/src"
 PATTERNS='std::time|Instant::now|SystemTime|thread::current|ThreadId|HashMap|HashSet'
 ALLOW=scripts/determinism_allowlist.txt
 

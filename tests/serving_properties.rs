@@ -3,13 +3,18 @@
 //! throughput bounds, across randomized workloads, fleet sizes, batching
 //! policies, arrival processes and offered loads.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
+use tensordimm::faults::{FaultPlan, GrayRank, NodeOutage, RowFaults};
+use tensordimm::interconnect::InterconnectError;
 use tensordimm::models::{Workload, WorkloadName};
 use tensordimm::serving::{
-    simulate, AdmissionPolicy, ArrivalProcess, BatchPolicy, RequestOutcome, RetryPolicy, SimConfig,
+    simulate, simulate_with_pricer, AdmissionPolicy, ArrivalProcess, BatchPolicy, RequestOutcome,
+    RetryPolicy, SimConfig, SimReport,
 };
-use tensordimm::system::{DesignPoint, SystemModel};
+use tensordimm::system::{BatchCost, BatchPricer, DesignPoint, PricingBackend, SystemModel};
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     prop_oneof![
@@ -269,8 +274,8 @@ fn all_three_degraded_mechanisms_fire_and_conserve() {
     // multiplies service times past the hedge threshold, and the gap
     // after a burst leaves a GPU idle for the hedge to land on.
     let gray = {
-        let mut plan = tensordimm::faults::FaultPlan::none();
-        plan.gray = Some(tensordimm::faults::GrayRank {
+        let mut plan = FaultPlan::none();
+        plan.gray = Some(GrayRank {
             start_us: 0.0,
             duration_us: 1.0e7,
             latency_multiplier: 6.0,
@@ -309,4 +314,189 @@ fn all_three_degraded_mechanisms_fire_and_conserve() {
     assert_eq!(by(RequestOutcome::Completed), r.outcomes.completed);
     assert_eq!(by(RequestOutcome::Shed), r.outcomes.shed);
     assert_eq!(by(RequestOutcome::TimedOut), r.outcomes.timed_out);
+}
+
+/// Prices every batch at an exact multiple of 25 µs (`25 × (batch +
+/// active)`), so completions land on the same 25 µs grid as the pinned
+/// arrivals, flushes, deadlines, backoffs and fault transitions below.
+struct GridPricer;
+
+impl BatchPricer for GridPricer {
+    fn price(
+        &self,
+        _workload: &Workload,
+        batch: usize,
+        _design: DesignPoint,
+        active_gpus: usize,
+    ) -> Result<BatchCost, InterconnectError> {
+        Ok(BatchCost {
+            service_us: 25.0 * (batch + active_gpus) as f64,
+            port_bound: false,
+        })
+    }
+
+    fn backend(&self) -> PricingBackend {
+        PricingBackend::Analytic
+    }
+}
+
+/// FNV-1a over every record field and the report's run-level scalars:
+/// equal digests mean bit-identical per-request outcomes.
+fn report_digest(r: &SimReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for rec in &r.records {
+        eat(rec.arrival_us.to_bits());
+        eat(match rec.outcome {
+            None => 0,
+            Some(RequestOutcome::Completed) => 1,
+            Some(RequestOutcome::Shed) => 2,
+            Some(RequestOutcome::TimedOut) => 3,
+            Some(RequestOutcome::InFlightAtHorizon) => 4,
+        });
+        match rec.completion {
+            Some(c) => {
+                eat(c.dispatch_us.to_bits());
+                eat(c.finish_us.to_bits());
+                eat(c.batch_size as u64);
+                eat(c.gpu as u64);
+            }
+            None => eat(u64::MAX),
+        }
+        eat(u64::from(rec.retries));
+    }
+    for x in [
+        r.arrived,
+        r.in_flight,
+        r.queued,
+        r.retry_pending,
+        r.hedge_dispatches,
+        r.queue.max_depth,
+        r.batches.batches,
+    ] {
+        eat(x as u64);
+    }
+    for x in [r.end_us, r.queue.mean_depth, r.availability, r.goodput_qps] {
+        eat(x.to_bits());
+    }
+    h
+}
+
+/// Arrivals on the 25 µs grid, gaps of 0, 0, 25 or 50 µs from a fixed LCG:
+/// same-instant arrival pairs, and arrivals exactly at GPU completions,
+/// batch-window flushes, deadlines, backoff re-admissions, hedge timers
+/// and fault transitions.
+fn grid_arrivals(n: usize) -> Vec<f64> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut t = 0.0;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            t += 25.0 * (state >> 62).saturating_sub(1) as f64;
+            t
+        })
+        .collect()
+}
+
+/// Every timer knob on the grid: 100 µs batch window, 250 µs deadline,
+/// 50–200 µs unjittered backoff, 75 µs hedge, a queue bound of 8.
+fn grid_config() -> SimConfig {
+    let retry = RetryPolicy {
+        jitter_frac: 0.0,
+        ..RetryPolicy::none()
+            .with_deadline(250.0)
+            .with_retries(2, 50.0, 200.0)
+            .with_hedging(75.0)
+    };
+    SimConfig::new(DesignPoint::Tdimm, 3, BatchPolicy::new(4, 100.0))
+        .with_retry(retry)
+        .with_admission(AdmissionPolicy::bounded(8))
+}
+
+/// Record-digest pins for the event loop's same-instant ordering: any
+/// change to how arrivals and timers are merged must reproduce these
+/// outcomes bit for bit.
+#[test]
+fn event_order_digests_are_pinned() {
+    let w = Workload::facebook();
+    let arrivals = grid_arrivals(4_000);
+    let run =
+        |cfg: &SimConfig| simulate_with_pricer(&w, cfg, &arrivals, &GridPricer).expect("valid");
+
+    // Collisions of every kind, no faults.
+    let plain = run(&grid_config());
+    assert!(plain.outcomes.shed > 0 && plain.outcomes.timed_out > 0);
+    assert!(plain.records.iter().any(|rec| rec.retries > 0));
+    assert!(plain.hedge_dispatches > 0);
+    let finishes: BTreeSet<u64> = plain
+        .records
+        .iter()
+        .filter_map(|rec| rec.completion.map(|c| c.finish_us.to_bits()))
+        .collect();
+    let at_completion = arrivals
+        .iter()
+        .filter(|t| finishes.contains(&t.to_bits()))
+        .count();
+    assert!(
+        at_completion > 100,
+        "{at_completion} arrivals meet a completion"
+    );
+
+    // Fault transitions on the grid: a node outage, a gray window that
+    // doubles service times, and row faults every 250 µs.
+    let faults = FaultPlan::none()
+        .with_node_outage(NodeOutage {
+            start_us: 10_000.0,
+            duration_us: 2_500.0,
+        })
+        .with_gray(GrayRank {
+            start_us: 20_000.0,
+            duration_us: 5_000.0,
+            latency_multiplier: 2.0,
+        })
+        .with_row_faults(RowFaults {
+            every_us: 250.0,
+            rows: 64,
+        });
+    let faulted = run(&grid_config().with_faults(faults));
+
+    // A horizon on the grid cuts the faulted run mid-flight.
+    let cut = run(&grid_config().with_faults(faults).with_horizon(30_000.0));
+    assert!(cut.arrived < cut.offered && cut.outcomes.in_flight_at_horizon > 0);
+
+    // The real analytic pricer under seeded DIMM faults and bursty load.
+    let model = SystemModel::paper_defaults();
+    let retry = RetryPolicy::none()
+        .with_deadline(600.0)
+        .with_retries(3, 100.0, 1_000.0)
+        .with_hedging(100.0);
+    let cfg = SimConfig::new(DesignPoint::Tdimm, 4, BatchPolicy::new(16, 150.0))
+        .with_retry(retry)
+        .with_admission(AdmissionPolicy::bounded(48))
+        .with_faults(FaultPlan::dimm_faults(5, 0.5));
+    let bursty = ArrivalProcess::Bursty {
+        rate_qps: 250_000.0,
+        mean_burst: 16.0,
+    }
+    .sample_arrivals_us(4_000, 9);
+    let analytic = simulate(&model, &w, &cfg, &bursty).expect("valid");
+    assert!(analytic.outcomes.timed_out > 0 && analytic.hedge_dispatches > 0);
+
+    let runs = [plain, faulted, cut, analytic];
+    assert!(runs.iter().all(SimReport::is_conserved));
+    assert_eq!(
+        runs.map(|r| report_digest(&r)),
+        [
+            0x7a23_04b1_7320_aaf9,
+            0x0936_c7d8_dad4_c1d0,
+            0xdce6_efb7_eeee_9451,
+            0x00a2_a64d_f713_78a2,
+        ]
+    );
 }

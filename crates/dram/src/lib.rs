@@ -13,7 +13,8 @@
 //!   open- or closed-page row policies and watermark-based write draining
 //!   ([`controller::MemoryController`]),
 //! * a multi-channel front end with configurable physical-to-DRAM address
-//!   mapping ([`system::MemorySystem`], [`address::MappingScheme`]),
+//!   mapping ([`system::MemorySystem`], [`address::MappingScheme`]); its
+//!   channels advance one after another on the caller's thread,
 //! * trace replay helpers and detailed statistics ([`trace`], [`stats`]).
 //!
 //! The model is deliberately Ramulator-like: commands are issued at cycle

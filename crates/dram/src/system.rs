@@ -1,4 +1,9 @@
 //! Multi-channel memory system front end.
+//!
+//! Channels share no timing state, so the event-driven paths advance each
+//! channel to the common clock in a plain per-channel loop on one thread.
+//! A TensorDIMM's NMP core reads a single local channel, so the replays
+//! the pricer runs have no cross-channel work to spread over threads.
 
 use crate::config::DramConfig;
 use crate::controller::MemoryController;
@@ -31,15 +36,7 @@ pub struct MemorySystem {
     config: DramConfig,
     controllers: Vec<MemoryController>,
     cycle: u64,
-    /// Scoped threads to advance channels on (1 = the sequential oracle).
-    workers: usize,
 }
-
-/// Below this jump width a parallel [`MemorySystem::advance_to`] is not
-/// worth the scoped-thread spawn (~tens of µs): fine-grained event-to-event
-/// hops stay sequential even when workers are configured, so the hot
-/// co-simulation loops never pay threading overhead.
-const PAR_ADVANCE_MIN_CYCLES: u64 = 8192;
 
 impl MemorySystem {
     /// Build and validate a memory system.
@@ -59,56 +56,12 @@ impl MemorySystem {
             config,
             controllers,
             cycle: 0,
-            workers: 1,
         })
     }
 
     /// The validated configuration.
     pub fn config(&self) -> &DramConfig {
         &self.config
-    }
-
-    /// Set how many scoped worker threads the bulk advance paths
-    /// ([`MemorySystem::advance_to`] over wide jumps,
-    /// [`MemorySystem::run_to_completion`]) may fan the channels across.
-    /// Channels share no timing state, so the result is bit-identical to
-    /// the sequential path at any worker count — `1` (the default) *is*
-    /// that sequential oracle, the same way [`MemorySystem::tick`] is the
-    /// oracle for the event-driven engine. Clamped to >= 1.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// Builder form of [`MemorySystem::set_workers`].
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.set_workers(workers);
-        self
-    }
-
-    /// Worker threads configured for the bulk advance paths.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Worker count applicable to a cross-channel fan-out right now.
-    fn channel_workers(&self) -> usize {
-        self.workers.min(self.controllers.len())
-    }
-
-    /// Advance every controller to exactly `target` (`self.cycle` is left
-    /// to the caller), fanning across the worker pool when it is both
-    /// enabled and worth the spawn cost for the jump width.
-    fn advance_controllers_to(&mut self, target: u64) {
-        let span = target.saturating_sub(self.cycle);
-        let workers = if span >= PAR_ADVANCE_MIN_CYCLES {
-            self.channel_workers()
-        } else {
-            1
-        };
-        tensordimm_exec::par_for_each_mut(&mut self.controllers, workers, |_, c| {
-            c.advance_to(target);
-        });
     }
 
     /// Current cycle.
@@ -174,8 +127,7 @@ impl MemorySystem {
             let target = self.controllers[dram.channel]
                 .advance_past_next_action()
                 .max(self.cycle + 1);
-            self.advance_controllers_to(target);
-            self.cycle = target;
+            self.advance_to(target);
         }
     }
 
@@ -192,16 +144,13 @@ impl MemorySystem {
     /// [`MemorySystem::tick`] `target - cycle` times: channels share no
     /// timing state, so each can jump between its own events
     /// independently while staying on the common clock.
-    ///
-    /// With [`MemorySystem::set_workers`] > 1, jumps of at least
-    /// `PAR_ADVANCE_MIN_CYCLES` (8192) fan the channels across scoped threads;
-    /// narrow event-to-event hops stay sequential (the spawn would cost
-    /// more than it saves), so results are bit-identical either way.
     pub fn advance_to(&mut self, target: u64) {
         if target <= self.cycle {
             return;
         }
-        self.advance_controllers_to(target);
+        for c in &mut self.controllers {
+            c.advance_to(target);
+        }
         self.cycle = target;
     }
 
@@ -231,24 +180,15 @@ impl MemorySystem {
     /// per-channel refresh activity during the tail matches the lockstep
     /// oracle.
     pub fn run_to_completion(&mut self) {
-        // Each channel drains to its own idle point independently — the
-        // coarse-grained chunk the worker pool parallelizes (one fan-out
-        // per call, not per event).
-        let workers = self.channel_workers();
-        tensordimm_exec::par_for_each_mut(&mut self.controllers, workers, |_, c| {
+        for c in &mut self.controllers {
             c.run_until_idle();
-        });
+        }
         let stop = self
             .controllers
             .iter()
             .map(MemoryController::cycle)
             .fold(self.cycle, u64::max);
-        // Bring every channel to the common stop cycle so per-channel
-        // refresh activity during the tail matches the lockstep oracle.
-        tensordimm_exec::par_for_each_mut(&mut self.controllers, workers, |_, c| {
-            c.advance_to(stop);
-        });
-        self.cycle = stop;
+        self.advance_to(stop);
     }
 
     /// Tick-stepping oracle equivalent of
@@ -392,51 +332,6 @@ mod tests {
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..64).collect::<Vec<_>>());
-    }
-
-    /// Multi-worker channel advance must be bit-identical to the
-    /// single-threaded oracle, on both the bulk-advance and the
-    /// run-to-completion paths.
-    #[test]
-    fn parallel_channel_advance_matches_sequential() {
-        let mut cfg = DramConfig::cpu_memory(4);
-        cfg.refresh_enabled = true;
-        let push_all = |mem: &mut MemorySystem| {
-            for i in 0..512u64 {
-                mem.push_when_ready(Request::read(i * 64).with_id(i));
-            }
-        };
-        let mut oracle = MemorySystem::new(cfg.clone()).unwrap();
-        push_all(&mut oracle);
-        oracle.run_to_completion();
-        // A wide post-drain advance exercises the parallel advance_to arm.
-        let far = oracle.cycle() + 1_000_000;
-        oracle.advance_to(far);
-        let oracle_completions = oracle.drain_completions();
-
-        for workers in [2usize, 4, 16] {
-            let mut par = MemorySystem::new(cfg.clone())
-                .unwrap()
-                .with_workers(workers);
-            assert_eq!(par.workers(), workers);
-            push_all(&mut par);
-            par.run_to_completion();
-            par.advance_to(far);
-            assert_eq!(par.cycle(), oracle.cycle(), "workers={workers}");
-            assert_eq!(par.stats(), oracle.stats(), "workers={workers}");
-            assert_eq!(
-                par.drain_completions(),
-                oracle_completions,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn workers_clamp_to_one() {
-        let mut mem = MemorySystem::new(DramConfig::ddr4_3200_channel()).unwrap();
-        mem.set_workers(0);
-        assert_eq!(mem.workers(), 1);
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! Deterministic parallel execution on `std::thread::scope`.
 //!
-//! The sweep harnesses, the cycle-calibrated pricer and the multi-channel
-//! DRAM engine all have the same shape of parallelism: a set of *mutually
-//! independent* work items whose results must come back exactly as if they
-//! had been computed sequentially, in input order. This crate provides the
-//! two primitives they share — nothing clever, no work stealing across
-//! calls, no global pool, no external dependencies:
+//! The sweep harnesses, the cluster's shard runs and the cycle-calibrated
+//! pricer's warm-up all have the same shape of parallelism: a set of
+//! *mutually independent* work items whose results must come back exactly
+//! as if they had been computed sequentially, in input order. This crate
+//! provides the one primitive they share — nothing clever, no work
+//! stealing across calls, no global pool, no external dependencies:
+//! [`par_map`] fans a read-only slice across a small scoped pool via an
+//! atomic work counter and merges the results **in input order**, so the
+//! output is bit-identical to the sequential map whenever the per-item
+//! function is deterministic.
 //!
-//! * [`par_map`] — fan a read-only slice across a small scoped pool via an
-//!   atomic work counter and merge the results **in input order**, so the
-//!   output is bit-identical to the sequential map whenever the per-item
-//!   function is deterministic;
-//! * [`par_for_each_mut`] — run a mutation over disjoint `&mut` items
-//!   (e.g. independent DRAM channels), split into contiguous chunks.
-//!
-//! Both degrade to the plain sequential loop for `workers <= 1` (or a
-//! single item), which is the bit-exact oracle the parallel paths are
+//! It degrades to the plain sequential loop for `workers <= 1` (or a
+//! single item), which is the bit-exact oracle the parallel path is
 //! tested against, the same way `tick()` gates the event-driven DRAM
 //! engine.
 //!
@@ -116,43 +113,6 @@ where
         .collect()
 }
 
-/// Run `f` over every item of `items` (receiving the item's index and a
-/// `&mut` reference) on up to `workers` scoped threads.
-///
-/// The slice is split into contiguous chunks, one per worker, so each
-/// thread owns a disjoint region — no locking, no aliasing. Intended for
-/// items that are *mutually independent state machines* (DRAM channels):
-/// the end state per item depends only on that item, so the result is
-/// bit-identical to the sequential loop taken when `workers <= 1`.
-///
-/// # Panics
-///
-/// Propagates a panic from `f`.
-pub fn par_for_each_mut<T, F>(items: &mut [T], workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = workers.min(items.len()).max(1);
-    if workers == 1 {
-        for (i, t) in items.iter_mut().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (j, t) in chunk_items.iter_mut().enumerate() {
-                    f(ci * chunk + j, t);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,28 +150,6 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
         }
-    }
-
-    #[test]
-    fn par_for_each_mut_matches_sequential() {
-        let make = || -> Vec<u64> { (0..37).collect() };
-        let mut seq = make();
-        for (i, t) in seq.iter_mut().enumerate() {
-            *t = t.wrapping_mul(31).wrapping_add(i as u64);
-        }
-        for workers in [1, 2, 5, 64] {
-            let mut par = make();
-            par_for_each_mut(&mut par, workers, |i, t| {
-                *t = t.wrapping_mul(31).wrapping_add(i as u64);
-            });
-            assert_eq!(par, seq, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_empty_is_noop() {
-        let mut empty: Vec<u32> = Vec::new();
-        par_for_each_mut(&mut empty, 4, |_, _| unreachable!());
     }
 
     #[test]

@@ -282,8 +282,20 @@ impl SimConfig {
     /// [`SimConfig::pricing_model`]): the `pricing` backend behind the
     /// `hot_rows` tier. Callers that share one pricer across runs build it
     /// here so it prices exactly as a fresh per-run pricer would.
-    pub fn build_pricer<'a>(&self, model: &'a SystemModel) -> Box<dyn BatchPricer + 'a> {
-        self.pricing.build_with_hot_rows(model, self.hot_rows)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] (`"hot_rows"`) when the cycle
+    /// backend rejects the tier.
+    pub fn build_pricer<'a>(
+        &self,
+        model: &'a SystemModel,
+    ) -> Result<Box<dyn BatchPricer + 'a>, SimError> {
+        self.pricing
+            .build_with_hot_rows(model, self.hot_rows)
+            .map_err(|_| SimError::InvalidConfig {
+                parameter: "hot_rows",
+            })
     }
 
     fn validate(&self) -> Result<(), SimError> {
@@ -764,7 +776,7 @@ pub fn simulate(
     arrivals_us: &[f64],
 ) -> Result<SimReport, SimError> {
     let model = cfg.pricing_model(model);
-    let pricer = cfg.build_pricer(&model);
+    let pricer = cfg.build_pricer(&model)?;
     simulate_with_pricer(workload, cfg, arrivals_us, pricer.as_ref())
 }
 
@@ -1703,12 +1715,11 @@ mod tests {
         let cfg = SimConfig::new(DesignPoint::Tdimm, 1, BatchPolicy::new(4, 50.0))
             .with_pricing(PricingBackend::CycleCalibrated)
             .with_hot_rows(HotRowCacheConfig::set_associative(12, 4));
-        assert_eq!(
-            simulate(&m, &w, &cfg, &[0.0, 1.0]),
-            Err(SimError::InvalidConfig {
-                parameter: "hot_rows"
-            })
-        );
+        let bad_tier = SimError::InvalidConfig {
+            parameter: "hot_rows",
+        };
+        assert_eq!(cfg.build_pricer(&m).err(), Some(bad_tier.clone()));
+        assert_eq!(simulate(&m, &w, &cfg, &[0.0, 1.0]), Err(bad_tier));
     }
 
     /// Arrivals stream from the trace, so the timer heap holds only live
@@ -1721,7 +1732,7 @@ mod tests {
         let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
             .with_retry(RetryPolicy::none().with_deadline(2_000.0))
             .with_admission(AdmissionPolicy::bounded(256));
-        let pricer = cfg.build_pricer(&m);
+        let pricer = cfg.build_pricer(&m).expect("valid");
         let peak = |n| {
             let arrivals = poisson(300_000.0, n, 3);
             let (report, peak) = run_engine(&w, &cfg, &arrivals, pricer.as_ref()).expect("valid");

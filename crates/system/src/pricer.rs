@@ -29,10 +29,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use tensordimm_cache::{HotRowCacheConfig, HotRowStats};
-use tensordimm_dram::DramConfig;
 use tensordimm_embedding::zipf_lookup_rows;
 use tensordimm_interconnect::InterconnectError;
 use tensordimm_isa::{AccessPlan, DimmContext, Instruction};
@@ -63,31 +62,30 @@ impl PricingBackend {
         }
     }
 
-    /// Construct the backend over `model` with default knobs.
-    pub fn build<'a>(self, model: &'a SystemModel) -> Box<dyn BatchPricer + 'a> {
-        self.build_with_hot_rows(model, HotRowCacheConfig::disabled())
-    }
-
-    /// Construct the backend with an explicit hot-row cache tier in front
-    /// of the gather replay. The analytic backend has no replay and
-    /// ignores the knob; the cycle backend folds it into its NMP
-    /// configuration (and thus into every [`CycleKey`]).
+    /// Construct the backend over `model` with a hot-row cache tier in
+    /// front of the gather replay ([`HotRowCacheConfig::disabled`] for
+    /// none). The analytic backend has no replay and ignores the knob; the
+    /// cycle backend folds it into its NMP configuration (and thus into
+    /// every [`CycleKey`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`CyclePricer::with_config`] finds in the cycle
+    /// backend's knobs (an invalid hot-row tier is [`NmpError::Cache`]),
+    /// so a bad tier is rejected here rather than at the first replay.
     pub fn build_with_hot_rows<'a>(
         self,
         model: &'a SystemModel,
         hot_rows: HotRowCacheConfig,
-    ) -> Box<dyn BatchPricer + 'a> {
-        match self {
+    ) -> Result<Box<dyn BatchPricer + 'a>, NmpError> {
+        Ok(match self {
             PricingBackend::Analytic => Box::new(AnalyticPricer::new(model)),
             PricingBackend::CycleCalibrated => {
                 let mut cfg = CyclePricerConfig::for_model(model);
                 cfg.nmp.hot_rows = hot_rows;
-                // The hot-row tier is the caller's (`SimConfig` validates
-                // it before a run); here an invalid one surfaces only at
-                // the first replay.
-                Box::new(CyclePricer::unvalidated(model, cfg))
+                Box::new(CyclePricer::with_config(model, cfg)?)
             }
-        }
+        })
     }
 }
 
@@ -530,11 +528,24 @@ fn workload_fingerprint(w: &Workload) -> (u64, u64, u64) {
     )
 }
 
-/// The invalidation unit: replay knobs plus the latency table they
-/// produced, swapped/cleared together under one `RwLock` so a
-/// reconfiguration can never race a concurrent replay into the fresh
-/// table.
-struct CycleState {
+/// The cycle-calibrated backend.
+///
+/// Holds an interior-mutable memoized latency table tied to the
+/// `(SystemModel, CyclePricerConfig)` pair the pricer was built over. Both
+/// are fixed for the pricer's lifetime: the model is borrowed immutably
+/// and the knobs enter only through [`CyclePricer::new`] /
+/// [`CyclePricer::with_config`], so a memoized measurement can never go
+/// stale. A different configuration is a different pricer.
+///
+/// The pricer is `Sync`: one instance can serve every worker of a
+/// parallel sweep. The table's mutex is held only for map probes and each
+/// entry is a [`OnceLock`] cell, so cold misses for distinct keys replay
+/// concurrently while concurrent misses for the *same* key serialize
+/// behind exactly one replay
+/// ([`CyclePricer::replay_count`] counts them; see the concurrent-warm
+/// stress tests).
+pub struct CyclePricer<'a> {
+    model: &'a SystemModel,
     config: CyclePricerConfig,
     /// Memoized replay measurements keyed by `(workload fingerprint,
     /// batch, dimms, hot-row fingerprint)` (shared by the node designs —
@@ -543,46 +554,7 @@ struct CycleState {
     /// instead of duplicating it. The mutex is held only for the map
     /// probe, never across a replay.
     table: Mutex<BTreeMap<CycleKey, Arc<OnceLock<CycleMeasure>>>>,
-}
-
-impl CycleState {
-    fn fresh(config: CyclePricerConfig) -> Self {
-        CycleState {
-            config,
-            table: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The memo cell for `key`, inserted empty if absent.
-    fn cell(&self, key: &CycleKey) -> Arc<OnceLock<CycleMeasure>> {
-        let mut table = self.table.lock().expect("table lock");
-        Arc::clone(table.entry(*key).or_default())
-    }
-}
-
-/// The cycle-calibrated backend.
-///
-/// Holds an interior-mutable memoized latency table; the table is tied to
-/// the `(SystemModel, CyclePricerConfig)` pair the pricer was built over
-/// and is invalidated whenever either changes ([`CyclePricer::set_config`]
-/// clears it; the model is borrowed immutably, so it cannot drift under a
-/// live pricer).
-///
-/// The pricer is `Sync`: one instance can serve every worker of a
-/// parallel sweep. The table's mutex is held only for map probes and each
-/// entry is a [`OnceLock`] cell, so cold misses for distinct keys replay
-/// concurrently while concurrent misses for the *same* key serialize
-/// behind exactly one replay
-/// ([`CyclePricer::replay_count`] counts them; see the concurrent-warm
-/// stress tests). Reconfiguration ([`CyclePricer::set_config`] /
-/// [`CyclePricer::set_dram_config`]) takes the state's write lock, so it
-/// waits out in-flight replays and can never leak a measurement taken
-/// under the old knobs into the fresh table.
-pub struct CyclePricer<'a> {
-    model: &'a SystemModel,
-    state: RwLock<CycleState>,
-    /// Cold replays performed over this pricer's lifetime (monotone;
-    /// survives invalidation).
+    /// Cold replays performed over this pricer's lifetime (monotone).
     replays: AtomicU64,
 }
 
@@ -611,47 +583,15 @@ impl<'a> CyclePricer<'a> {
     fn unvalidated(model: &'a SystemModel, config: CyclePricerConfig) -> Self {
         CyclePricer {
             model,
-            state: RwLock::new(CycleState::fresh(config)),
+            config,
+            table: Mutex::new(BTreeMap::new()),
             replays: AtomicU64::new(0),
         }
     }
 
-    /// The knobs in use (a snapshot — the live value can change under
-    /// [`CyclePricer::set_config`]).
+    /// The knobs in use.
     pub fn config(&self) -> CyclePricerConfig {
-        self.state.read().expect("state lock").config.clone()
-    }
-
-    /// Replace the replay knobs, invalidating the memoized latency table
-    /// (cached cycles measured under the old DRAM timing would otherwise
-    /// leak into prices for the new one). Takes `&self`: the swap happens
-    /// under the state's write lock, so concurrent readers either finish
-    /// on the old `(config, table)` pair or start on the new one — never
-    /// a mix.
-    ///
-    /// # Errors
-    ///
-    /// Returns what [`NmpConfig::validate`] finds in `config.nmp`; the
-    /// pricer then keeps its knobs and table.
-    pub fn set_config(&self, config: CyclePricerConfig) -> Result<(), NmpError> {
-        config.nmp.validate()?;
-        *self.state.write().expect("state lock") = CycleState::fresh(config);
-        Ok(())
-    }
-
-    /// Replace only the local-DRAM configuration (e.g. a timing or
-    /// scheduler knob), invalidating the latency table.
-    ///
-    /// # Errors
-    ///
-    /// As [`CyclePricer::set_config`].
-    pub fn set_dram_config(&self, dram: DramConfig) -> Result<(), NmpError> {
-        let mut state = self.state.write().expect("state lock");
-        let mut config = state.config.clone();
-        config.nmp.dram = dram;
-        config.nmp.validate()?;
-        *state = CycleState::fresh(config);
-        Ok(())
+        self.config.clone()
     }
 
     /// Entries currently memoized (initialized cells only).
@@ -679,8 +619,7 @@ impl<'a> CyclePricer<'a> {
     }
 
     fn cached_measures(&self) -> Vec<(CycleKey, CycleMeasure)> {
-        let state = self.state.read().expect("state lock");
-        let table = state.table.lock().expect("table lock");
+        let table = self.table.lock().expect("table lock");
         table
             .iter()
             .filter_map(|(k, cell)| cell.get().map(|&v| (*k, v)))
@@ -744,39 +683,37 @@ impl<'a> CyclePricer<'a> {
         batch: usize,
         fresh: Option<&AtomicU64>,
     ) -> CycleMeasure {
-        let state = self.state.read().expect("state lock");
         let (emb, lps, rows) = workload_fingerprint(workload);
         let key = (
             emb,
             lps,
             rows,
             batch,
-            state.config.dimms,
-            state.config.nmp.hot_rows.fingerprint(),
+            self.config.dimms,
+            self.config.nmp.hot_rows.fingerprint(),
         );
-        let cell = state.cell(&key);
-        // The replay runs outside the table mutex (other keys proceed in
-        // parallel) but inside the state read lock (a reconfiguration
-        // waits for it, then starts from an empty table).
+        let cell = {
+            let mut table = self.table.lock().expect("table lock");
+            Arc::clone(table.entry(key).or_default())
+        };
+        // The replay runs outside the table mutex: other keys proceed in
+        // parallel.
         *cell.get_or_init(|| {
             self.replays.fetch_add(1, Ordering::SeqCst);
             if let Some(f) = fresh {
                 f.fetch_add(1, Ordering::SeqCst);
             }
-            Self::replay_gather(&state.config, self.model, workload, batch)
+            self.replay_gather(workload, batch)
         })
     }
 
     /// Cold replay: cycles on one DIMM → aggregate node GB/s plus the
     /// replay's hot-row cache counters.
-    fn replay_gather(
-        config: &CyclePricerConfig,
-        model: &SystemModel,
-        workload: &Workload,
-        batch: usize,
-    ) -> CycleMeasure {
+    fn replay_gather(&self, workload: &Workload, batch: usize) -> CycleMeasure {
+        let config = &self.config;
         let dimms = config.dimms.max(1);
-        let (instr, indices, ctx) = config.lowered_gather(model.config().zipf_s, workload, batch);
+        let (instr, indices, ctx) =
+            config.lowered_gather(self.model.config().zipf_s, workload, batch);
         let plan = AccessPlan::for_dimm(&instr, ctx, Some(&indices))
             .expect("generated gather plan is valid");
         let mut core = NmpCore::new(config.nmp.clone()).expect("pricer NMP config is valid");
@@ -885,7 +822,7 @@ impl BatchPricer for CyclePricer<'_> {
 impl std::fmt::Debug for CyclePricer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CyclePricer")
-            .field("config", &self.config())
+            .field("config", &self.config)
             .field("cached_entries", &self.cached_entries())
             .field("replay_count", &self.replay_count())
             .finish()
@@ -926,35 +863,25 @@ mod tests {
         );
     }
 
+    /// DRAM knobs are part of what a pricer measures: a pricer built at
+    /// half the channel clock replays afresh and measures less bandwidth
+    /// than the default one, never serving the default's measurement.
     #[test]
     fn table_invalidated_when_dram_knobs_change() {
         let model = SystemModel::paper_defaults();
-        // `&self` invalidation: no `mut` binding needed anywhere.
         let pricer = quick_pricer(&model);
         let w = Workload::youtube();
         let before = pricer.measured_node_gbps(&w, 8);
-        assert_eq!(pricer.cached_entries(), 1);
 
-        // Halve the channel clock: the replay must be re-measured, not
-        // served from the stale table — at half clock the measured
-        // bandwidth must drop.
-        let mut dram = pricer.config().nmp.dram;
-        dram.timing.clock_mhz /= 2;
-        pricer.set_dram_config(dram).expect("valid DRAM config");
-        assert_eq!(pricer.cached_entries(), 0, "stale entries must be dropped");
-        let after = pricer.measured_node_gbps(&w, 8);
+        let mut cfg = pricer.config();
+        cfg.nmp.dram.timing.clock_mhz /= 2;
+        let half_clock = CyclePricer::with_config(&model, cfg).expect("valid DRAM config");
+        let after = half_clock.measured_node_gbps(&w, 8);
         assert!(
             after < before,
             "half-clock replay should be slower: {after:.1} vs {before:.1} GB/s"
         );
-
-        // set_config likewise clears.
-        let mut cfg = pricer.config();
-        cfg.dimms = 16;
-        pricer.set_config(cfg).expect("valid replay config");
-        assert_eq!(pricer.cached_entries(), 0);
-        // Every replay above was a distinct cold measurement.
-        assert_eq!(pricer.replay_count(), 2);
+        assert_eq!(half_clock.replay_count(), 1);
     }
 
     #[test]
@@ -1032,36 +959,24 @@ mod tests {
     #[test]
     fn invalid_replay_configs_are_rejected_not_a_panic() {
         let model = SystemModel::paper_defaults();
-        let mut bad = CyclePricerConfig::paper_defaults();
-        bad.nmp.dram.read_queue_depth = 0;
+        let mut bad_reads = CyclePricerConfig::paper_defaults();
+        bad_reads.nmp.dram.read_queue_depth = 0;
         assert!(matches!(
-            CyclePricer::with_config(&model, bad.clone()),
+            CyclePricer::with_config(&model, bad_reads),
             Err(NmpError::Dram(_))
         ));
-
-        // A rejected setter keeps the pricer's knobs and memo.
-        let pricer = quick_pricer(&model);
-        let w = Workload::ncf();
-        let before = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
-        let knobs = pricer.config();
-        assert!(matches!(pricer.set_config(bad), Err(NmpError::Dram(_))));
-        let mut dram = knobs.nmp.dram.clone();
-        dram.write_queue_depth = 0;
+        let mut bad_writes = CyclePricerConfig::paper_defaults();
+        bad_writes.nmp.dram.write_queue_depth = 0;
         assert!(matches!(
-            pricer.set_dram_config(dram),
+            CyclePricer::with_config(&model, bad_writes),
             Err(NmpError::Dram(_))
         ));
-        let mut tiny_queues = knobs.clone();
+        let mut tiny_queues = CyclePricerConfig::paper_defaults();
         tiny_queues.nmp.input_queue_bytes = 32;
         assert!(matches!(
-            pricer.set_config(tiny_queues),
+            CyclePricer::with_config(&model, tiny_queues),
             Err(NmpError::QueueTooSmall { bytes: 32 })
         ));
-        assert_eq!(pricer.config(), knobs);
-        assert_eq!(pricer.cached_entries(), 1);
-        let after = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
-        assert_eq!(before.service_us.to_bits(), after.service_us.to_bits());
-        assert_eq!(pricer.replay_count(), 1);
     }
 
     #[test]
@@ -1147,37 +1062,36 @@ mod tests {
         );
     }
 
-    /// Enabling a hot-row cache re-keys and re-measures: the new entries
-    /// never alias uncached ones, and a head-sized cache on a skewed
-    /// workload hits and delivers at least the uncached bandwidth.
+    /// A hot-row cache re-keys the measurement: cached entries never
+    /// alias uncached ones, and a head-sized cache on a skewed workload
+    /// hits and delivers at least the uncached bandwidth.
     #[test]
     fn hot_row_config_rekeys_and_improves_delivery() {
         let model = SystemModel::paper_defaults();
-        let pricer = quick_pricer(&model);
+        let plain = quick_pricer(&model);
         let w = Workload::youtube();
-        let uncached = pricer.measured_node_gbps(&w, 16);
-        assert_eq!(pricer.measured_hot_rows(&w, 16), HotRowStats::default());
-        let uncached_keys: Vec<_> = pricer.cached_table();
+        let uncached = plain.measured_node_gbps(&w, 16);
+        assert_eq!(plain.measured_hot_rows(&w, 16), HotRowStats::default());
+        let uncached_keys: Vec<_> = plain.cached_table();
         assert_eq!(uncached_keys.len(), 1);
         assert_eq!(uncached_keys[0].0 .5, 0, "disabled cache fingerprints 0");
 
         // A cache sized for the whole replayed trace's hot head.
-        let mut cfg = pricer.config();
+        let mut cfg = plain.config();
         cfg.nmp.hot_rows = HotRowCacheConfig::fully_associative(100_000);
-        pricer.set_config(cfg).expect("valid replay config");
-        assert_eq!(pricer.cached_entries(), 0, "setter invalidates");
-        let cached = pricer.measured_node_gbps(&w, 16);
-        let stats = pricer.measured_hot_rows(&w, 16);
+        let cached_pricer = CyclePricer::with_config(&model, cfg).expect("valid replay config");
+        let cached = cached_pricer.measured_node_gbps(&w, 16);
+        let stats = cached_pricer.measured_hot_rows(&w, 16);
         assert!(stats.hits > 0, "Zipf head must revisit rows: {stats:?}");
         assert!(
             cached >= uncached,
             "cache must not lose bandwidth: {cached:.1} vs {uncached:.1}"
         );
-        let table = pricer.cached_hot_row_table();
+        let table = cached_pricer.cached_hot_row_table();
         assert_eq!(table.len(), 1);
         assert_ne!(table[0].0 .5, 0);
         assert_eq!(table[0].1, stats);
-        assert_eq!(pricer.replay_count(), 2, "distinct keys, one replay each");
+        assert_eq!(cached_pricer.replay_count(), 1, "one replay per key");
     }
 
     #[test]
@@ -1185,7 +1099,9 @@ mod tests {
         let model = SystemModel::paper_defaults();
         let hot = HotRowCacheConfig::fully_associative(4096);
         // Analytic ignores the knob entirely.
-        let a = PricingBackend::Analytic.build_with_hot_rows(&model, hot);
+        let a = PricingBackend::Analytic
+            .build_with_hot_rows(&model, hot)
+            .expect("valid tier");
         let plain = AnalyticPricer::new(&model);
         let w = Workload::ncf();
         assert_eq!(
@@ -1200,7 +1116,9 @@ mod tests {
                 .to_bits()
         );
         // The cycle backend matches an explicitly configured pricer.
-        let b = PricingBackend::CycleCalibrated.build_with_hot_rows(&model, hot);
+        let b = PricingBackend::CycleCalibrated
+            .build_with_hot_rows(&model, hot)
+            .expect("valid tier");
         let mut cfg = CyclePricerConfig::paper_defaults();
         cfg.nmp.hot_rows = hot;
         let explicit = CyclePricer::with_config(&model, cfg).expect("valid replay config");
@@ -1215,6 +1133,23 @@ mod tests {
                 .service_us
                 .to_bits()
         );
+    }
+
+    /// A tier `HotRowCacheConfig::validate` rejects fails the cycle
+    /// backend's construction, so no pricer exists to replay with it; the
+    /// analytic backend has no replay and ignores the tier.
+    #[test]
+    fn invalid_hot_row_tier_fails_the_build_not_a_replay() {
+        let model = SystemModel::paper_defaults();
+        let bad = HotRowCacheConfig::set_associative(12, 4);
+        assert!(bad.validate().is_err());
+        assert!(matches!(
+            PricingBackend::CycleCalibrated.build_with_hot_rows(&model, bad),
+            Err(NmpError::Cache(_))
+        ));
+        assert!(PricingBackend::Analytic
+            .build_with_hot_rows(&model, bad)
+            .is_ok());
     }
 
     /// Pricing against a healthy `DegradedNode` must be bit-identical to
@@ -1500,7 +1435,9 @@ mod tests {
         let model = SystemModel::paper_defaults();
         assert_eq!(PricingBackend::default(), PricingBackend::Analytic);
         for b in [PricingBackend::Analytic, PricingBackend::CycleCalibrated] {
-            let pricer = b.build(&model);
+            let pricer = b
+                .build_with_hot_rows(&model, HotRowCacheConfig::disabled())
+                .expect("valid tier");
             assert_eq!(pricer.backend(), b);
             assert!(!b.label().is_empty());
         }
@@ -1516,7 +1453,9 @@ mod tests {
         let w = Workload::facebook();
         let service_us = |pricing: PricingBackend, dimms: u64| {
             let model = SystemModel::paper_defaults().with_node_dimms(dimms);
-            let pricer = pricing.build(&model);
+            let pricer = pricing
+                .build_with_hot_rows(&model, HotRowCacheConfig::disabled())
+                .expect("valid tier");
             let cost = pricer.price(&w, 32, DesignPoint::Tdimm, 1).expect("valid");
             cost.service_us
         };

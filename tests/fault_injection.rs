@@ -377,3 +377,44 @@ fn rank_outage_validation_and_injection_pins() {
         healthy.latency.p99_us
     );
 }
+
+/// A full-rate 2-DIMM fault plan plus a mid-trace node outage longer than
+/// the deadline: some requests are structurally guaranteed to miss the
+/// SLA whatever the trace draws, and every request is still accounted
+/// for.
+#[test]
+fn harsh_plan_conserves_requests_and_costs_availability() {
+    let model = SystemModel::paper_defaults();
+    let w = Workload::by_name(WorkloadName::Facebook);
+    let mut harsh = FaultPlan::dimm_faults(0xfa, 1.0);
+    harsh.dimms = 2;
+    harsh.dimm_candidate_gap_us = 250.0;
+    harsh.dimm_repair_us = 2_500.0;
+    let harsh = harsh.with_node_outage(NodeOutage {
+        start_us: 100.0,
+        duration_us: 2_500.0,
+    });
+    let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
+        .with_faults(harsh)
+        .with_retry(
+            RetryPolicy::none()
+                .with_deadline(2_000.0)
+                .with_retries(3, 100.0, 2_000.0),
+        )
+        .with_admission(AdmissionPolicy::bounded(256));
+    for requests in [400, 2_000] {
+        let arrivals = ArrivalProcess::Poisson {
+            rate_qps: 300_000.0,
+        }
+        .sample_arrivals_us(requests, 0xfa11);
+        let faulted = simulate(&model, &w, &cfg, &arrivals).expect("valid");
+        assert!(
+            faulted.is_conserved(),
+            "{requests} requests: conservation violated under faults"
+        );
+        assert!(
+            faulted.availability < 1.0,
+            "{requests} requests: a full-rate 2-DIMM plan must cost some availability"
+        );
+    }
+}

@@ -1,12 +1,10 @@
 //! Thread-count invariance of the deterministic parallel execution layer:
-//! the parallel sweep, the shared cycle-pricer memo table and the
-//! multi-worker DRAM channel advance must all be bit-identical to their
-//! single-threaded oracles at any worker count, and concurrent cold
-//! misses must never duplicate a replay.
+//! the parallel sweep and the shared cycle-pricer memo table must be
+//! bit-identical to their single-threaded oracles at any worker count,
+//! and concurrent cold misses must never duplicate a replay.
 
 use proptest::prelude::*;
 
-use tensordimm::dram::{DramConfig, MemorySystem, Request};
 use tensordimm::models::{Workload, WorkloadName};
 use tensordimm::serving::{
     offered_load_sweep, offered_load_sweep_par, simulate_with_pricer, AdmissionPolicy, BatchPolicy,
@@ -243,76 +241,6 @@ fn concurrent_warm_stress_no_duplicate_replays() {
     let fresh = quick_cycle_pricer(&model);
     fresh.warm(&shapes, 1);
     assert_eq!(table_bits(&pricer), table_bits(&fresh));
-}
-
-/// `set_config`/`set_dram_config` take `&self`: invalidation while other
-/// threads are actively pricing must neither deadlock nor poison the
-/// table, and prices taken after the swap must reflect the new knobs.
-#[test]
-fn invalidation_races_concurrent_readers_safely() {
-    let model = SystemModel::paper_defaults();
-    let pricer = quick_cycle_pricer(&model);
-    let w = Workload::fox();
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                for batch in [4usize, 8, 16, 4, 8, 16] {
-                    let cost = pricer
-                        .price(&w, batch, DesignPoint::Tdimm, 2)
-                        .expect("valid");
-                    assert!(cost.service_us.is_finite() && cost.service_us > 0.0);
-                }
-            });
-        }
-        s.spawn(|| {
-            for _ in 0..3 {
-                let mut dram = pricer.config().nmp.dram;
-                dram.timing.clock_mhz /= 2;
-                pricer.set_dram_config(dram).expect("valid DRAM config");
-            }
-        });
-    });
-    // Post-race: the table reflects the final (eighth-clock) config only.
-    let final_config = pricer.config();
-    pricer
-        .set_config(final_config.clone())
-        .expect("valid replay config");
-    let slow = pricer.measured_node_gbps(&w, 8);
-    let reference = CyclePricer::with_config(&model, final_config).expect("valid replay config");
-    assert_eq!(
-        slow.to_bits(),
-        reference.measured_node_gbps(&w, 8).to_bits(),
-        "post-invalidation measurement must match a fresh pricer at the same config"
-    );
-    let full_clock = quick_cycle_pricer(&model);
-    assert!(
-        slow < full_clock.measured_node_gbps(&w, 8),
-        "an eighth-clock replay must be slower than full clock"
-    );
-}
-
-/// The engine tier's invariance, driven through the public facade: a
-/// multi-channel drain + far advance is bit-identical across worker
-/// counts (the in-crate tests cover more geometries).
-#[test]
-fn dram_channel_advance_invariant_across_worker_counts() {
-    let cfg = DramConfig::cpu_memory(8);
-    let run = |workers: usize| {
-        let mut mem = MemorySystem::new(cfg.clone())
-            .expect("valid")
-            .with_workers(workers);
-        for i in 0..1024u64 {
-            mem.push_when_ready(Request::read((i * 4096) % cfg.capacity_bytes()).with_id(i));
-        }
-        mem.run_to_completion();
-        mem.advance_to(mem.cycle() + 500_000);
-        let completions = mem.drain_completions();
-        (mem.stats(), completions, mem.cycle())
-    };
-    let oracle = run(1);
-    for workers in [2usize, 8] {
-        assert_eq!(run(workers), oracle, "workers={workers}");
-    }
 }
 
 /// Sharing one pricer between a sequential simulate call and a parallel

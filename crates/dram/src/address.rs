@@ -102,12 +102,6 @@ impl MappingScheme {
         }
     }
 
-    /// Enable or disable the bank/bank-group XOR permutation.
-    pub fn with_bank_xor(mut self, enabled: bool) -> Self {
-        self.bank_xor = enabled;
-        self
-    }
-
     /// Whether the bank XOR permutation is active.
     pub fn bank_xor(&self) -> bool {
         self.bank_xor
@@ -241,11 +235,6 @@ impl MappingScheme {
     fn without_empty(mut self) -> Self {
         self.fields.retain(|&(_, bits)| bits > 0);
         self
-    }
-
-    /// Total mapped bits (excluding the 6-bit burst offset).
-    pub fn total_bits(&self) -> u32 {
-        self.fields.iter().map(|&(_, b)| b).sum()
     }
 
     /// Bits mapped for one field, summed across split entries.

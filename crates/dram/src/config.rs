@@ -37,11 +37,6 @@ impl Geometry {
             * ACCESS_BYTES
     }
 
-    /// Row-buffer size in bytes (per rank-bank).
-    pub fn row_bytes(&self) -> u64 {
-        self.columns as u64 * ACCESS_BYTES
-    }
-
     /// Total banks per rank.
     pub fn banks_per_rank(&self) -> usize {
         self.bank_groups * self.banks_per_group
@@ -179,12 +174,6 @@ impl DramConfig {
             write_low_watermark: 16,
             refresh_enabled: true,
         }
-    }
-
-    /// Replace the address mapping, keeping everything else.
-    pub fn with_mapping(mut self, mapping: MappingScheme) -> Self {
-        self.mapping = mapping;
-        self
     }
 
     /// Replace the scheduler policy, keeping everything else.

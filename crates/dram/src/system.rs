@@ -200,11 +200,6 @@ impl MemorySystem {
         }
     }
 
-    /// Run for exactly `cycles` more cycles.
-    pub fn run_for(&mut self, cycles: u64) {
-        self.advance_to(self.cycle + cycles);
-    }
-
     /// Idle cycles the event-driven paths jumped over, summed across
     /// channels (diagnostic; zero for a purely tick-driven run).
     pub fn idle_cycles_skipped(&self) -> u64 {

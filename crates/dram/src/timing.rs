@@ -178,11 +178,6 @@ impl DramTiming {
         1000.0 / self.clock_mhz as f64
     }
 
-    /// Convert a cycle count to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 * self.ns_per_cycle()
-    }
-
     /// Theoretical peak bandwidth in GB/s for a bus of `bus_bytes` width.
     ///
     /// DDR transfers two beats per clock: `bus_bytes * 2 * clock`.

@@ -205,11 +205,6 @@ impl TraceRunner {
     pub fn memory_mut(&mut self) -> &mut MemorySystem {
         &mut self.memory
     }
-
-    /// Consume the runner, returning the memory system.
-    pub fn into_memory(self) -> MemorySystem {
-        self.memory
-    }
 }
 
 #[cfg(test)]

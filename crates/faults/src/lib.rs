@@ -680,11 +680,6 @@ impl FaultState {
         self.dimms_total - (self.down_mask.count_ones() as u64).min(self.dimms_total)
     }
 
-    /// Whether the node is reachable.
-    pub fn node_reachable(&self) -> bool {
-        !self.node_out
-    }
-
     /// Whether a new batch can dispatch right now (node reachable and at
     /// least one DIMM alive).
     pub fn can_dispatch(&self) -> bool {

@@ -46,11 +46,6 @@ impl Vec16 {
         &self.lanes
     }
 
-    /// Mutable lane values.
-    pub fn lanes_mut(&mut self) -> &mut [f32; LANES] {
-        &mut self.lanes
-    }
-
     /// Apply `op` element-wise against `rhs`.
     pub fn reduce(self, rhs: Vec16, op: ReduceOp) -> Vec16 {
         match op {

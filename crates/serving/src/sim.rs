@@ -51,14 +51,29 @@
 //! event `i`, fault transitions follow, then timers in the order they were
 //! armed.
 //!
-//! Arrivals stream from the sorted trace through a cursor and merge with a
-//! heap that holds only live timers (completions, fault transitions,
-//! flushes, retry fires) under that same (time, kind, creation order)
-//! order, so the heap stays about as large as one deadline window's worth
-//! of timers however long the trace is. This ordering is part of the
-//! simulator's contract: it never depends on heap internals, so
-//! [`simulate`] is bit-identical for identical inputs even with colliding
-//! timestamps (see the regression tests and the record-digest pins).
+//! Events come from six sorted sources, merged by taking the least head
+//! under that (time, kind, creation order) key at every step:
+//!
+//! - arrivals stream from the sorted trace through a cursor;
+//! - four FIFO lanes hold the timers that fire a fixed offset after an
+//!   instant that never goes backwards: batch-window flushes (admission
+//!   plus `max_wait_us`), deadlines (arrival plus `deadline_us`), hedge
+//!   timers (dispatch plus `hedge_after_us`) and fault transitions (pushed
+//!   once, in schedule order). Timers of one kind are therefore armed
+//!   already in pop order, and a lane needs no heap;
+//! - a heap holds the timers whose delays vary: GPU completions and
+//!   backoff re-admissions, at most one completion per GPU plus the
+//!   pending retries.
+//!
+//! A timer joins its lane only if it orders after the lane's tail;
+//! otherwise it falls back to the heap. Every source thus yields its
+//! events in order by construction, whatever the inputs, and the merge
+//! pops exactly the sequence one heap holding every event would (the
+//! lanes change where an event waits, never its key or its `seq`). This
+//! ordering is part of the simulator's contract: it never depends on
+//! queue internals, so [`simulate`] is bit-identical for identical inputs
+//! even with colliding timestamps (see the regression tests, the
+//! single-heap oracle and the record-digest pins).
 //!
 //! Everything is deterministic: same model, configuration, fault plan,
 //! policies, pricing backend and arrival trace ⇒ bit-identical
@@ -91,7 +106,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -501,6 +516,74 @@ impl PartialEq for Event {
 
 impl Eq for Event {}
 
+/// The timer kinds that fire a fixed offset after an instant that never
+/// goes backwards, so each kind is armed already in pop order and rides a
+/// FIFO instead of the heap.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    /// Batch-window timers: the admission instant plus `max_wait_us`.
+    Flush,
+    /// Deadlines: the arrival instant plus `deadline_us`.
+    Deadline,
+    /// Hedge timers: the dispatch instant plus `hedge_after_us`.
+    Hedge,
+    /// Fault transitions, all pushed up front in schedule order.
+    Fault,
+}
+
+impl Lane {
+    const COUNT: usize = 4;
+
+    /// The lane a timer of `kind` rides, or `None` for the heap.
+    fn of(kind: EventKind, routing: TimerRouting) -> Option<Lane> {
+        if routing != TimerRouting::Lanes {
+            return None;
+        }
+        match kind {
+            EventKind::Flush => Some(Lane::Flush),
+            EventKind::RetryFire(RetryKind::Deadline(_)) => Some(Lane::Deadline),
+            EventKind::RetryFire(RetryKind::Hedge { .. }) => Some(Lane::Hedge),
+            EventKind::FaultTransition(_) => Some(Lane::Fault),
+            EventKind::Arrival(_)
+            | EventKind::GpuDone(_)
+            | EventKind::RetryFire(RetryKind::Readmit(_)) => None,
+        }
+    }
+}
+
+/// Where the engine queues constant-delay timers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TimerRouting {
+    /// On their [`Lane`]s.
+    Lanes,
+    /// On the heap with every other timer: the single-queue oracle the
+    /// lanes must reproduce bit for bit.
+    #[cfg(test)]
+    HeapOnly,
+}
+
+/// Timer-queue occupancy over one run.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimerStats {
+    /// Largest heap length.
+    peak_heap: usize,
+    /// Largest number of timers on the lanes together.
+    peak_lanes: usize,
+    /// Largest number of live timers, heap plus lanes.
+    peak_live: usize,
+    /// Lane timers that did not order after their lane's tail and went to
+    /// the heap instead.
+    fallbacks: usize,
+}
+
+/// Where [`Engine::pop_event`] found the next event.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Arrival,
+    Heap,
+    Lane(usize),
+}
+
 /// A dispatched batch. Normally one GPU runs one copy; hedging can put a
 /// duplicate copy on a second GPU, in which case the first copy to finish
 /// completes the requests (once) and the straggler just releases its GPU.
@@ -536,11 +619,16 @@ struct Engine<'a> {
     arrivals_us: &'a [f64],
     /// Index of the next arrival not yet handed to the loop.
     next_arrival: usize,
-    /// Live timers only (completions, fault transitions, flushes, retry
-    /// fires); arrivals never enter it.
+    /// Timers whose delay varies (GPU completions, backoff re-admissions),
+    /// plus any lane timer that would not order after its lane's tail.
     heap: BinaryHeap<Event>,
-    /// Largest `heap.len()` so far.
-    peak_heap: usize,
+    /// One FIFO per constant-delay timer kind (see [`Lane`]), each in
+    /// pop order by construction.
+    lanes: [VecDeque<Event>; Lane::COUNT],
+    /// Where constant-delay timers go.
+    routing: TimerRouting,
+    /// Queue occupancy, for the tests that bound it.
+    timers: TimerStats,
     /// Next timer `seq`: arrivals own `0..n`, so timers start at `n`.
     seq: u64,
     batcher: DynamicBatcher,
@@ -568,35 +656,70 @@ struct Engine<'a> {
 
 impl Engine<'_> {
     fn push_event(&mut self, time_us: f64, kind: EventKind) {
-        self.heap.push(Event {
+        let event = Event {
             time_us,
             seq: self.seq,
             kind,
-        });
+        };
         self.seq += 1;
-        self.peak_heap = self.peak_heap.max(self.heap.len());
+        match Lane::of(kind, self.routing) {
+            Some(lane) => {
+                let lane = &mut self.lanes[lane as usize];
+                // `Ord` is reversed for the max-heap: a later event is less.
+                if lane.back().is_none_or(|tail| event < *tail) {
+                    lane.push_back(event);
+                } else {
+                    self.timers.fallbacks += 1;
+                    self.heap.push(event);
+                }
+            }
+            None => self.heap.push(event),
+        }
+        let lanes: usize = self.lanes.iter().map(VecDeque::len).sum();
+        let timers = &mut self.timers;
+        timers.peak_heap = timers.peak_heap.max(self.heap.len());
+        timers.peak_lanes = timers.peak_lanes.max(lanes);
+        timers.peak_live = timers.peak_live.max(self.heap.len() + lanes);
     }
 
-    /// The next event in (time, kind, seq) order: the cursor's arrival
-    /// unless the heap's top timer orders first. Arrival `i` carries
-    /// `seq = i` (arrivals own `0..n`), so the merge orders every event
-    /// exactly as one heap holding them all would.
+    /// The next event in (time, kind, seq) order: the least of the
+    /// cursor's arrival, the heap's top and the lane fronts. Each source
+    /// yields its events in that order, and arrival `i` carries `seq = i`
+    /// (arrivals own `0..n`), so the merge orders every event exactly as
+    /// one heap holding them all would.
     fn pop_event(&mut self) -> Option<Event> {
         let i = self.next_arrival;
-        let arrival = self.arrivals_us.get(i).map(|&time_us| Event {
-            time_us,
-            seq: i as u64,
-            kind: EventKind::Arrival(i),
+        let mut next = self.arrivals_us.get(i).map(|&time_us| {
+            let arrival = Event {
+                time_us,
+                seq: i as u64,
+                kind: EventKind::Arrival(i),
+            };
+            (arrival, Source::Arrival)
         });
-        match (arrival, self.heap.peek()) {
+        let fronts = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(l, lane)| lane.front().map(|&e| (e, Source::Lane(l))));
+        let top = self.heap.peek().map(|&e| (e, Source::Heap));
+        for (event, source) in top.into_iter().chain(fronts) {
             // `Ord` is reversed for the max-heap: greater orders first.
-            (Some(a), Some(top)) if *top > a => self.heap.pop(),
-            (Some(a), _) => {
-                self.next_arrival += 1;
-                Some(a)
+            if next.is_none_or(|(best, _)| event > best) {
+                next = Some((event, source));
             }
-            (None, _) => self.heap.pop(),
         }
+        let (event, source) = next?;
+        match source {
+            Source::Arrival => self.next_arrival += 1,
+            Source::Heap => {
+                self.heap.pop();
+            }
+            Source::Lane(l) => {
+                self.lanes[l].pop_front();
+            }
+        }
+        Some(event)
     }
 
     /// The pricer's view of the current fault state, with `reread_rows`
@@ -809,16 +932,18 @@ pub fn simulate_with_pricer(
     arrivals_us: &[f64],
     pricer: &dyn BatchPricer,
 ) -> Result<SimReport, SimError> {
-    run_engine(workload, cfg, arrivals_us, pricer).map(|(report, _)| report)
+    run_engine(workload, cfg, arrivals_us, pricer, TimerRouting::Lanes).map(|(report, _)| report)
 }
 
-/// [`simulate_with_pricer`], also returning the timer heap's peak length.
+/// [`simulate_with_pricer`] with constant-delay timers queued as `routing`
+/// says, also returning the timer queues' occupancy.
 fn run_engine(
     workload: &Workload,
     cfg: &SimConfig,
     arrivals_us: &[f64],
     pricer: &dyn BatchPricer,
-) -> Result<(SimReport, usize), SimError> {
+    routing: TimerRouting,
+) -> Result<(SimReport, TimerStats), SimError> {
     cfg.validate()?;
     validate_arrivals(arrivals_us)?;
 
@@ -841,8 +966,10 @@ fn run_engine(
         gpus: cfg.gpus,
         arrivals_us,
         next_arrival: 0,
-        heap: BinaryHeap::with_capacity(cfg.gpus + transitions.len()),
-        peak_heap: 0,
+        heap: BinaryHeap::with_capacity(cfg.gpus),
+        lanes: Default::default(),
+        routing,
+        timers: TimerStats::default(),
         seq: n as u64,
         batcher: DynamicBatcher::new(cfg.policy),
         free_gpus: (0..cfg.gpus).rev().collect(),
@@ -1026,7 +1153,7 @@ fn run_engine(
         batches,
         records,
     };
-    Ok((report, engine.peak_heap))
+    Ok((report, engine.timers))
 }
 
 /// Queue-full rejection: consume a retry (scheduling re-admission after
@@ -1048,6 +1175,7 @@ fn reject(engine: &mut Engine<'_>, records: &mut [RequestRecord], now_us: f64, i
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
+    use proptest::prelude::*;
     use tensordimm_faults::{GrayRank, NodeOutage, RowFaults};
 
     fn model() -> SystemModel {
@@ -1722,9 +1850,12 @@ mod tests {
         assert_eq!(simulate(&m, &w, &cfg, &[0.0, 1.0]), Err(bad_tier));
     }
 
-    /// Arrivals stream from the trace, so the timer heap holds only live
-    /// timers: at a fixed offered load its peak tracks the deadline
-    /// window, not the trace length.
+    /// Arrivals stream from the trace, so the timer queues hold only live
+    /// timers: at a fixed offered load their peak tracks the deadline
+    /// window, not the trace length. On this serving configuration (the
+    /// benchmark's `node_warm`) only GPU completions vary in delay, so
+    /// the heap never holds more than one timer per GPU and no timer
+    /// falls back from its lane.
     #[test]
     fn timer_heap_peak_does_not_grow_with_the_trace() {
         let m = model();
@@ -1735,16 +1866,235 @@ mod tests {
         let pricer = cfg.build_pricer(&m).expect("valid");
         let peak = |n| {
             let arrivals = poisson(300_000.0, n, 3);
-            let (report, peak) = run_engine(&w, &cfg, &arrivals, pricer.as_ref()).expect("valid");
+            let (report, timers) =
+                run_engine(&w, &cfg, &arrivals, pricer.as_ref(), TimerRouting::Lanes)
+                    .expect("valid");
             assert_eq!(report.completed, n);
-            peak
+            assert!(
+                timers.peak_heap <= cfg.gpus,
+                "heap peak {} over {} GPUs",
+                timers.peak_heap,
+                cfg.gpus
+            );
+            assert!(timers.peak_lanes > 0);
+            assert_eq!(timers.fallbacks, 0);
+            timers.peak_live
         };
         let (small, large) = (peak(10_000), peak(200_000));
         assert!(small > 0 && small < 10_000, "peak {small} for 10k requests");
         assert!(
             large <= 2 * small,
-            "peak heap grew from {small} (10k requests) to {large} (200k)"
+            "peak live timers grew from {small} (10k requests) to {large} (200k)"
         );
+    }
+
+    /// A shard of the benchmark's `cluster_faults` cluster: seeded DIMM
+    /// faults, deadlines, backoff retries and hedging under bursty load at
+    /// about one shard's sub-request rate. Every flush, deadline, hedge and
+    /// fault timer is armed in pop order, so none falls back to the heap,
+    /// which holds only completions and re-admissions.
+    #[test]
+    fn fault_shard_timers_never_fall_back_to_the_heap() {
+        let m = model();
+        let w = Workload::facebook();
+        let mut faults = FaultPlan::dimm_faults(0x5eed, 1.0).for_node(2);
+        faults.dimms = 4;
+        faults.dimm_candidate_gap_us = 2_000.0;
+        faults.dimm_repair_us = 2_500.0;
+        let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
+            .with_faults(faults)
+            .with_retry(
+                RetryPolicy::none()
+                    .with_deadline(3_000.0)
+                    .with_retries(2, 100.0, 1_000.0)
+                    .with_hedging(500.0),
+            )
+            .with_admission(AdmissionPolicy::bounded(256));
+        let arrivals = ArrivalProcess::Bursty {
+            rate_qps: 450_000.0,
+            mean_burst: 4.0,
+        }
+        .sample_arrivals_us(20_000, 3);
+        let pricer = cfg.build_pricer(&m).expect("valid");
+        let (report, timers) =
+            run_engine(&w, &cfg, &arrivals, pricer.as_ref(), TimerRouting::Lanes).expect("valid");
+        assert!(report.hedge_dispatches > 0);
+        assert!(report.records.iter().any(|r| r.retries > 0));
+        assert_eq!(timers.fallbacks, 0);
+        assert!(timers.peak_lanes > timers.peak_heap);
+    }
+
+    /// A pricer whose service times sit on the 25 µs arrival grid, so
+    /// completions collide with arrivals and every kind of timer.
+    struct GridPricer;
+
+    impl tensordimm_system::BatchPricer for GridPricer {
+        fn price(
+            &self,
+            _workload: &Workload,
+            batch: usize,
+            _design: DesignPoint,
+            active_gpus: usize,
+        ) -> Result<tensordimm_system::BatchCost, InterconnectError> {
+            Ok(tensordimm_system::BatchCost {
+                service_us: grid(1 + ((batch + active_gpus) % 4) as u32),
+                port_bound: false,
+            })
+        }
+
+        fn backend(&self) -> tensordimm_system::PricingBackend {
+            tensordimm_system::PricingBackend::Analytic
+        }
+    }
+
+    /// `k` steps of the 25 µs grid.
+    fn grid(k: u32) -> f64 {
+        25.0 * f64::from(k)
+    }
+
+    /// Arrivals on the 25 µs grid; a gap code of 0 or 1 puts two arrivals
+    /// at one instant.
+    fn grid_trace(gaps: &[u8]) -> Vec<f64> {
+        let mut t = 0.0;
+        gaps.iter()
+            .map(|&g| {
+                t += grid(u32::from(g.saturating_sub(1)));
+                t
+            })
+            .collect()
+    }
+
+    fn maybe<S>(s: S) -> impl Strategy<Value = Option<S::Value>>
+    where
+        S: Strategy + 'static,
+        S::Value: Clone + 'static,
+    {
+        prop_oneof![Just(None), s.prop_map(Some)]
+    }
+
+    fn any_bool() -> impl Strategy<Value = bool> {
+        (0u8..2).prop_map(|b| b == 1)
+    }
+
+    /// Configs whose every timer lands on the 25 µs grid: batch windows,
+    /// deadlines (sometimes equal to the window), backoff retries,
+    /// hedging, DIMM faults, node outages, gray windows, row faults and
+    /// horizon cuts.
+    fn arb_lane_config() -> impl Strategy<Value = SimConfig> {
+        let policy = (1usize..9, 0u32..8).prop_map(|(b, w)| BatchPolicy::new(b, grid(w)));
+        // No deadline, one equal to the batch window, or one on the grid.
+        let deadline = prop_oneof![
+            Just(None),
+            Just(Some(None)),
+            (1u32..20).prop_map(|k| Some(Some(k)))
+        ];
+        let retries = (0u32..3, 1u32..8, 1u32..40, any_bool());
+        let hedge = maybe(1u32..12);
+        let faults = (
+            maybe((0u64..1_000, 1u64..6, 2u32..40, 1u32..40)),
+            maybe((0u32..200, 1u32..100)),
+            maybe((0u32..200, 1u32..100)),
+            maybe(1u32..20),
+        );
+        let admission = (1usize..24, any_bool());
+        let horizon = maybe(1u32..400);
+        let knobs = (
+            (1usize..5, policy),
+            deadline,
+            retries,
+            hedge,
+            faults,
+            admission,
+            horizon,
+        );
+        knobs.prop_map(
+            |((gpus, policy), deadline, retries, hedge, faults, admission, horizon)| {
+                let mut retry = RetryPolicy::none();
+                match deadline {
+                    // A zero window has no equal deadline; use one step.
+                    Some(None) => retry = retry.with_deadline(policy.max_wait_us.max(grid(1))),
+                    Some(Some(k)) => retry = retry.with_deadline(grid(k)),
+                    None => {}
+                }
+                let (max_retries, base, cap, jitter) = retries;
+                if max_retries > 0 {
+                    retry = retry.with_retries(max_retries, grid(base), grid(base + cap));
+                    if !jitter {
+                        retry.jitter_frac = 0.0;
+                    }
+                }
+                if let Some(k) = hedge {
+                    retry = retry.with_hedging(grid(k));
+                }
+                let (dimm, outage, gray, rows) = faults;
+                let mut plan = FaultPlan::none();
+                if let Some((seed, dimms, gap, repair)) = dimm {
+                    plan = FaultPlan::dimm_faults(seed, 0.8);
+                    plan.dimms = dimms;
+                    plan.dimm_candidate_gap_us = grid(gap);
+                    plan.dimm_repair_us = grid(repair);
+                }
+                if let Some((start, len)) = outage {
+                    plan = plan.with_node_outage(NodeOutage {
+                        start_us: grid(start),
+                        duration_us: grid(len),
+                    });
+                }
+                if let Some((start, len)) = gray {
+                    plan = plan.with_gray(GrayRank {
+                        start_us: grid(start),
+                        duration_us: grid(len),
+                        latency_multiplier: 2.0,
+                    });
+                }
+                if let Some(every) = rows {
+                    plan = plan.with_row_faults(RowFaults {
+                        every_us: grid(every),
+                        rows: 16,
+                    });
+                }
+                let (max_queue_depth, shed_expired) = admission;
+                let mut cfg = SimConfig::new(DesignPoint::Tdimm, gpus, policy)
+                    .with_retry(retry)
+                    .with_faults(plan)
+                    .with_admission(AdmissionPolicy {
+                        max_queue_depth,
+                        shed_expired,
+                    });
+                if let Some(k) = horizon {
+                    cfg = cfg.with_horizon(grid(k));
+                }
+                cfg
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lanes reproduce the single-heap oracle exactly: the whole
+        /// report, records included, is equal whichever way the
+        /// constant-delay timers are queued.
+        #[test]
+        fn lanes_match_the_heap_only_oracle(
+            cfg in arb_lane_config(),
+            gaps in prop::collection::vec(0u8..4, 1..400),
+            analytic in any_bool(),
+        ) {
+            let w = Workload::facebook();
+            let arrivals = grid_trace(&gaps);
+            let m = model();
+            let pricer: Box<dyn BatchPricer + '_> = if analytic {
+                cfg.build_pricer(&m).expect("valid")
+            } else {
+                Box::new(GridPricer)
+            };
+            let run = |routing| run_engine(&w, &cfg, &arrivals, pricer.as_ref(), routing);
+            let (lanes, timers) = run(TimerRouting::Lanes).expect("valid");
+            let (oracle, _) = run(TimerRouting::HeapOnly).expect("valid");
+            prop_assert_eq!(timers.fallbacks, 0);
+            prop_assert_eq!(lanes, oracle);
+        }
     }
 
     /// A NaN SLA would silently judge every completion late; the report

@@ -9,7 +9,7 @@
 //! memory-level parallelism (threads × outstanding misses) cannot cover
 //! the DRAM latency.
 
-use tensordimm_embedding::{Distribution, IndexStream};
+use tensordimm_embedding::IndexStream;
 
 use crate::hierarchy::{Hierarchy, HierarchyConfig};
 use crate::CacheError;
@@ -110,12 +110,7 @@ impl GatherModel {
     pub fn try_evaluate(&self, workload: &GatherWorkload) -> Result<GatherReport, CacheError> {
         let mut hierarchy = Hierarchy::new(self.hierarchy)?;
         let rows = (workload.table_bytes / workload.embedding_bytes.max(1)).max(1);
-        let distribution = if workload.zipf_s > 0.0 {
-            Distribution::Zipfian { s: workload.zipf_s }
-        } else {
-            Distribution::Uniform
-        };
-        let mut stream = IndexStream::new(distribution, rows, workload.seed);
+        let mut stream = IndexStream::with_skew(rows, workload.zipf_s, workload.seed);
         let lines_per_vec = workload.embedding_bytes.div_ceil(64).max(1);
 
         // Warm the hierarchy with one pass of *distinct* draws so resident

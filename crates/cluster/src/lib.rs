@@ -35,10 +35,24 @@
 //!   including at a horizon cut).
 //!
 //! Everything is a pure function of `(model, workload, config, trace)`:
-//! the router precomputes each node's dead/degraded windows from its
-//! fault schedule (fault plans are virtual-time pure, so liveness is
-//! known a priori), shards fan across the deterministic worker pool, and
-//! replays are bit-identical at any worker count.
+//! the router folds each node's fault schedule into dead/degraded windows
+//! up front (fault plans are virtual-time pure, so liveness is known a
+//! priori), shards fan across the deterministic worker pool, and replays
+//! are bit-identical at any worker count.
+//!
+//! The router routes one request at a time and allocates only when a
+//! run-wide buffer grows. One row sampler per run is reseeded per request
+//! with the request's own seed; the rejection-inversion constants depend
+//! only on the skew and the table size, so the draws equal a fresh
+//! sampler's. Rows and owner sets land in reused buffers
+//! ([`ShardPlan::owners_into`]). Arrivals are sorted, so each node reads
+//! its windows through two forward cursors (dead, degraded) that only
+//! step past windows that ended, and a node's liveness is read once per
+//! request. Every request's legs go into one flat leg table; a route
+//! keeps only its `start..end` range and two flags. Row order,
+//! tie-breaks, the replica-spread hash and the statistics arithmetic are
+//! those of the per-request router this replaced, which the tests keep as
+//! an oracle and compare route by route.
 //!
 //! The three invariants gated at cluster scale by `sweep_cluster`:
 //!

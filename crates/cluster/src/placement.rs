@@ -177,8 +177,18 @@ impl ShardPlan {
     /// rebalances across *all* survivors instead of funneling onto the
     /// ring successor along with the cold tail.
     pub fn owners(&self, row: u64) -> Vec<ShardId> {
+        let mut owners = Vec::with_capacity(self.replication);
+        self.owners_into(row, &mut owners);
+        owners
+    }
+
+    /// [`ShardPlan::owners`] into a caller-owned buffer: `owners` is
+    /// cleared, then filled, so a router reusing one buffer allocates
+    /// nothing per row.
+    pub fn owners_into(&self, row: u64, owners: &mut Vec<ShardId>) {
         let primary = self.primary(row);
-        let mut owners = vec![primary];
+        owners.clear();
+        owners.push(primary);
         if self.is_hot(row) {
             let mut probe = 1u64;
             while owners.len() < self.replication && probe < 8 * self.nodes as u64 {
@@ -199,7 +209,6 @@ impl ShardPlan {
             }
             next = (next + 1) % self.nodes;
         }
-        owners
     }
 }
 
@@ -244,6 +253,22 @@ mod tests {
                 assert_eq!(sorted.len(), 3, "owners distinct for row {row}");
                 assert_eq!(owners[0], plan.primary(row));
                 assert_eq!(owners, plan.owners(row), "pure function of the row");
+            }
+        }
+    }
+
+    #[test]
+    fn owners_into_a_dirty_buffer_matches_owners() {
+        let mut buf = vec![7, 7, 7, 7, 7, 7, 7, 7, 7];
+        for plan in [
+            ShardPlan::hash(6, 3).expect("valid"),
+            ShardPlan::round_robin(6, 1).expect("valid"),
+            ShardPlan::capacity_aware(vec![1.0, 2.0, 4.0, 1.0, 8.0, 3.0], 6).expect("valid"),
+            ShardPlan::hot_cold(6, 4, 300).expect("valid"),
+        ] {
+            for row in (0..1_000u64).chain([u64::MAX]) {
+                plan.owners_into(row, &mut buf);
+                assert_eq!(buf, plan.owners(row), "row {row} under {plan:?}");
             }
         }
     }

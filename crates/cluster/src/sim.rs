@@ -7,7 +7,7 @@ use tensordimm_exec::par_map;
 use tensordimm_faults::FaultPlan;
 use tensordimm_models::Workload;
 use tensordimm_serving::{
-    simulate_with_pricer, validate_arrivals, zipf_lookup_rows, AdmissionPolicy, BatchPolicy,
+    simulate_with_pricer, validate_arrivals, AdmissionPolicy, BatchPolicy, IndexStream,
     LatencySummary, OutcomeCounts, OutcomeFold, RequestOutcome, RequestRecord, RetryPolicy,
     SimConfig, SimError, SimReport,
 };
@@ -210,7 +210,10 @@ impl ClusterConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), ClusterError> {
+    /// Check the cluster knobs and the workload knob the router reads:
+    /// rows are sampled from `[0, rows_per_table)`, which must not be
+    /// empty.
+    fn validate(&self, workload: &Workload) -> Result<(), ClusterError> {
         let bad = |parameter| Err(ClusterError::InvalidConfig { parameter });
         if self.nodes.is_empty() || self.nodes.len() != self.plan.nodes() {
             return bad("nodes.len");
@@ -231,6 +234,9 @@ impl ClusterConfig {
         }
         if self.workers == 0 {
             return bad("workers");
+        }
+        if workload.rows_per_table == 0 {
+            return bad("workload.rows_per_table");
         }
         Ok(())
     }
@@ -257,9 +263,9 @@ pub fn shard_sim_config(cfg: &ClusterConfig, node: usize) -> SimConfig {
 #[derive(Debug, Clone, Default)]
 struct NodeHealth {
     /// Node cannot dispatch at all: node outage or every DIMM down.
-    dead: Vec<(f64, f64)>,
+    dead: WindowCursor,
     /// Node serves but is degraded: ranks down or a gray window open.
-    degraded: Vec<(f64, f64)>,
+    degraded: WindowCursor,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,8 +299,8 @@ impl NodeHealth {
                 return;
             }
             let list = match h {
-                Health::Dead => &mut me.dead,
-                Health::Degraded => &mut me.degraded,
+                Health::Dead => &mut me.dead.windows,
+                Health::Degraded => &mut me.degraded.windows,
                 Health::Healthy => return,
             };
             match list.last_mut() {
@@ -318,19 +324,28 @@ impl NodeHealth {
         push(cur, cur_start, f64::INFINITY, &mut health);
         Ok(health)
     }
-
-    fn dead_at(&self, t: f64) -> bool {
-        in_windows(&self.dead, t)
-    }
-
-    fn degraded_at(&self, t: f64) -> bool {
-        in_windows(&self.degraded, t)
-    }
 }
 
-fn in_windows(windows: &[(f64, f64)], t: f64) -> bool {
-    let i = windows.partition_point(|w| w.1 <= t);
-    windows.get(i).is_some_and(|w| w.0 <= t)
+/// Sorted, disjoint half-open windows read by a forward cursor: queries
+/// come at non-decreasing times (the router walks a sorted trace), so the
+/// cursor only ever steps past windows that ended and each query is
+/// amortized O(1).
+#[derive(Debug, Clone, Default)]
+struct WindowCursor {
+    windows: Vec<(f64, f64)>,
+    /// First window not yet ended at the last query time.
+    next: usize,
+}
+
+impl WindowCursor {
+    /// Whether `t` falls inside a window. `t` must not be earlier than
+    /// the previous query's.
+    fn contains(&mut self, t: f64) -> bool {
+        while self.windows.get(self.next).is_some_and(|w| w.1 <= t) {
+            self.next += 1;
+        }
+        self.windows.get(self.next).is_some_and(|w| w.0 <= t)
+    }
 }
 
 /// One leg of a fanned-out request: the rows a primary shard serves,
@@ -341,12 +356,21 @@ struct Leg {
     hedge: Option<ShardId>,
 }
 
-/// Where a request was routed.
-#[derive(Debug, Clone, Default)]
+/// Where a request was routed: its legs are `start..end` of the run's
+/// flat leg table (empty when shed at the router).
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Route {
-    legs: Vec<Leg>,
+    start: u32,
+    end: u32,
     router_shed: bool,
     rerouted: bool,
+}
+
+impl Route {
+    /// This request's legs in the run's leg table.
+    fn legs<'a>(&self, legs: &'a [Leg]) -> &'a [Leg] {
+        &legs[self.start as usize..self.end as usize]
+    }
 }
 
 /// Cluster-wide routing statistics.
@@ -481,65 +505,105 @@ fn fold_records(records: &[ClusterRecord], sla_us: f64, end_us: f64) -> OutcomeF
     )
 }
 
-/// Route every request: sample its rows, pick an owner per row, group
-/// rows into per-shard legs, attach hedges.
-fn route_requests(
-    cfg: &ClusterConfig,
-    rows_per_table: u64,
-    arrivals_us: &[f64],
-    health: &[NodeHealth],
-) -> (Vec<Route>, RoutingStats) {
-    let mut routes = Vec::with_capacity(arrivals_us.len());
-    let mut stats = RoutingStats::default();
-    let mut routed_requests = 0usize;
-    let mut fanout_sum = 0usize;
+/// The run's router: routes one request at a time, in arrival order, and
+/// owns every buffer it needs. Once its scratch buffers have grown to a
+/// request's size, the only allocations left are the flat leg table's
+/// amortized doublings.
+#[derive(Debug)]
+struct Router<'a> {
+    cfg: &'a ClusterConfig,
+    /// Per-node liveness, read through forward cursors.
+    health: Vec<NodeHealth>,
+    /// The one row sampler, reseeded per request.
+    sampler: IndexStream,
+    /// Every routed request's legs, in routing order.
+    legs: Vec<Leg>,
+    stats: RoutingStats,
+    routed_requests: usize,
+    fanout_sum: usize,
     // Scratch buffers reused across rows and requests.
-    let mut live: Vec<ShardId> = Vec::new();
-    let mut primaries: Vec<ShardId> = Vec::new();
-    let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
-    for (id, &t) in arrivals_us.iter().enumerate() {
-        let mut rows = zipf_lookup_rows(
-            cfg.routing_lookups,
-            rows_per_table,
-            cfg.zipf_s,
-            cfg.lookup_seed ^ mix(id as u64),
-        );
-        rows.sort_unstable();
-        rows.dedup();
+    rows: Vec<u64>,
+    owners: Vec<ShardId>,
+    live: Vec<ShardId>,
+    dead: Vec<bool>,
+    primaries: Vec<ShardId>,
+    hedges: Vec<(ShardId, ShardId)>,
+}
+
+impl<'a> Router<'a> {
+    fn new(cfg: &'a ClusterConfig, rows_per_table: u64, health: Vec<NodeHealth>) -> Self {
+        Router {
+            cfg,
+            sampler: IndexStream::with_skew(rows_per_table, cfg.zipf_s, cfg.lookup_seed),
+            legs: Vec::new(),
+            stats: RoutingStats::default(),
+            routed_requests: 0,
+            fanout_sum: 0,
+            rows: Vec::with_capacity(cfg.routing_lookups),
+            owners: Vec::with_capacity(cfg.plan.replication()),
+            live: Vec::with_capacity(cfg.plan.replication()),
+            dead: vec![false; health.len()],
+            primaries: Vec::with_capacity(health.len()),
+            hedges: Vec::with_capacity(health.len()),
+            health,
+        }
+    }
+
+    /// Route request `id`, arriving at `t` (no earlier than the previous
+    /// request): sample its rows, pick an owner per row, group rows into
+    /// per-shard legs, attach hedges.
+    fn route(&mut self, id: usize, t: f64) -> Route {
+        let cfg = self.cfg;
+        // Reseeding replays exactly the stream a fresh per-request
+        // sampler would draw under this seed.
+        self.sampler.reseed(cfg.lookup_seed ^ mix(id as u64));
+        self.rows.clear();
+        self.sampler
+            .extend_into(cfg.routing_lookups, &mut self.rows);
+        self.rows.sort_unstable();
+        self.rows.dedup();
+        for (dead, health) in self.dead.iter_mut().zip(&mut self.health) {
+            *dead = health.dead.contains(t);
+        }
+        let dead = &self.dead;
         // One deterministic per-request draw spreads hot-row load across
         // replicas without widening the fan-out per row.
         let spread = mix(cfg.lookup_seed ^ mix(id as u64 ^ 0x10d7));
-        let mut route = Route::default();
-        primaries.clear();
-        hedges.clear();
+        let mut router_shed = false;
+        let mut rerouted = false;
+        self.primaries.clear();
+        self.hedges.clear();
         // Cold rows first (descending ids): their placement is forced,
         // so the hot head's affinity check sees the full cold target set
         // and can narrow the fan-out instead of widening it.
-        'rows: for &row in rows.iter().rev() {
-            let owners = cfg.plan.owners(row);
+        'rows: for &row in self.rows.iter().rev() {
+            cfg.plan.owners_into(row, &mut self.owners);
+            let owners = &self.owners;
             let target = match cfg.failover {
                 FailoverPolicy::None => {
                     let primary = owners[0];
-                    if health[primary].dead_at(t) {
-                        route.router_shed = true;
+                    if dead[primary] {
+                        router_shed = true;
                         break 'rows;
                     }
                     primary
                 }
                 FailoverPolicy::Reroute | FailoverPolicy::HedgeDegraded => {
-                    live.clear();
-                    live.extend(owners.iter().copied().filter(|&o| !health[o].dead_at(t)));
+                    self.live.clear();
+                    self.live
+                        .extend(owners.iter().copied().filter(|&o| !dead[o]));
+                    let live = &self.live;
                     if live.is_empty() {
-                        route.router_shed = true;
+                        router_shed = true;
                         break 'rows;
                     }
                     let chosen = if cfg.plan.is_hot(row) {
                         // Affinity first: serve the hot row from a shard
                         // this request already touches. Otherwise
                         // load-balance across live replicas.
-                        match live.iter().copied().find(|o| primaries.contains(o)) {
+                        match live.iter().copied().find(|o| self.primaries.contains(o)) {
                             Some(o) => {
-                                stats.affinity_hits += 1;
+                                self.stats.affinity_hits += 1;
                                 o
                             }
                             None => live[(spread % live.len() as u64) as usize],
@@ -549,58 +613,84 @@ fn route_requests(
                     };
                     // Load-balancing across live replicas is not a
                     // reroute; leaving a dead primary is.
-                    if health[owners[0]].dead_at(t) {
-                        route.rerouted = true;
+                    if dead[owners[0]] {
+                        rerouted = true;
                     }
                     chosen
                 }
             };
-            if !primaries.contains(&target) {
-                primaries.push(target);
+            if !self.primaries.contains(&target) {
+                self.primaries.push(target);
                 // SLA-aware hedging: duplicate the leg on a live replica
                 // when its shard is inside a repair window.
-                if cfg.failover == FailoverPolicy::HedgeDegraded && health[target].degraded_at(t) {
-                    let alt = owners
-                        .iter()
-                        .copied()
-                        .find(|&o| o != target && !health[o].dead_at(t));
+                if cfg.failover == FailoverPolicy::HedgeDegraded
+                    && self.health[target].degraded.contains(t)
+                {
+                    let alt = owners.iter().copied().find(|&o| o != target && !dead[o]);
                     if let Some(h) = alt {
-                        hedges.push((target, h));
+                        self.hedges.push((target, h));
                     }
                 }
             }
         }
-        if route.router_shed {
-            stats.router_shed += 1;
-            route.legs.clear();
+        let start = self.legs.len();
+        if router_shed {
+            self.stats.router_shed += 1;
         } else {
-            route.legs = primaries
-                .iter()
-                .map(|&p| Leg {
-                    primary: p,
-                    hedge: hedges.iter().find(|(lp, _)| *lp == p).map(|&(_, h)| h),
-                })
-                .collect();
-            routed_requests += 1;
-            fanout_sum += route.legs.len();
-            stats.subrequests += route
-                .legs
-                .iter()
-                .map(|l| 1 + usize::from(l.hedge.is_some()))
-                .sum::<usize>();
-            stats.hedge_subrequests += route.legs.iter().filter(|l| l.hedge.is_some()).count();
-            if route.rerouted {
-                stats.rerouted_requests += 1;
+            for &primary in &self.primaries {
+                let hedge = self
+                    .hedges
+                    .iter()
+                    .find(|(lp, _)| *lp == primary)
+                    .map(|&(_, h)| h);
+                self.legs.push(Leg { primary, hedge });
+            }
+            let legs = &self.legs[start..];
+            let hedged = legs.iter().filter(|l| l.hedge.is_some()).count();
+            self.routed_requests += 1;
+            self.fanout_sum += legs.len();
+            self.stats.subrequests += legs.len() + hedged;
+            self.stats.hedge_subrequests += hedged;
+            if rerouted {
+                self.stats.rerouted_requests += 1;
             }
         }
-        routes.push(route);
+        let index = |i: usize| u32::try_from(i).expect("leg table indexes fit in u32");
+        Route {
+            start: index(start),
+            end: index(self.legs.len()),
+            router_shed,
+            rerouted,
+        }
     }
-    stats.mean_fanout = if routed_requests > 0 {
-        fanout_sum as f64 / routed_requests as f64
-    } else {
-        0.0
-    };
-    (routes, stats)
+
+    /// The flat leg table and the run's routing statistics.
+    fn finish(self) -> (Vec<Leg>, RoutingStats) {
+        let mut stats = self.stats;
+        stats.mean_fanout = if self.routed_requests > 0 {
+            self.fanout_sum as f64 / self.routed_requests as f64
+        } else {
+            0.0
+        };
+        (self.legs, stats)
+    }
+}
+
+/// Route every request, in arrival order, through one [`Router`].
+fn route_requests(
+    cfg: &ClusterConfig,
+    rows_per_table: u64,
+    arrivals_us: &[f64],
+    health: Vec<NodeHealth>,
+) -> (Vec<Route>, Vec<Leg>, RoutingStats) {
+    let mut router = Router::new(cfg, rows_per_table, health);
+    let routes = arrivals_us
+        .iter()
+        .enumerate()
+        .map(|(id, &t)| router.route(id, t))
+        .collect();
+    let (legs, stats) = router.finish();
+    (routes, legs, stats)
 }
 
 /// Fan-out preview: the per-shard arrival sub-traces a cluster run would
@@ -616,11 +706,16 @@ pub fn shard_traces(
     workload: &Workload,
     arrivals_us: &[f64],
 ) -> Result<Vec<Vec<f64>>, ClusterError> {
-    cfg.validate()?;
+    cfg.validate(workload)?;
     validate_arrivals(arrivals_us)?;
     let health = node_healths(cfg, arrivals_us)?;
-    let (routes, _) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
-    Ok(per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes))
+    let (routes, legs, _) = route_requests(cfg, workload.rows_per_table, arrivals_us, health);
+    Ok(per_shard_arrivals(
+        cfg.plan.nodes(),
+        arrivals_us,
+        &routes,
+        &legs,
+    ))
 }
 
 fn node_healths(cfg: &ClusterConfig, arrivals_us: &[f64]) -> Result<Vec<NodeHealth>, ClusterError> {
@@ -642,10 +737,15 @@ fn node_healths(cfg: &ClusterConfig, arrivals_us: &[f64]) -> Result<Vec<NodeHeal
 /// Every shard's sub-request arrivals, pushed in routing order: request
 /// id, then leg, then primary before hedge. The rejoin reads the shards'
 /// records back in exactly this order, one cursor per shard.
-fn per_shard_arrivals(nodes: usize, arrivals_us: &[f64], routes: &[Route]) -> Vec<Vec<f64>> {
+fn per_shard_arrivals(
+    nodes: usize,
+    arrivals_us: &[f64],
+    routes: &[Route],
+    legs: &[Leg],
+) -> Vec<Vec<f64>> {
     let mut shard_subs = vec![Vec::new(); nodes];
     for (route, &t) in routes.iter().zip(arrivals_us) {
-        for leg in &route.legs {
+        for leg in route.legs(legs) {
             shard_subs[leg.primary].push(t);
             if let Some(h) = leg.hedge {
                 shard_subs[h].push(t);
@@ -672,11 +772,11 @@ pub fn simulate_cluster(
     cfg: &ClusterConfig,
     arrivals_us: &[f64],
 ) -> Result<ClusterReport, ClusterError> {
-    cfg.validate()?;
+    cfg.validate(workload)?;
     validate_arrivals(arrivals_us)?;
     let health = node_healths(cfg, arrivals_us)?;
-    let (routes, stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
-    let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes);
+    let (routes, legs, stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, health);
+    let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes, &legs);
 
     // One capacity-sliced model and one pricer per node shape (DIMM
     // count), built as `simulate` builds them (the pricing knobs are
@@ -730,13 +830,14 @@ pub fn simulate_cluster(
     let mut copies = Vec::new();
     let mut records = Vec::with_capacity(arrivals_us.len());
     for (route, &t) in routes.iter().zip(arrivals_us) {
+        let route_legs = route.legs(&legs);
         let mut record = ClusterRecord {
             arrival_us: t,
             outcome: None,
             finish_us: None,
-            fanout: route.legs.len(),
+            fanout: route_legs.len(),
             rerouted: route.rerouted,
-            hedged: route.legs.iter().any(|l| l.hedge.is_some()),
+            hedged: route_legs.iter().any(|l| l.hedge.is_some()),
         };
         // A request the horizon cut off leaves its sub-requests unread;
         // the trace is sorted, so every later request is cut off too and
@@ -751,10 +852,10 @@ pub fn simulate_cluster(
                     rec
                 };
                 copies.clear();
-                for leg in &route.legs {
+                for leg in route_legs {
                     copies.push((next(leg.primary), leg.hedge.map(&mut next)));
                 }
-                rejoin(&route.legs, &copies, &mut record)
+                rejoin(route_legs, &copies, &mut record)
             });
         }
         records.push(record);
@@ -856,8 +957,10 @@ fn rejoin(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensordimm_faults::{NodeOutage, RankOutage};
-    use tensordimm_serving::{simulate, ArrivalProcess};
+    use crate::placement::Placement;
+    use proptest::prelude::*;
+    use tensordimm_faults::{GrayRank, NodeOutage, RankOutage};
+    use tensordimm_serving::{simulate, zipf_lookup_rows, ArrivalProcess};
 
     fn model() -> SystemModel {
         SystemModel::paper_defaults()
@@ -1005,6 +1108,132 @@ mod tests {
         assert_eq!(plain.routing.hedge_subrequests, 0);
     }
 
+    /// A route as the per-request router built it: its own leg vector.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct OracleRoute {
+        legs: Vec<Leg>,
+        router_shed: bool,
+        rerouted: bool,
+    }
+
+    fn in_windows(windows: &[(f64, f64)], t: f64) -> bool {
+        let i = windows.partition_point(|w| w.1 <= t);
+        windows.get(i).is_some_and(|w| w.0 <= t)
+    }
+
+    /// The per-request router [`Router`] replaced, kept as its oracle: a
+    /// fresh sampler, row vector and owner set per request, one leg
+    /// vector per route, and binary-searched health windows queried per
+    /// owner.
+    fn oracle_route_requests(
+        cfg: &ClusterConfig,
+        rows_per_table: u64,
+        arrivals_us: &[f64],
+        health: &[NodeHealth],
+    ) -> (Vec<OracleRoute>, RoutingStats) {
+        let dead_at = |node: ShardId, t: f64| in_windows(&health[node].dead.windows, t);
+        let degraded_at = |node: ShardId, t: f64| in_windows(&health[node].degraded.windows, t);
+        let mut routes = Vec::with_capacity(arrivals_us.len());
+        let mut stats = RoutingStats::default();
+        let mut routed_requests = 0usize;
+        let mut fanout_sum = 0usize;
+        let mut live: Vec<ShardId> = Vec::new();
+        let mut primaries: Vec<ShardId> = Vec::new();
+        let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
+        for (id, &t) in arrivals_us.iter().enumerate() {
+            let mut rows = zipf_lookup_rows(
+                cfg.routing_lookups,
+                rows_per_table,
+                cfg.zipf_s,
+                cfg.lookup_seed ^ mix(id as u64),
+            );
+            rows.sort_unstable();
+            rows.dedup();
+            let spread = mix(cfg.lookup_seed ^ mix(id as u64 ^ 0x10d7));
+            let mut route = OracleRoute::default();
+            primaries.clear();
+            hedges.clear();
+            'rows: for &row in rows.iter().rev() {
+                let owners = cfg.plan.owners(row);
+                let target = match cfg.failover {
+                    FailoverPolicy::None => {
+                        let primary = owners[0];
+                        if dead_at(primary, t) {
+                            route.router_shed = true;
+                            break 'rows;
+                        }
+                        primary
+                    }
+                    FailoverPolicy::Reroute | FailoverPolicy::HedgeDegraded => {
+                        live.clear();
+                        live.extend(owners.iter().copied().filter(|&o| !dead_at(o, t)));
+                        if live.is_empty() {
+                            route.router_shed = true;
+                            break 'rows;
+                        }
+                        let chosen = if cfg.plan.is_hot(row) {
+                            match live.iter().copied().find(|o| primaries.contains(o)) {
+                                Some(o) => {
+                                    stats.affinity_hits += 1;
+                                    o
+                                }
+                                None => live[(spread % live.len() as u64) as usize],
+                            }
+                        } else {
+                            live[0]
+                        };
+                        if dead_at(owners[0], t) {
+                            route.rerouted = true;
+                        }
+                        chosen
+                    }
+                };
+                if !primaries.contains(&target) {
+                    primaries.push(target);
+                    if cfg.failover == FailoverPolicy::HedgeDegraded && degraded_at(target, t) {
+                        let alt = owners
+                            .iter()
+                            .copied()
+                            .find(|&o| o != target && !dead_at(o, t));
+                        if let Some(h) = alt {
+                            hedges.push((target, h));
+                        }
+                    }
+                }
+            }
+            if route.router_shed {
+                stats.router_shed += 1;
+                route.legs.clear();
+            } else {
+                route.legs = primaries
+                    .iter()
+                    .map(|&p| Leg {
+                        primary: p,
+                        hedge: hedges.iter().find(|(lp, _)| *lp == p).map(|&(_, h)| h),
+                    })
+                    .collect();
+                routed_requests += 1;
+                fanout_sum += route.legs.len();
+                stats.subrequests += route
+                    .legs
+                    .iter()
+                    .map(|l| 1 + usize::from(l.hedge.is_some()))
+                    .sum::<usize>();
+                stats.hedge_subrequests += route.legs.iter().filter(|l| l.hedge.is_some()).count();
+                if route.rerouted {
+                    stats.rerouted_requests += 1;
+                }
+            }
+            routes.push(route);
+        }
+        stats.mean_fanout = if routed_requests > 0 {
+            fanout_sum as f64 / routed_requests as f64
+        } else {
+            0.0
+        };
+        (routes, stats)
+    }
+
     /// The scan-based rejoin the cursor rejoin replaced, kept as its
     /// oracle: every copy of a request is tagged `(shard, outcome,
     /// finish, is_hedge)`, and each leg scans the request's copies for
@@ -1083,13 +1312,17 @@ mod tests {
         assert!(report.not_arrived() > 0, "the horizon cuts arrivals off");
 
         let health = node_healths(&cfg, &trace).expect("valid");
-        let (routes, _) = route_requests(&cfg, w.rows_per_table, &trace, &health);
-        let hedge_on =
-            |r: &Route, shard: ShardId| r.legs.iter().filter(|l| l.hedge == Some(shard)).count();
+        let (routes, legs, _) = route_requests(&cfg, w.rows_per_table, &trace, health);
+        let hedge_on = |r: &Route, shard: ShardId| {
+            r.legs(&legs)
+                .iter()
+                .filter(|l| l.hedge == Some(shard))
+                .count()
+        };
         assert!(
             routes
                 .iter()
-                .any(|r| r.legs.iter().any(|l| hedge_on(r, l.primary) > 0)),
+                .any(|r| r.legs(&legs).iter().any(|l| hedge_on(r, l.primary) > 0)),
             "some hedge must land on another leg's primary shard"
         );
         assert!(
@@ -1102,7 +1335,7 @@ mod tests {
         // order, then key each shard record back to its request.
         let mut tagged: Vec<Vec<(usize, bool)>> = vec![Vec::new(); cfg.plan.nodes()];
         for (id, route) in routes.iter().enumerate() {
-            for leg in &route.legs {
+            for leg in route.legs(&legs) {
                 tagged[leg.primary].push((id, false));
                 if let Some(h) = leg.hedge {
                     tagged[h].push((id, true));
@@ -1126,15 +1359,15 @@ mod tests {
                     arrival_us: trace[id],
                     outcome: None,
                     finish_us: None,
-                    fanout: route.legs.len(),
+                    fanout: route.legs(&legs).len(),
                     rerouted: route.rerouted,
-                    hedged: route.legs.iter().any(|l| l.hedge.is_some()),
+                    hedged: route.legs(&legs).iter().any(|l| l.hedge.is_some()),
                 };
                 if trace[id] <= horizon {
                     record.outcome = if route.router_shed {
                         Some(RequestOutcome::Shed)
                     } else {
-                        scan_rejoin(&route.legs, &subs[id], &mut record)
+                        scan_rejoin(route.legs(&legs), &subs[id], &mut record)
                     };
                 }
                 record
@@ -1191,6 +1424,24 @@ mod tests {
         let mut bad_skew = base_cfg(2, 1);
         bad_skew.zipf_s = f64::NAN;
         reject(bad_skew, "zipf_s");
+        // An empty table has no row to route, at either skew; both entry
+        // points refuse it before the sampler runs.
+        let mut empty = Workload::ncf();
+        empty.rows_per_table = 0;
+        for zipf_s in [0.0, 0.9] {
+            let cfg = base_cfg(2, 1).with_lookups(4, zipf_s, 1);
+            let parameter = "workload.rows_per_table";
+            assert_eq!(
+                simulate_cluster(&m, &empty, &cfg, &[0.0]),
+                Err(ClusterError::InvalidConfig { parameter }),
+                "zipf_s = {zipf_s}"
+            );
+            assert_eq!(
+                shard_traces(&cfg, &empty, &[0.0]),
+                Err(ClusterError::InvalidConfig { parameter }),
+                "zipf_s = {zipf_s}"
+            );
+        }
         // Trace and per-shard errors wrap as Shard.
         assert!(matches!(
             simulate_cluster(&m, &w, &base_cfg(2, 1), &[1.0, 0.5]),
@@ -1213,11 +1464,19 @@ mod tests {
                 start_us: 300.0,
                 duration_us: 100.0,
             });
-        let h = NodeHealth::from_plan(&plan, 1_000.0).expect("valid");
-        assert!(!h.dead_at(99.9) && h.dead_at(100.0) && h.dead_at(149.9));
-        assert!(!h.dead_at(150.0), "half-open: repaired at the boundary");
-        assert!(h.degraded_at(350.0) && !h.degraded_at(450.0));
-        assert!(!h.degraded_at(120.0), "dead is not degraded");
+        // The cursors answer queries at non-decreasing times.
+        let mut h = NodeHealth::from_plan(&plan, 1_000.0).expect("valid");
+        assert!(!h.dead.contains(99.9) && h.dead.contains(100.0) && h.dead.contains(149.9));
+        assert!(h.dead.contains(149.9), "a repeated instant reads the same");
+        assert!(
+            !h.dead.contains(150.0),
+            "half-open: repaired at the boundary"
+        );
+        assert!(!h.degraded.contains(120.0), "dead is not degraded");
+        assert!(h.degraded.contains(350.0) && !h.degraded.contains(450.0));
+        // A cursor jumping past every window lands after the last one.
+        let mut jump = NodeHealth::from_plan(&plan, 1_000.0).expect("valid");
+        assert!(!jump.dead.contains(500.0) && !jump.degraded.contains(500.0));
         // A 1-DIMM node losing its only rank is dead, not degraded.
         let mut tiny = FaultPlan::none().with_rank_outage(RankOutage {
             rank: 0,
@@ -1225,8 +1484,192 @@ mod tests {
             duration_us: 5.0,
         });
         tiny.dimms = 1;
-        let h1 = NodeHealth::from_plan(&tiny, 100.0).expect("valid");
-        assert!(h1.dead_at(12.0) && !h1.degraded_at(12.0));
-        assert!(!h1.dead_at(15.0));
+        let mut h1 = NodeHealth::from_plan(&tiny, 100.0).expect("valid");
+        assert!(h1.dead.contains(12.0) && !h1.degraded.contains(12.0));
+        assert!(!h1.dead.contains(15.0));
+    }
+
+    fn grid(k: u32) -> f64 {
+        25.0 * f64::from(k)
+    }
+
+    /// Arrivals on the 25 µs grid; a gap code of 0 repeats the previous
+    /// timestamp.
+    fn grid_trace(gaps: &[u8]) -> Vec<f64> {
+        let mut t = 0.0;
+        gaps.iter()
+            .map(|&g| {
+                t += grid(u32::from(g));
+                t
+            })
+            .collect()
+    }
+
+    fn maybe<S>(s: S) -> impl Strategy<Value = Option<S::Value>>
+    where
+        S: Strategy + 'static,
+        S::Value: Clone + 'static,
+    {
+        prop_oneof![Just(None), s.prop_map(Some)]
+    }
+
+    /// One node's plan, every window on the 25 µs grid so transitions
+    /// share instants with each other and with arrivals: a node outage,
+    /// two rank outages (all ranks out kills a small node), a gray window
+    /// and seeded DIMM faults, each optional.
+    fn arb_node_plan() -> impl Strategy<Value = FaultPlan> {
+        let window = || (0u32..40, 1u32..20);
+        let windows = (
+            maybe(window()),
+            maybe((0u64..4, window())),
+            maybe((0u64..4, window())),
+            maybe(window()),
+        );
+        (1u64..4, windows, maybe((0u64..1_000, 1u32..20, 1u32..40))).prop_map(
+            |(dimms, (outage, rank_a, rank_b, gray), dimm_faults)| {
+                let mut plan = FaultPlan::none();
+                if let Some((seed, gap, repair)) = dimm_faults {
+                    plan = FaultPlan::dimm_faults(seed, 0.8);
+                    plan.dimm_candidate_gap_us = grid(gap);
+                    plan.dimm_repair_us = grid(repair);
+                }
+                plan.dimms = dimms;
+                if let Some((start, len)) = outage {
+                    plan = plan.with_node_outage(NodeOutage {
+                        start_us: grid(start),
+                        duration_us: grid(len),
+                    });
+                }
+                // Windows on one rank may not touch: a second outage of
+                // the first window's rank starts after its repair.
+                let mut first: Option<(u64, u32)> = None;
+                for (rank, (start, len)) in [rank_a, rank_b].into_iter().flatten() {
+                    let rank = rank % dimms;
+                    let start = match first {
+                        Some((r, end)) if r == rank => end + 1 + start,
+                        _ => start,
+                    };
+                    first = Some((rank, start + len));
+                    plan = plan.with_rank_outage(RankOutage {
+                        rank,
+                        start_us: grid(start),
+                        duration_us: grid(len),
+                    });
+                }
+                if let Some((start, len)) = gray {
+                    plan = plan.with_gray(GrayRank {
+                        start_us: grid(start),
+                        duration_us: grid(len),
+                        latency_multiplier: 2.0,
+                    });
+                }
+                plan
+            },
+        )
+    }
+
+    /// A router config and a table size: every placement, replication
+    /// `1..=nodes`, every failover policy, per-node fault plans, an
+    /// optional horizon cut, uniform or Zipf rows, 1–32 lookups.
+    fn arb_router_config() -> impl Strategy<Value = (ClusterConfig, u64)> {
+        let shape = (
+            1usize..6,
+            0usize..6,
+            0u8..4,
+            0u64..64,
+            prop::collection::vec(1u32..8, 5..6),
+        );
+        let failover = prop_oneof![
+            Just(FailoverPolicy::None),
+            Just(FailoverPolicy::Reroute),
+            Just(FailoverPolicy::HedgeDegraded)
+        ];
+        let skew = prop_oneof![Just(0.0), 0.3f64..1.5];
+        let lookups = (1usize..33, skew, 0u64..1_000);
+        let rows = prop_oneof![1u64..8, 8u64..400, Just(1_000_000_000u64)];
+        let plans = prop::collection::vec(arb_node_plan(), 5..6);
+        let horizon = maybe(1u32..200);
+        (shape, failover, lookups, rows, plans, horizon).prop_map(
+            |((nodes, repl, kind, hot_rows, weights), failover, lookups, rows, plans, horizon)| {
+                let replication = 1 + repl % nodes;
+                let placement = match kind {
+                    0 => Placement::Hash,
+                    1 => Placement::RoundRobin,
+                    2 => Placement::CapacityAware {
+                        weights: weights[..nodes].iter().map(|&w| f64::from(w)).collect(),
+                    },
+                    _ => Placement::HotColdSplit { hot_rows },
+                };
+                let plan = ShardPlan::new(nodes, replication, placement).expect("valid");
+                let specs = plans[..nodes]
+                    .iter()
+                    .map(|&p| NodeSpec::paper(1).with_faults(p))
+                    .collect();
+                let (routing_lookups, zipf_s, seed) = lookups;
+                let mut cfg =
+                    ClusterConfig::new(plan, specs, DesignPoint::Tdimm, BatchPolicy::new(8, 100.0))
+                        .with_failover(failover)
+                        .with_lookups(routing_lookups, zipf_s, seed);
+                if let Some(k) = horizon {
+                    cfg = cfg.with_horizon(grid(k));
+                }
+                (cfg, rows)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The allocation-free router reproduces the per-request oracle:
+        /// every route's legs and flags, and the whole `RoutingStats`.
+        #[test]
+        fn router_matches_the_per_request_oracle(
+            spec in arb_router_config(),
+            gaps in prop::collection::vec(0u8..4, 1..200),
+        ) {
+            let (cfg, rows) = spec;
+            let arrivals = grid_trace(&gaps);
+            let health = node_healths(&cfg, &arrivals).expect("valid plans");
+            let (oracle, oracle_stats) = oracle_route_requests(&cfg, rows, &arrivals, &health);
+            let (routes, legs, stats) = route_requests(&cfg, rows, &arrivals, health);
+            prop_assert_eq!(routes.len(), oracle.len());
+            for (route, want) in routes.iter().zip(&oracle) {
+                prop_assert_eq!(route.legs(&legs), &want.legs[..]);
+                prop_assert_eq!(route.router_shed, want.router_shed);
+                prop_assert_eq!(route.rerouted, want.rerouted);
+            }
+            prop_assert_eq!(routes.last().map_or(0, |r| r.end as usize), legs.len());
+            // Debug prints f64 in shortest round-trip form: equal bits.
+            prop_assert_eq!(format!("{stats:?}"), format!("{oracle_stats:?}"));
+        }
+    }
+
+    /// The proptest's configs reach every router path: sheds, reroutes,
+    /// hedges, hot-row affinity and duplicate arrival times.
+    #[test]
+    fn router_oracle_configs_reach_every_path() {
+        use proptest::test_runner::{Prng, SeedableRng};
+        let mut rng = Prng::seed_from_u64(7);
+        let configs = arb_router_config();
+        let traces = prop::collection::vec(0u8..4, 1..200);
+        let mut seen = RoutingStats::default();
+        let mut duplicate_instants = false;
+        for _ in 0..128 {
+            let (cfg, rows) = configs.sample(&mut rng);
+            let arrivals = grid_trace(&traces.sample(&mut rng));
+            duplicate_instants |= arrivals.windows(2).any(|w| w[0] == w[1]);
+            let health = node_healths(&cfg, &arrivals).expect("valid plans");
+            let (_, _, stats) = route_requests(&cfg, rows, &arrivals, health);
+            seen.router_shed += stats.router_shed;
+            seen.rerouted_requests += stats.rerouted_requests;
+            seen.hedge_subrequests += stats.hedge_subrequests;
+            seen.affinity_hits += stats.affinity_hits;
+        }
+        assert!(duplicate_instants);
+        assert!(seen.router_shed > 0, "{seen:?}");
+        assert!(seen.rerouted_requests > 0, "{seen:?}");
+        assert!(seen.hedge_subrequests > 0, "{seen:?}");
+        assert!(seen.affinity_hits > 0, "{seen:?}");
     }
 }

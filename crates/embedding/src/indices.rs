@@ -106,12 +106,7 @@ impl ZipfSampler {
 /// paper-scale tables — billions of rows — cost the same O(1) state as a
 /// thousand-row toy table. The only allocation is the `count`-sized output.
 pub fn zipf_lookup_rows(count: usize, rows: u64, s: f64, seed: u64) -> Vec<u64> {
-    let distribution = if s > 0.0 {
-        Distribution::Zipfian { s }
-    } else {
-        Distribution::Uniform
-    };
-    IndexStream::new(distribution, rows, seed).batch(count)
+    IndexStream::with_skew(rows, s, seed).batch(count)
 }
 
 /// Fraction of `rows_hit` falling in the hottest `hot_fraction` of the
@@ -140,6 +135,25 @@ impl IndexStream {
         }
     }
 
+    /// A stream over `[0, rows)` at Zipf exponent `s`: Zipfian for
+    /// `s > 0`, uniform for `s = 0` (the skew knob every workload and
+    /// router config carries).
+    pub fn with_skew(rows: u64, s: f64, seed: u64) -> Self {
+        let distribution = if s > 0.0 {
+            Distribution::Zipfian { s }
+        } else {
+            Distribution::Uniform
+        };
+        IndexStream::new(distribution, rows, seed)
+    }
+
+    /// Restart the stream at `seed`: the draws that follow equal a fresh
+    /// stream's under that seed. The rejection-inversion constants depend
+    /// only on the distribution and the row count, so they are kept.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+    }
+
     /// The distribution in use.
     pub fn distribution(&self) -> Distribution {
         self.distribution
@@ -160,7 +174,15 @@ impl IndexStream {
 
     /// Draw `n` indices.
     pub fn batch(&mut self, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.next_index()).collect()
+        let mut out = Vec::with_capacity(n);
+        self.extend_into(n, &mut out);
+        out
+    }
+
+    /// Draw `n` indices, appending them to `out` (a caller-owned buffer,
+    /// so a hot loop allocates nothing once `out` has grown).
+    pub fn extend_into(&mut self, n: usize, out: &mut Vec<u64>) {
+        out.extend((0..n).map(|_| self.next_index()));
     }
 
     /// Draw a multi-hot batch: `batch` samples of `lookups` indices each
@@ -246,6 +268,25 @@ mod tests {
         assert!(zipf.iter().all(|&r| r < 100));
         assert!(uniform.iter().all(|&r| r < 100));
         assert_ne!(zipf, zipf_lookup_rows(8, 100, 0.9, 8), "seed must matter");
+    }
+
+    #[test]
+    fn reseeded_stream_replays_a_fresh_one() {
+        for s in [0.0, 0.9] {
+            let mut stream = IndexStream::with_skew(10_000, s, 3);
+            let mut out = stream.batch(17);
+            for seed in [5u64, 0, u64::MAX] {
+                stream.reseed(seed);
+                out.clear();
+                stream.extend_into(12, &mut out);
+                assert_eq!(out, zipf_lookup_rows(12, 10_000, s, seed), "s = {s}");
+            }
+            // Appending keeps what the buffer already holds.
+            stream.reseed(9);
+            stream.extend_into(4, &mut out);
+            assert_eq!(out.len(), 16);
+            assert_eq!(out[12..], zipf_lookup_rows(4, 10_000, s, 9)[..]);
+        }
     }
 
     #[test]

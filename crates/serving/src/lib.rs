@@ -57,7 +57,7 @@ pub mod request;
 pub mod sim;
 pub mod sweep;
 
-pub use arrivals::{hot_row_share, zipf_lookup_rows, ArrivalProcess};
+pub use arrivals::{hot_row_share, zipf_lookup_rows, ArrivalProcess, IndexStream};
 pub use batcher::{BatchPolicy, DynamicBatcher, QueuedRequest};
 pub use metrics::{percentile, BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueStats};
 pub use policy::{AdmissionPolicy, RetryPolicy};

@@ -59,16 +59,17 @@ impl ShardPlan {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::InvalidConfig`] when `nodes == 0`, `replication`
-    /// is not in `1..=nodes`, or capacity weights are missing /
-    /// non-positive / non-finite.
+    /// [`ClusterError::InvalidConfig`] when `nodes` is zero or at least
+    /// `u32::MAX` (routed legs store shard ids as `u32`, with `u32::MAX`
+    /// reserved), `replication` is not in `1..=nodes`, or capacity weights
+    /// are missing / non-positive / non-finite.
     pub fn new(
         nodes: usize,
         replication: usize,
         placement: Placement,
     ) -> Result<Self, ClusterError> {
         let bad = |parameter| Err(ClusterError::InvalidConfig { parameter });
-        if nodes == 0 {
+        if nodes == 0 || nodes >= u32::MAX as usize {
             return bad("nodes");
         }
         if replication == 0 || replication > nodes {

@@ -350,10 +350,42 @@ impl WindowCursor {
 
 /// One leg of a fanned-out request: the rows a primary shard serves,
 /// with an optional hedged duplicate on a replica.
+///
+/// 8 bytes: shard ids fit `u32` (a [`ShardPlan`] has fewer than
+/// `u32::MAX` nodes), and the absent hedge is the [`Leg::NO_HEDGE`]
+/// sentinel instead of an `Option` tag. A run holds one leg per routed
+/// (request, shard) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Leg {
-    primary: ShardId,
-    hedge: Option<ShardId>,
+    /// The primary shard serving this leg's rows.
+    primary: u32,
+    /// The replica carrying the hedged duplicate, or [`Leg::NO_HEDGE`].
+    hedge: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Leg>() == 8);
+
+impl Leg {
+    /// The `hedge` of an unhedged leg; never a shard id.
+    const NO_HEDGE: u32 = u32::MAX;
+
+    fn new(primary: ShardId, hedge: Option<ShardId>) -> Self {
+        let id = |shard: ShardId| u32::try_from(shard).expect("shard ids are below u32::MAX");
+        Leg {
+            primary: id(primary),
+            hedge: hedge.map_or(Leg::NO_HEDGE, id),
+        }
+    }
+
+    /// The primary shard.
+    fn primary(self) -> ShardId {
+        self.primary as ShardId
+    }
+
+    /// The hedge shard, if the leg is hedged.
+    fn hedge(self) -> Option<ShardId> {
+        (self.hedge != Leg::NO_HEDGE).then_some(self.hedge as ShardId)
+    }
 }
 
 /// Where a request was routed: its legs are `start..end` of the run's
@@ -392,23 +424,27 @@ pub struct RoutingStats {
     pub mean_fanout: f64,
 }
 
-/// Per-request rejoined outcome.
+/// Per-request rejoined outcome: 32 bytes, one per offered request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterRecord {
     /// When the request arrived, µs.
     pub arrival_us: f64,
     /// Rejoined fate; `None` when the horizon cut the arrival off.
     pub outcome: Option<RequestOutcome>,
-    /// When the *slowest* leg finished (max-of-shards), µs.
+    /// When the *slowest* leg finished (max-of-shards), µs; `None` unless
+    /// the request completed.
     pub finish_us: Option<f64>,
-    /// Distinct primary shards fanned out to.
-    pub fanout: usize,
+    /// Distinct primary shards fanned out to: `0` when shed at the router,
+    /// at most the plan's node count (below `u32::MAX`).
+    pub fanout: u32,
     /// Whether any row was rerouted off a primary owner that was dead at
     /// the request's arrival.
     pub rerouted: bool,
     /// Whether any leg carried a hedged duplicate.
     pub hedged: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<ClusterRecord>() == 32);
 
 impl ClusterRecord {
     /// End-to-end latency (arrival to slowest leg), µs.
@@ -643,10 +679,10 @@ impl<'a> Router<'a> {
                     .iter()
                     .find(|(lp, _)| *lp == primary)
                     .map(|&(_, h)| h);
-                self.legs.push(Leg { primary, hedge });
+                self.legs.push(Leg::new(primary, hedge));
             }
             let legs = &self.legs[start..];
-            let hedged = legs.iter().filter(|l| l.hedge.is_some()).count();
+            let hedged = legs.iter().filter(|l| l.hedge().is_some()).count();
             self.routed_requests += 1;
             self.fanout_sum += legs.len();
             self.stats.subrequests += legs.len() + hedged;
@@ -746,8 +782,8 @@ fn per_shard_arrivals(
     let mut shard_subs = vec![Vec::new(); nodes];
     for (route, &t) in routes.iter().zip(arrivals_us) {
         for leg in route.legs(legs) {
-            shard_subs[leg.primary].push(t);
-            if let Some(h) = leg.hedge {
+            shard_subs[leg.primary()].push(t);
+            if let Some(h) = leg.hedge() {
                 shard_subs[h].push(t);
             }
         }
@@ -823,6 +859,9 @@ pub fn simulate_cluster(
             report: result?,
         });
     }
+    // The shard reports hold every sub-request's arrival; free the
+    // sub-traces before the rejoin allocates the cluster records.
+    drop(shard_subs);
 
     // Rejoin in routing order: each shard's next unread record is this
     // request's next sub-request there (see `per_shard_arrivals`).
@@ -835,9 +874,9 @@ pub fn simulate_cluster(
             arrival_us: t,
             outcome: None,
             finish_us: None,
-            fanout: route_legs.len(),
+            fanout: route.end - route.start,
             rerouted: route.rerouted,
-            hedged: route_legs.iter().any(|l| l.hedge.is_some()),
+            hedged: route_legs.iter().any(|l| l.hedge().is_some()),
         };
         // A request the horizon cut off leaves its sub-requests unread;
         // the trace is sorted, so every later request is cut off too and
@@ -853,7 +892,7 @@ pub fn simulate_cluster(
                 };
                 copies.clear();
                 for leg in route_legs {
-                    copies.push((next(leg.primary), leg.hedge.map(&mut next)));
+                    copies.push((next(leg.primary()), leg.hedge().map(&mut next)));
                 }
                 rejoin(route_legs, &copies, &mut record)
             });
@@ -932,7 +971,7 @@ fn rejoin(
         let hedges = copies
             .iter()
             .zip(legs)
-            .filter(|(_, other)| leg.hedge.is_some() && other.hedge == leg.hedge)
+            .filter(|(_, other)| leg.hedge().is_some() && other.hedge() == leg.hedge())
             .filter_map(|(&(_, hedge), _)| hedge);
         let leg_copies = std::iter::once(primary).chain(hedges);
         let leg_outcome = leg_copies
@@ -1207,19 +1246,17 @@ mod tests {
             } else {
                 route.legs = primaries
                     .iter()
-                    .map(|&p| Leg {
-                        primary: p,
-                        hedge: hedges.iter().find(|(lp, _)| *lp == p).map(|&(_, h)| h),
-                    })
+                    .map(|&p| Leg::new(p, hedges.iter().find(|(lp, _)| *lp == p).map(|&(_, h)| h)))
                     .collect();
                 routed_requests += 1;
                 fanout_sum += route.legs.len();
                 stats.subrequests += route
                     .legs
                     .iter()
-                    .map(|l| 1 + usize::from(l.hedge.is_some()))
+                    .map(|l| 1 + usize::from(l.hedge().is_some()))
                     .sum::<usize>();
-                stats.hedge_subrequests += route.legs.iter().filter(|l| l.hedge.is_some()).count();
+                stats.hedge_subrequests +=
+                    route.legs.iter().filter(|l| l.hedge().is_some()).count();
                 if route.rerouted {
                     stats.rerouted_requests += 1;
                 }
@@ -1249,8 +1286,8 @@ mod tests {
             let mut leg_outcome: Option<RequestOutcome> = None;
             let mut leg_finish: Option<f64> = None;
             for &(shard, outcome, finish, is_hedge) in sub_outcomes {
-                let belongs =
-                    (shard == leg.primary && !is_hedge) || (Some(shard) == leg.hedge && is_hedge);
+                let belongs = (shard == leg.primary() && !is_hedge)
+                    || (Some(shard) == leg.hedge() && is_hedge);
                 if !belongs {
                     continue;
                 }
@@ -1316,13 +1353,13 @@ mod tests {
         let hedge_on = |r: &Route, shard: ShardId| {
             r.legs(&legs)
                 .iter()
-                .filter(|l| l.hedge == Some(shard))
+                .filter(|l| l.hedge() == Some(shard))
                 .count()
         };
         assert!(
             routes
                 .iter()
-                .any(|r| r.legs(&legs).iter().any(|l| hedge_on(r, l.primary) > 0)),
+                .any(|r| r.legs(&legs).iter().any(|l| hedge_on(r, l.primary()) > 0)),
             "some hedge must land on another leg's primary shard"
         );
         assert!(
@@ -1336,8 +1373,8 @@ mod tests {
         let mut tagged: Vec<Vec<(usize, bool)>> = vec![Vec::new(); cfg.plan.nodes()];
         for (id, route) in routes.iter().enumerate() {
             for leg in route.legs(&legs) {
-                tagged[leg.primary].push((id, false));
-                if let Some(h) = leg.hedge {
+                tagged[leg.primary()].push((id, false));
+                if let Some(h) = leg.hedge() {
                     tagged[h].push((id, true));
                 }
             }
@@ -1359,9 +1396,9 @@ mod tests {
                     arrival_us: trace[id],
                     outcome: None,
                     finish_us: None,
-                    fanout: route.legs(&legs).len(),
+                    fanout: route.end - route.start,
                     rerouted: route.rerouted,
-                    hedged: route.legs(&legs).iter().any(|l| l.hedge.is_some()),
+                    hedged: route.legs(&legs).iter().any(|l| l.hedge().is_some()),
                 };
                 if trace[id] <= horizon {
                     record.outcome = if route.router_shed {
@@ -1442,11 +1479,25 @@ mod tests {
                 "zipf_s = {zipf_s}"
             );
         }
+        // Legs store shard ids as `u32` with `u32::MAX` reserved, so a
+        // plan that wide is refused up front.
+        assert_eq!(
+            ShardPlan::hash(u32::MAX as usize, 1),
+            Err(ClusterError::InvalidConfig { parameter: "nodes" })
+        );
         // Trace and per-shard errors wrap as Shard.
         assert!(matches!(
             simulate_cluster(&m, &w, &base_cfg(2, 1), &[1.0, 0.5]),
             Err(ClusterError::Shard(SimError::BadArrival { index: 1 }))
         ));
+        let mut wide_gpus = base_cfg(2, 1);
+        wide_gpus.nodes[0].gpus = u32::MAX as usize + 1;
+        assert_eq!(
+            simulate_cluster(&m, &w, &wide_gpus, &[0.0]),
+            Err(ClusterError::Shard(SimError::InvalidConfig {
+                parameter: "gpus"
+            }))
+        );
         assert!(!ClusterError::InvalidConfig { parameter: "nodes" }
             .to_string()
             .is_empty());

@@ -37,9 +37,10 @@ impl BatchPolicy {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when `max_batch` is zero or
-    /// `max_wait_us` is negative/non-finite.
+    /// above `u32::MAX` (completion records store batch sizes as `u32`),
+    /// or `max_wait_us` is negative/non-finite.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.max_batch == 0 {
+        if self.max_batch == 0 || u32::try_from(self.max_batch).is_err() {
             return Err(SimError::InvalidConfig {
                 parameter: "max_batch",
             });

@@ -56,7 +56,9 @@ impl LatencySummary {
         if latencies.is_empty() {
             return LatencySummary::default();
         }
-        latencies.sort_by(f64::total_cmp);
+        // In place, and the same order as a stable sort: `total_cmp`-equal
+        // floats have identical bits.
+        latencies.sort_unstable_by(f64::total_cmp);
         let count = latencies.len();
         let mean_us = latencies.iter().sum::<f64>() / count as f64;
         LatencySummary {

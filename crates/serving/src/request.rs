@@ -6,21 +6,31 @@
 //! [`ArrivalProcess`] plus a summary of the lookup locality the trace
 //! carries.
 
+use std::num::NonZeroU32;
+
 use tensordimm_models::Workload;
 
 use crate::arrivals::{hot_row_share, zipf_lookup_rows, ArrivalProcess};
 
 /// What happened to a dispatched request.
+///
+/// 24 bytes, and `Option<CompletionRecord>` too: `batch_size` is never
+/// zero, so `None` lives in its niche. Every request of a run carries one
+/// of these inside its [`RequestRecord`], which keeps that record at 40
+/// bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionRecord {
     /// When its batch left the queue for a GPU, µs.
     pub dispatch_us: f64,
     /// When its batch finished, µs.
     pub finish_us: f64,
-    /// How many requests shared its batch.
-    pub batch_size: usize,
-    /// Which GPU served it.
-    pub gpu: usize,
+    /// How many requests shared its batch, itself included (so at least
+    /// one; at most [`BatchPolicy::max_batch`](crate::BatchPolicy::max_batch),
+    /// which validation keeps within `u32`).
+    pub batch_size: NonZeroU32,
+    /// Which GPU served it, `0..SimConfig::gpus` (validation keeps the GPU
+    /// count within `u32`).
+    pub gpu: u32,
 }
 
 /// How a request that arrived inside the simulated window ended up.
@@ -39,7 +49,8 @@ pub enum RequestOutcome {
     InFlightAtHorizon,
 }
 
-/// Per-request outcome of a simulation.
+/// Per-request outcome of a simulation: 40 bytes, one per offered
+/// request, so a run's records dominate its memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// When the request arrived, µs.
@@ -53,6 +64,10 @@ pub struct RequestRecord {
     /// Backoff re-admissions this request went through.
     pub retries: u32,
 }
+
+// One record per offered request: a size change moves every run's memory.
+const _: () = assert!(std::mem::size_of::<Option<CompletionRecord>>() == 24);
+const _: () = assert!(std::mem::size_of::<RequestRecord>() == 40);
 
 impl RequestRecord {
     /// A fresh record for a request arriving at `arrival_us` whose fate is
@@ -195,7 +210,7 @@ mod tests {
             completion: Some(CompletionRecord {
                 dispatch_us: 25.0,
                 finish_us: 100.0,
-                batch_size: 4,
+                batch_size: NonZeroU32::new(4).expect("nonzero"),
                 gpu: 2,
             }),
             outcome: Some(RequestOutcome::Completed),

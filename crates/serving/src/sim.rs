@@ -109,6 +109,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroU32;
 
 use tensordimm_faults::{FaultError, FaultPlan, FaultState, Transition};
 use tensordimm_interconnect::InterconnectError;
@@ -314,7 +315,8 @@ impl SimConfig {
     }
 
     fn validate(&self) -> Result<(), SimError> {
-        if self.gpus == 0 {
+        // Completion records store the GPU index as a `u32`.
+        if self.gpus == 0 || u32::try_from(self.gpus).is_err() {
             return Err(SimError::InvalidConfig { parameter: "gpus" });
         }
         self.policy.validate()?;
@@ -1079,13 +1081,19 @@ fn run_engine(
                 if !batch.done {
                     batch.done = true;
                     let size = batch.requests.len();
+                    // Validation bounds both by `u32`; a sealed batch is
+                    // never empty.
+                    let completion = CompletionRecord {
+                        dispatch_us: batch.dispatch_us,
+                        finish_us: event.time_us,
+                        batch_size: u32::try_from(size)
+                            .ok()
+                            .and_then(NonZeroU32::new)
+                            .expect("1 <= batch size <= max_batch <= u32::MAX"),
+                        gpu: u32::try_from(gpu).expect("gpus <= u32::MAX"),
+                    };
                     for q in &batch.requests {
-                        records[q.id].completion = Some(CompletionRecord {
-                            dispatch_us: batch.dispatch_us,
-                            finish_us: event.time_us,
-                            batch_size: size,
-                            gpu,
-                        });
+                        records[q.id].completion = Some(completion);
                         records[q.id].outcome = Some(RequestOutcome::Completed);
                     }
                     engine.in_flight_requests -= size;
@@ -1251,7 +1259,7 @@ mod tests {
             let c = rec.completion.expect("drained run completes everything");
             assert!(c.dispatch_us >= rec.arrival_us);
             assert!(c.finish_us > c.dispatch_us);
-            assert!(c.batch_size >= 1 && c.batch_size <= 8);
+            assert!(c.batch_size.get() <= 8);
             assert!(c.gpu < 3);
         }
         assert!(r.batches.batches > 0);
@@ -1363,18 +1371,18 @@ mod tests {
         // window expires (rank 4): the arrival is admitted first, so it
         // joins the flushed batch — {0, 1} dispatches together at 100.
         assert_eq!(
-            (c0.dispatch_us, c0.finish_us, c0.batch_size),
+            (c0.dispatch_us, c0.finish_us, c0.batch_size.get()),
             (100.0, 200.0, 2)
         );
         assert_eq!(
-            (c1.dispatch_us, c1.finish_us, c1.batch_size),
+            (c1.dispatch_us, c1.finish_us, c1.batch_size.get()),
             (100.0, 200.0, 2)
         );
         // t=200: batch {0, 1} completes (rank 0) exactly as request 2
         // arrives (rank 2); request 2 then waits out its own window and
         // dispatches alone at 300.
         assert_eq!(
-            (c2.dispatch_us, c2.finish_us, c2.batch_size),
+            (c2.dispatch_us, c2.finish_us, c2.batch_size.get()),
             (300.0, 400.0, 1)
         );
 
@@ -1524,6 +1532,35 @@ mod tests {
                     ..good
                 },
                 &[]
+            ),
+            Err(SimError::InvalidConfig {
+                parameter: "max_batch"
+            })
+        ));
+        // Completion records store GPU indices and batch sizes as `u32`:
+        // wider knobs are typed errors, not a panic mid-run.
+        let too_wide = u32::MAX as usize + 1;
+        assert!(matches!(
+            simulate(
+                &m,
+                &w,
+                &SimConfig {
+                    gpus: too_wide,
+                    ..good
+                },
+                &[0.0]
+            ),
+            Err(SimError::InvalidConfig { parameter: "gpus" })
+        ));
+        assert!(matches!(
+            simulate(
+                &m,
+                &w,
+                &SimConfig {
+                    policy: BatchPolicy::new(too_wide, 50.0),
+                    ..good
+                },
+                &[0.0]
             ),
             Err(SimError::InvalidConfig {
                 parameter: "max_batch"

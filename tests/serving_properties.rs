@@ -79,7 +79,7 @@ proptest! {
             prop_assert!(c.dispatch_us >= rec.arrival_us - 1e-6);
             prop_assert!(c.finish_us > c.dispatch_us);
             prop_assert!(c.finish_us <= report.end_us + 1e-6);
-            per_gpu[c.gpu].push((c.dispatch_us, c.finish_us));
+            per_gpu[c.gpu as usize].push((c.dispatch_us, c.finish_us));
         }
         for intervals in &mut per_gpu {
             intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -214,7 +214,7 @@ proptest! {
         // Batch occupancy never exceeds the policy.
         for rec in &r.records {
             let c = rec.completion.expect("drained");
-            prop_assert!(c.batch_size >= 1 && c.batch_size <= policy.max_batch);
+            prop_assert!(c.batch_size.get() >= 1 && c.batch_size.get() as usize <= policy.max_batch);
         }
     }
 
@@ -362,7 +362,7 @@ fn report_digest(r: &SimReport) -> u64 {
             Some(c) => {
                 eat(c.dispatch_us.to_bits());
                 eat(c.finish_us.to_bits());
-                eat(c.batch_size as u64);
+                eat(u64::from(c.batch_size.get()));
                 eat(c.gpu as u64);
             }
             None => eat(u64::MAX),

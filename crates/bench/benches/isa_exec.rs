@@ -1,9 +1,7 @@
 //! Criterion micro-benchmarks for the TensorISA functional executor.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tensordimm_isa::{
-    decode, encode, execute_on_node, Instruction, ReduceOp, TensorMemory, VecMemory,
-};
+use tensordimm_isa::{decode, encode, execute_on_node, Instruction, ReduceOp, VecMemory};
 
 const VB: u64 = 32; // dim-512 vectors
 const COUNT: u64 = 256;

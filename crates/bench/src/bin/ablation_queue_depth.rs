@@ -2,8 +2,10 @@
 //!
 //! The paper sizes the NMP core's input/output queues by the
 //! bandwidth-delay product (25.6 GB/s x 20 ns = 512 B). This ablation runs
-//! the detailed pipeline model with queue capacities from one entry up to
-//! 4 KiB and shows the knee right around the paper's sizing.
+//! the detailed pipeline model with input-queue capacities from one entry
+//! up to 4 KiB and shows the knee right around the paper's sizing (the
+//! output queue drains into the DRAM controller's write queue, whose depth
+//! bounds it instead).
 
 use tensordimm_isa::{DimmContext, Instruction, ReduceOp};
 use tensordimm_nmp::{NmpConfig, NmpCore};
@@ -46,7 +48,6 @@ fn main() {
     for bytes in [64usize, 128, 256, 512, 1024, 2048, 4096] {
         let mut cfg = NmpConfig::paper();
         cfg.input_queue_bytes = bytes;
-        cfg.output_queue_bytes = bytes;
         let mut core = NmpCore::new(cfg.clone()).expect("valid config");
         let r = core
             .run_instruction(&reduce, ctx, None)

@@ -815,31 +815,21 @@ pub fn simulate_cluster(
     let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes, &legs);
 
     // One capacity-sliced model and one pricer per node shape (DIMM
-    // count), built as `simulate` builds them (the pricing knobs are
-    // cluster-wide, so any shard's config carries them). Every shard of a
-    // shape prices through the same pricer, so a batch shape replays once
-    // per cluster and the model's transfer memo fills once. Both memos
-    // are pure functions of their keys: sharing them keeps every shard
-    // bit-identical to an independent run, at any worker count.
+    // count), built as `simulate` builds them (the pricing backend is
+    // cluster-wide). Every shard of a shape prices through the same
+    // pricer, so a batch shape replays once per cluster and the model's
+    // transfer memo fills once. Both memos are pure functions of their
+    // keys: sharing them keeps every shard bit-identical to an independent
+    // run, at any worker count.
     let mut dimms: Vec<u64> = cfg.nodes.iter().map(|n| n.dimms).collect();
     dimms.sort_unstable();
     dimms.dedup();
-    let pricing_cfg = shard_sim_config(cfg, 0);
     let models: Vec<SystemModel> = dimms
         .iter()
-        .map(|&d| {
-            pricing_cfg
-                .pricing_model(&model.clone().with_node_dimms(d))
-                .into_owned()
-        })
+        .map(|&d| model.clone().with_node_dimms(d))
         .collect();
-    // An exact-capacity push loop: collecting through `Result` cannot
-    // presize the vector, and its extra reallocations raised the cluster
-    // benchmarks' peak RSS by 1–2 MB under glibc malloc.
-    let mut pricers: Vec<Box<dyn BatchPricer + '_>> = Vec::with_capacity(models.len());
-    for m in &models {
-        pricers.push(pricing_cfg.build_pricer(m)?);
-    }
+    let pricers: Vec<Box<dyn BatchPricer + '_>> =
+        models.iter().map(|m| cfg.pricing.build(m)).collect();
 
     // Fan the per-shard runs across the worker pool; errors surface from
     // the lowest shard index for determinism.

@@ -86,11 +86,6 @@ impl TensorNodeConfig {
     pub fn peak_gbps(&self) -> f64 {
         self.dimms as f64 * self.nmp.dram.peak_gbps()
     }
-
-    /// Pool capacity in bytes.
-    pub fn pool_bytes(&self) -> u64 {
-        self.pool_blocks * 64
-    }
 }
 
 impl Default for TensorNodeConfig {
@@ -119,7 +114,6 @@ mod tests {
             .with_pool_blocks(1 << 10);
         assert_eq!(c.dimms, 128);
         assert_eq!(c.timing, TimingMode::Functional);
-        assert_eq!(c.pool_bytes(), 64 << 10);
         assert!((c.peak_gbps() - 3276.8).abs() < 1e-9, "Fig. 12's 3.2 TB/s");
     }
 }

@@ -91,17 +91,6 @@ fn bits_for(n: usize) -> u32 {
 }
 
 impl MappingScheme {
-    /// Build a mapping from an explicit LSB-to-MSB field list.
-    ///
-    /// Prefer the named constructors; this is the escape hatch for mapping
-    /// ablation studies.
-    pub fn from_fields(fields: Vec<(Field, u32)>) -> Self {
-        MappingScheme {
-            fields,
-            bank_xor: false,
-        }
-    }
-
     /// Whether the bank XOR permutation is active.
     pub fn bank_xor(&self) -> bool {
         self.bank_xor
@@ -428,10 +417,18 @@ mod tests {
     #[test]
     fn mismatched_mapping_detected() {
         let g = geom();
-        let m = MappingScheme::from_fields(vec![(Field::Row, 3)]);
+        // Laid out for twice the rows this geometry has.
+        let m = MappingScheme::rank_interleaved(&Geometry {
+            rows: 2 * g.rows,
+            ..g
+        });
         assert!(matches!(
             m.validate(&g),
-            Err(DramError::MappingMismatch { .. })
+            Err(DramError::MappingMismatch {
+                field: Field::Row,
+                mapped_bits: 16,
+                required_bits: 15,
+            })
         ));
     }
 

@@ -89,11 +89,6 @@ impl EmbeddingTable {
         self.rows * self.dim as u64 * 4
     }
 
-    /// Size of one embedding vector in bytes.
-    pub fn vector_bytes(&self) -> u64 {
-        self.dim as u64 * 4
-    }
-
     /// The whole table as a flat row-major slice.
     pub fn data(&self) -> &[f32] {
         &self.data
@@ -146,7 +141,6 @@ mod tests {
     fn sizes() {
         let t = EmbeddingTable::from_fn("t", 8, 128, |_, _| 0.0);
         assert_eq!(t.bytes(), 8 * 128 * 4);
-        assert_eq!(t.vector_bytes(), 512);
         assert_eq!(t.name(), "t");
     }
 

@@ -1,21 +1,21 @@
 //! The hop-by-hop message fabric.
 //!
 //! [`Fabric`] forwards injected messages along the routes a
-//! [`FabricTopology`] computes, one link at a time, under finite per-link
+//! [`FabricLayout`] computes, one link at a time, under finite per-link
 //! (and per-port) bandwidth. Every message is in one phase at a time: the
 //! local handoff, a hop's wire latency, or streaming its payload across a
 //! hop. Max-min fair rates change only when some phase ends, so the engine
 //! is event-driven and exact: it computes the rates once per event, jumps
 //! straight to the earliest phase end and retires every phase that ends
 //! there. There is no time quantum. On the
-//! [`FullyConnected`](crate::fabric::FullyConnected) layout with zero
-//! handoff this is the closed-form max-min crossbar allocation, to float
-//! rounding.
+//! [`FullyConnected`](crate::fabric::TopologyKind::FullyConnected) layout
+//! with zero handoff this is the closed-form max-min crossbar allocation,
+//! to float rounding.
 //!
 //! Two pitfalls the exemplar literature names are load-bearing here:
 //!
 //! * **Senders stall only for the local handoff.** [`Fabric::inject`]
-//!   returns [`FabricTopology::local_handoff_us`] — the cost of moving the
+//!   returns [`FabricLayout::local_handoff_us`] — the cost of moving the
 //!   message from the node core to its link controller. The multi-hop
 //!   transit happens asynchronously inside the fabric; coupling sender
 //!   stalls to end-to-end transit time would serialize the whole node.
@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::fabric::topology::{FabricTopology, LinkId};
+use crate::fabric::topology::{FabricLayout, LinkId};
 use crate::InterconnectError;
 
 /// Receipt for an injected message.
@@ -138,7 +138,7 @@ pub struct FabricStats {
 
 /// Bandwidth-sharing resources: every directed link, plus one egress and
 /// one ingress port per node (a hop on `u → v` consumes all three), all at
-/// the topology's uniform link capacity. Ports are what make endpoint
+/// the layout's uniform link capacity. Ports are what make endpoint
 /// contention appear even on private pair links, as on the paper's
 /// NVSwitch crossbar.
 #[derive(Debug)]
@@ -164,7 +164,7 @@ impl Resources {
     }
 }
 
-/// The event-driven message fabric over a [`FabricTopology`].
+/// The event-driven message fabric over a [`FabricLayout`].
 ///
 /// # Example
 ///
@@ -172,11 +172,11 @@ impl Resources {
 /// about twice as long as one alone; a disjoint pair is unaffected:
 ///
 /// ```
-/// use tensordimm_interconnect::fabric::{Fabric, FullyConnected};
+/// use tensordimm_interconnect::fabric::{Fabric, TopologyKind};
 /// use tensordimm_interconnect::Link;
 ///
-/// let topo = FullyConnected::new(6, Link::nvlink2_x6())?;
-/// let mut fabric = Fabric::new(Box::new(topo));
+/// let layout = TopologyKind::FullyConnected.build(6, Link::nvlink2_x6())?;
+/// let mut fabric = Fabric::new(layout);
 /// fabric.inject(0, 1, 64 << 20)?;
 /// fabric.inject(0, 2, 64 << 20)?;
 /// fabric.inject(3, 4, 64 << 20)?;
@@ -186,8 +186,9 @@ impl Resources {
 /// assert!(t(0) > 1.8 * t(2) && t(0) < 2.2 * t(2));
 /// # Ok::<(), tensordimm_interconnect::InterconnectError>(())
 /// ```
+#[derive(Debug)]
 pub struct Fabric {
-    topo: Box<dyn FabricTopology>,
+    layout: FabricLayout,
     resources: Resources,
     links: Vec<LinkId>,
     /// Bytes per µs per resource.
@@ -207,17 +208,17 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A fabric over `topo`, at virtual time zero.
-    pub fn new(topo: Box<dyn FabricTopology>) -> Self {
-        let links = topo.links();
+    /// A fabric over `layout`, at virtual time zero.
+    pub fn new(layout: FabricLayout) -> Self {
+        let links = layout.links();
         let resources = Resources {
-            nodes: topo.nodes(),
+            nodes: layout.nodes(),
             link_pos: links.iter().enumerate().map(|(i, &l)| (l, i)).collect(),
         };
-        let cap = topo.link_capacity_gbps() * 1e3;
+        let cap = layout.link().effective_gbps() * 1e3;
         let per_link = links.iter().map(|&l| (l, LinkStats::default())).collect();
         Fabric {
-            topo,
+            layout,
             resources,
             links,
             cap,
@@ -233,9 +234,9 @@ impl Fabric {
         }
     }
 
-    /// The topology being simulated.
-    pub fn topology(&self) -> &dyn FabricTopology {
-        self.topo.as_ref()
+    /// The layout being simulated.
+    pub fn layout(&self) -> &FabricLayout {
+        &self.layout
     }
 
     /// The physical directed links, in per-link-stats order.
@@ -278,7 +279,7 @@ impl Fabric {
         to: usize,
         bytes: u64,
     ) -> Result<InjectReceipt, InterconnectError> {
-        let route = self.topo.route(from, to)?;
+        let route = self.layout.route(from, to)?;
         // Re-anchor the in-flight phases at now. A handoff moves no bytes,
         // so the rates stand.
         let dt = self.now_us - self.event_us;
@@ -288,7 +289,7 @@ impl Fabric {
             }
             self.event_us = self.now_us;
         }
-        let handoff_us = self.topo.local_handoff_us();
+        let handoff_us = self.layout.local_handoff_us();
         let id = self.next_id;
         self.next_id += 1;
         self.in_flight.push(InFlightMessage {
@@ -362,7 +363,7 @@ impl Fabric {
     /// that ends exactly there. Then re-solve the rates.
     fn retire_phases(&mut self, dt: f64, out: &mut Vec<Delivery>) {
         let t = self.event_us + dt;
-        let hop_latency = self.topo.hop_latency_us();
+        let hop_latency = self.layout.link().setup_us();
         let first = out.len();
         for (m, &rate) in self.in_flight.iter_mut().zip(&self.rates) {
             if m.phase.time_left_us(rate) != dt {
@@ -459,18 +460,6 @@ impl Fabric {
     }
 }
 
-impl std::fmt::Debug for Fabric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fabric")
-            .field("topology", &self.topo.name())
-            .field("nodes", &self.topo.nodes())
-            .field("now_us", &self.now_us)
-            .field("in_flight", &self.in_flight.len())
-            .field("stats", &(self.stats.injected, self.stats.delivered))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,7 +479,7 @@ mod tests {
         let mut f = fabric(TopologyKind::FullyConnected, 4);
         let bytes = 16 << 20;
         let receipt = f.inject(0, 1, bytes).expect("in range");
-        assert_eq!(receipt.handoff_us, f.topology().local_handoff_us());
+        assert_eq!(receipt.handoff_us, f.layout().local_handoff_us());
         let expected = receipt.handoff_us + nv().transfer_time_us(bytes);
         let d = f.run_until_idle();
         assert_eq!(d.len(), 1);

@@ -26,7 +26,7 @@ pub mod fabric;
 pub mod link;
 pub mod topology;
 
-pub use fabric::{Fabric, FabricTopology, LinkId, TopologyKind};
+pub use fabric::{Fabric, FabricLayout, LinkId, TopologyKind};
 pub use link::{Link, TransferReport};
 pub use topology::{Device, Topology};
 

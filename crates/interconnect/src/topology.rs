@@ -48,20 +48,9 @@ impl Topology {
         self
     }
 
-    /// Replace the host link.
-    pub fn with_host_link(mut self, link: Link) -> Self {
-        self.pcie = link;
-        self
-    }
-
     /// Number of GPUs.
     pub fn gpus(&self) -> usize {
         self.gpus
-    }
-
-    /// The host (PCIe) link.
-    pub fn host_link(&self) -> &Link {
-        &self.pcie
     }
 
     /// The GPU-side (NVLINK) link.
@@ -196,9 +185,8 @@ mod accessor_tests {
 
     #[test]
     fn accessors_expose_links() {
-        let t = Topology::dgx_like(4).with_host_link(Link::nvlink2_x1());
+        let t = Topology::dgx_like(4);
         assert_eq!(t.gpus(), 4);
-        assert_eq!(t.host_link().bandwidth_gbps(), 25.0);
         assert_eq!(t.gpu_link().bandwidth_gbps(), 150.0);
     }
 

@@ -8,7 +8,7 @@
 //! single-threaded implementations.
 
 use crate::instruction::Instruction;
-use crate::memory::TensorMemory;
+use crate::memory::VecMemory;
 use crate::vector::{Vec16, LANES};
 use crate::IsaError;
 
@@ -71,9 +71,9 @@ impl ExecSummary {
 /// * Validation errors from [`Instruction::validate`].
 /// * [`IsaError::IndexOutOfRange`] when a gathered index addresses beyond
 ///   the memory capacity.
-pub fn execute_on_dimm<M: TensorMemory>(
+pub fn execute_on_dimm(
     instr: &Instruction,
-    mem: &mut M,
+    mem: &mut VecMemory,
     ctx: DimmContext,
 ) -> Result<ExecSummary, IsaError> {
     ctx.validate()?;
@@ -174,9 +174,9 @@ pub fn execute_on_dimm<M: TensorMemory>(
 /// # Errors
 ///
 /// Same conditions as [`execute_on_dimm`].
-pub fn execute_on_node<M: TensorMemory>(
+pub fn execute_on_node(
     instr: &Instruction,
-    mem: &mut M,
+    mem: &mut VecMemory,
     node_dim: u64,
 ) -> Result<ExecSummary, IsaError> {
     let mut total = ExecSummary::default();
@@ -195,9 +195,9 @@ pub fn execute_on_node<M: TensorMemory>(
 /// The same conditions as [`execute_on_dimm`], wrapped in
 /// [`IsaError::AtInstruction`] carrying the failing instruction's index —
 /// the same site the static analyzer's first diagnostic names.
-pub fn execute_program_on_dimm<M: TensorMemory>(
+pub fn execute_program_on_dimm(
     instrs: &[Instruction],
-    mem: &mut M,
+    mem: &mut VecMemory,
     ctx: DimmContext,
 ) -> Result<ExecSummary, IsaError> {
     let mut total = ExecSummary::default();
@@ -213,9 +213,9 @@ pub fn execute_program_on_dimm<M: TensorMemory>(
 /// # Errors
 ///
 /// Same conditions as [`execute_program_on_dimm`].
-pub fn execute_program_on_node<M: TensorMemory>(
+pub fn execute_program_on_node(
     instrs: &[Instruction],
-    mem: &mut M,
+    mem: &mut VecMemory,
     node_dim: u64,
 ) -> Result<ExecSummary, IsaError> {
     let mut total = ExecSummary::default();

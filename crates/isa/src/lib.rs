@@ -27,7 +27,7 @@
 //! Execute a GATHER functionally against a flat memory model:
 //!
 //! ```
-//! use tensordimm_isa::{Instruction, TensorMemory, VecMemory, execute_on_node};
+//! use tensordimm_isa::{Instruction, VecMemory, execute_on_node};
 //!
 //! let node_dim = 4;                    // four TensorDIMMs
 //! let vec_blocks = 4;                  // 256-byte embeddings
@@ -69,7 +69,7 @@ pub use exec::{
     DimmContext, ExecSummary,
 };
 pub use instruction::{Instruction, OpCode, ReduceOp};
-pub use memory::{TensorMemory, VecMemory};
+pub use memory::VecMemory;
 pub use plan::{AccessKind, AccessPlan, BlockAccess, GatherRow};
 pub use vector::{Vec16, LANES};
 

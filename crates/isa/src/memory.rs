@@ -1,58 +1,17 @@
-//! Abstract 64-byte-granular memory and a flat reference implementation.
+//! The flat 64-byte-granular memory the NMP cores address.
 
 use crate::vector::{Vec16, LANES};
 
-/// A memory addressable in 64-byte blocks, as seen by the NMP cores.
+/// Flat little-endian memory addressable in 64-byte blocks, backed by a
+/// `Vec<u32>`: the memory the functional executor runs on.
 ///
-/// The node's pooled physical memory implements this; [`VecMemory`] is the
-/// flat in-process reference used by the functional executor and tests.
 /// Blocks can be viewed as sixteen f32 lanes (tensor data) or sixteen u32
 /// words (GATHER index lists) — the underlying bits are shared.
-pub trait TensorMemory {
-    /// Capacity in 64-byte blocks.
-    fn blocks(&self) -> u64;
-
-    /// Read block `block` as sixteen f32 lanes.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `block >= self.blocks()`.
-    fn read_f32(&self, block: u64) -> [f32; LANES];
-
-    /// Write block `block` from sixteen f32 lanes.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `block >= self.blocks()`.
-    fn write_f32(&mut self, block: u64, lanes: [f32; LANES]);
-
-    /// Read block `block` as sixteen u32 words (index-list view).
-    fn read_u32(&self, block: u64) -> [u32; LANES] {
-        Vec16::from(self.read_f32(block)).to_bits()
-    }
-
-    /// Write block `block` from sixteen u32 words (index-list view).
-    fn write_u32(&mut self, block: u64, words: [u32; LANES]) {
-        self.write_f32(block, *Vec16::from_bits(words).lanes());
-    }
-
-    /// Read a vector register.
-    fn read_vec(&self, block: u64) -> Vec16 {
-        Vec16::from(self.read_f32(block))
-    }
-
-    /// Write a vector register.
-    fn write_vec(&mut self, block: u64, v: Vec16) {
-        self.write_f32(block, *v.lanes());
-    }
-}
-
-/// Flat little-endian memory backed by a `Vec<u32>`.
 ///
 /// # Example
 ///
 /// ```
-/// use tensordimm_isa::{TensorMemory, VecMemory};
+/// use tensordimm_isa::VecMemory;
 ///
 /// let mut mem = VecMemory::new(16);
 /// mem.write_f32(3, [1.5; 16]);
@@ -72,6 +31,11 @@ impl VecMemory {
         }
     }
 
+    /// Capacity in 64-byte blocks.
+    pub fn blocks(&self) -> u64 {
+        (self.words.len() / LANES) as u64
+    }
+
     /// Capacity in bytes.
     pub fn bytes(&self) -> u64 {
         self.words.len() as u64 * 4
@@ -80,6 +44,56 @@ impl VecMemory {
     /// Borrow the raw words (sixteen per block).
     pub fn words(&self) -> &[u32] {
         &self.words
+    }
+
+    /// Read block `block` as sixteen f32 lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `block >= self.blocks()`.
+    pub fn read_f32(&self, block: u64) -> [f32; LANES] {
+        let start = block as usize * LANES;
+        let mut out = [0f32; LANES];
+        for (o, w) in out.iter_mut().zip(&self.words[start..start + LANES]) {
+            *o = f32::from_bits(*w);
+        }
+        out
+    }
+
+    /// Write block `block` from sixteen f32 lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `block >= self.blocks()`.
+    pub fn write_f32(&mut self, block: u64, lanes: [f32; LANES]) {
+        let start = block as usize * LANES;
+        for (w, l) in self.words[start..start + LANES].iter_mut().zip(lanes) {
+            *w = l.to_bits();
+        }
+    }
+
+    /// Read block `block` as sixteen u32 words (index-list view).
+    pub fn read_u32(&self, block: u64) -> [u32; LANES] {
+        let start = block as usize * LANES;
+        let mut out = [0u32; LANES];
+        out.copy_from_slice(&self.words[start..start + LANES]);
+        out
+    }
+
+    /// Write block `block` from sixteen u32 words (index-list view).
+    pub fn write_u32(&mut self, block: u64, words: [u32; LANES]) {
+        let start = block as usize * LANES;
+        self.words[start..start + LANES].copy_from_slice(&words);
+    }
+
+    /// Read a vector register.
+    pub fn read_vec(&self, block: u64) -> Vec16 {
+        Vec16::from(self.read_f32(block))
+    }
+
+    /// Write a vector register.
+    pub fn write_vec(&mut self, block: u64, v: Vec16) {
+        self.write_f32(block, *v.lanes());
     }
 
     /// Read `n` f32 values starting at a block boundary.
@@ -107,40 +121,6 @@ impl VecMemory {
     pub fn write_u32_slice(&mut self, block: u64, values: &[u32]) {
         let start = block as usize * LANES;
         self.words[start..start + values.len()].copy_from_slice(values);
-    }
-}
-
-impl TensorMemory for VecMemory {
-    fn blocks(&self) -> u64 {
-        (self.words.len() / LANES) as u64
-    }
-
-    fn read_f32(&self, block: u64) -> [f32; LANES] {
-        let start = block as usize * LANES;
-        let mut out = [0f32; LANES];
-        for (o, w) in out.iter_mut().zip(&self.words[start..start + LANES]) {
-            *o = f32::from_bits(*w);
-        }
-        out
-    }
-
-    fn write_f32(&mut self, block: u64, lanes: [f32; LANES]) {
-        let start = block as usize * LANES;
-        for (w, l) in self.words[start..start + LANES].iter_mut().zip(lanes) {
-            *w = l.to_bits();
-        }
-    }
-
-    fn read_u32(&self, block: u64) -> [u32; LANES] {
-        let start = block as usize * LANES;
-        let mut out = [0u32; LANES];
-        out.copy_from_slice(&self.words[start..start + LANES]);
-        out
-    }
-
-    fn write_u32(&mut self, block: u64, words: [u32; LANES]) {
-        let start = block as usize * LANES;
-        self.words[start..start + LANES].copy_from_slice(&words);
     }
 }
 

@@ -46,13 +46,6 @@ pub struct BlockAccess {
     pub row: Option<GatherRow>,
 }
 
-impl BlockAccess {
-    /// Byte address of the block.
-    pub fn byte_addr(&self) -> u64 {
-        self.block * 64
-    }
-}
-
 /// The ordered accesses one DIMM performs for one instruction.
 ///
 /// # Example
@@ -243,7 +236,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute_on_dimm, DimmContext};
     use crate::instruction::ReduceOp;
-    use crate::memory::{TensorMemory, VecMemory};
+    use crate::memory::VecMemory;
 
     const VB: u64 = 8;
 
@@ -330,16 +323,6 @@ mod tests {
         assert_eq!(seen.len(), total, "overlapping accesses across DIMMs");
         // 64 blocks x (2 reads + 1 write).
         assert_eq!(total, 64 * 3);
-    }
-
-    #[test]
-    fn byte_addresses() {
-        let a = BlockAccess {
-            block: 3,
-            kind: AccessKind::Write,
-            row: None,
-        };
-        assert_eq!(a.byte_addr(), 192);
     }
 
     /// GATHER table-data reads carry their row; exactly one per row visit

@@ -52,11 +52,6 @@ impl MlpSpec {
             .sum()
     }
 
-    /// Parameter bytes (f32).
-    pub fn param_bytes(&self) -> u64 {
-        self.params() * 4
-    }
-
     /// FLOPs for one forward pass at `batch` (2 per MAC).
     pub fn flops(&self, batch: usize) -> u64 {
         2 * batch as u64
@@ -194,7 +189,6 @@ mod tests {
         assert_eq!(s.output_dim(), 2);
         // (4*3+3) + (3*2+2) = 23.
         assert_eq!(s.params(), 23);
-        assert_eq!(s.param_bytes(), 92);
         // 2 * (12 + 6) per sample.
         assert_eq!(s.flops(1), 36);
         assert_eq!(s.flops(10), 360);

@@ -77,11 +77,6 @@ impl VectorAlu {
         self.busy
     }
 
-    /// Peak throughput in f32 operations per second (lanes × clock).
-    pub fn peak_flops(lanes: usize, alu_clock_mhz: u64) -> f64 {
-        lanes as f64 * alu_clock_mhz as f64 * 1e6
-    }
-
     /// Reset to idle.
     pub fn reset(&mut self) {
         self.free_at = 0.0;
@@ -108,12 +103,6 @@ mod tests {
         assert_eq!(d3, 130.0);
         assert_eq!(alu.ops(), 4);
         assert_eq!(alu.busy_cycles(), 40.0);
-    }
-
-    #[test]
-    fn paper_alu_peak_flops() {
-        // 16 lanes x 150 MHz = 2.4 GFLOP/s per DIMM.
-        assert!((VectorAlu::peak_flops(16, 150) - 2.4e9).abs() < 1.0);
     }
 
     #[test]

@@ -234,7 +234,6 @@ impl NmpCore {
         }
 
         let input_capacity = 2 * self.config.input_queue_entries(); // A and B
-        let output_capacity = self.config.output_queue_entries();
 
         let mut read_pos = 0usize;
         let mut write_pos = 0usize;
@@ -253,12 +252,12 @@ impl NmpCore {
         // The output (C) queue drains into the controller's write queue: a
         // result occupies SRAM only until the controller accepts it (posted
         // write), so back-pressure comes from the controller's queue depth
-        // via `push` returning false. The SRAM capacity itself bounds how
-        // far the ALU may run ahead of controller acceptance — with the
+        // via `push` returning false. The SRAM capacity could only bound
+        // how far the ALU runs ahead of controller acceptance — with the
         // one-write-per-ALU-op issue discipline below, that window is the
-        // single `pending_write_ready` slot plus `output_capacity` entries
-        // already handed over, which the controller depth dominates.
-        let _ = output_capacity;
+        // single `pending_write_ready` slot plus the entries already handed
+        // over, which the controller depth dominates — so the output
+        // queue's capacity is not modeled.
 
         // Event-driven co-simulation: each iteration replays exactly one
         // cycle's worth of the original tick-stepped pipeline, but when an
@@ -676,7 +675,6 @@ mod tests {
         let mut fast = NmpCore::new(no_refresh()).unwrap();
         let mut slow_cfg = no_refresh();
         slow_cfg.input_queue_bytes = 64; // one entry
-        slow_cfg.output_queue_bytes = 64;
         let mut slow = NmpCore::new(slow_cfg).unwrap();
         let instr = reduce(32 * 512);
         let ctx = DimmContext::new(32, 0);

@@ -68,8 +68,6 @@ pub struct NmpConfig {
     pub alu_clock_mhz: u64,
     /// Capacity of each input SRAM queue (A and B) in bytes.
     pub input_queue_bytes: usize,
-    /// Capacity of the output SRAM queue (C) in bytes.
-    pub output_queue_bytes: usize,
     /// Hot-row SRAM cache in front of the local DRAM gather path
     /// (disabled by default: the paper's TensorDIMM has no such tier —
     /// RecNMP-style hot-entry caching is an opt-in extension).
@@ -92,7 +90,6 @@ impl NmpConfig {
             alu_lanes: 16,
             alu_clock_mhz: 150,
             input_queue_bytes: 512,
-            output_queue_bytes: 512,
             hot_rows: tensordimm_cache::HotRowCacheConfig::disabled(),
             verify: false,
         }
@@ -103,32 +100,23 @@ impl NmpConfig {
         self.input_queue_bytes / 64
     }
 
-    /// Output queue capacity in 64-byte entries.
-    pub fn output_queue_entries(&self) -> usize {
-        self.output_queue_bytes / 64
-    }
-
     /// Check everything [`NmpCore::new`] requires of this configuration.
     ///
     /// # Errors
     ///
     /// Returns [`NmpError::Dram`] for an invalid local-DRAM configuration,
     /// [`NmpError::Cache`] for a bad hot-row cache geometry, or
-    /// [`NmpError::QueueTooSmall`] for queues below one 64-byte entry.
+    /// [`NmpError::QueueTooSmall`] for input queues below one 64-byte
+    /// entry.
     pub fn validate(&self) -> Result<(), NmpError> {
         self.dram.validate()?;
         self.hot_rows.validate()?;
-        for bytes in [self.input_queue_bytes, self.output_queue_bytes] {
-            if bytes / 64 == 0 {
-                return Err(NmpError::QueueTooSmall { bytes });
-            }
+        if self.input_queue_entries() == 0 {
+            return Err(NmpError::QueueTooSmall {
+                bytes: self.input_queue_bytes,
+            });
         }
         Ok(())
-    }
-
-    /// DRAM-clock cycles per ALU operation (one 64-byte block pair).
-    pub fn alu_interval_cycles(&self) -> f64 {
-        self.dram.timing.clock_mhz as f64 / self.alu_clock_mhz as f64
     }
 }
 
@@ -218,9 +206,6 @@ mod tests {
         assert_eq!(c.alu_lanes, 16);
         assert_eq!(c.alu_clock_mhz, 150);
         assert_eq!(c.input_queue_entries(), 8);
-        assert_eq!(c.output_queue_entries(), 8);
-        // 1600 MHz DRAM clock / 150 MHz ALU.
-        assert!((c.alu_interval_cycles() - 10.666).abs() < 1e-2);
     }
 
     #[test]

@@ -104,7 +104,6 @@
 //! # Ok::<(), tensordimm_serving::SimError>(())
 //! ```
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::error::Error;
@@ -114,10 +113,7 @@ use std::num::NonZeroU32;
 use tensordimm_faults::{FaultError, FaultPlan, FaultState, Transition};
 use tensordimm_interconnect::InterconnectError;
 use tensordimm_models::Workload;
-use tensordimm_system::{
-    BatchPricer, DegradedNode, DesignPoint, HotRowCacheConfig, PricingBackend, SystemModel,
-    TransferBackend,
-};
+use tensordimm_system::{BatchPricer, DegradedNode, DesignPoint, PricingBackend, SystemModel};
 
 use crate::batcher::{BatchPolicy, DynamicBatcher, QueuedRequest, TIMER_SLACK_US};
 use crate::metrics::{
@@ -195,19 +191,10 @@ pub struct SimConfig {
     /// Which batch-pricing backend services are costed with (ignored by
     /// [`simulate_with_pricer`], which takes the pricer directly).
     pub pricing: PricingBackend,
-    /// Hot-row cache tier in front of the cycle backend's gather replays
-    /// (disabled by default; the analytic backend ignores it — see
-    /// [`PricingBackend::build_with_hot_rows`]).
-    pub hot_rows: HotRowCacheConfig,
     /// Optional cutoff, µs: events after this virtual time are not
     /// processed, leaving requests queued / in flight for conservation
     /// accounting. `None` runs until every request completes.
     pub horizon_us: Option<f64>,
-    /// Override the model's contended-transfer engine for this run
-    /// (`None` inherits whatever the [`SystemModel`] is configured with,
-    /// so a fabric-configured model is not silently reverted). Ignored by
-    /// [`simulate_with_pricer`], whose caller owns the pricer.
-    pub transfer: Option<TransferBackend>,
     /// Deterministic fault injection: expanded over the horizon (or the
     /// last arrival when there is none) into timed state transitions.
     /// [`FaultPlan::none`] — the default — injects nothing and is
@@ -230,9 +217,7 @@ impl SimConfig {
             gpus,
             policy,
             pricing: PricingBackend::Analytic,
-            hot_rows: HotRowCacheConfig::disabled(),
             horizon_us: None,
-            transfer: None,
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             admission: AdmissionPolicy::unbounded(),
@@ -248,21 +233,6 @@ impl SimConfig {
     /// Select the batch-pricing backend.
     pub fn with_pricing(mut self, pricing: PricingBackend) -> Self {
         self.pricing = pricing;
-        self
-    }
-
-    /// Put a hot-row cache in front of the cycle backend's gather
-    /// replays (no effect under the analytic backend).
-    pub fn with_hot_rows(mut self, hot_rows: HotRowCacheConfig) -> Self {
-        self.hot_rows = hot_rows;
-        self
-    }
-
-    /// Price contended node → GPU transfers on this fabric layout (the
-    /// analytic crossbar or a topology) instead of the model's configured
-    /// one.
-    pub fn with_transfer(mut self, transfer: TransferBackend) -> Self {
-        self.transfer = Some(transfer);
         self
     }
 
@@ -284,36 +254,6 @@ impl SimConfig {
         self
     }
 
-    /// The model a run under this configuration prices against:
-    /// `transfer` overrides `model`'s contended-transfer engine (cloning
-    /// only when they actually differ); `None` inherits the model's own.
-    pub fn pricing_model<'a>(&self, model: &'a SystemModel) -> Cow<'a, SystemModel> {
-        match self.transfer {
-            Some(t) if t != model.config().transfer => Cow::Owned(model.clone().with_transfer(t)),
-            _ => Cow::Borrowed(model),
-        }
-    }
-
-    /// The pricer [`simulate`] builds over `model` (a
-    /// [`SimConfig::pricing_model`]): the `pricing` backend behind the
-    /// `hot_rows` tier. Callers that share one pricer across runs build it
-    /// here so it prices exactly as a fresh per-run pricer would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] (`"hot_rows"`) when the cycle
-    /// backend rejects the tier.
-    pub fn build_pricer<'a>(
-        &self,
-        model: &'a SystemModel,
-    ) -> Result<Box<dyn BatchPricer + 'a>, SimError> {
-        self.pricing
-            .build_with_hot_rows(model, self.hot_rows)
-            .map_err(|_| SimError::InvalidConfig {
-                parameter: "hot_rows",
-            })
-    }
-
     fn validate(&self) -> Result<(), SimError> {
         // Completion records store the GPU index as a `u32`.
         if self.gpus == 0 || u32::try_from(self.gpus).is_err() {
@@ -327,11 +267,6 @@ impl SimConfig {
                 });
             }
         }
-        self.hot_rows
-            .validate()
-            .map_err(|_| SimError::InvalidConfig {
-                parameter: "hot_rows",
-            })?;
         self.faults.validate()?;
         self.retry.validate()?;
         self.admission.validate()?;
@@ -891,7 +826,7 @@ impl Engine<'_> {
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for unusable knobs (including
-/// fault-plan, policy and hot-row-tier knobs), [`SimError::BadArrival`] for an
+/// fault-plan and policy knobs), [`SimError::BadArrival`] for an
 /// unsorted/non-finite trace, and [`SimError::Pricing`] if the system
 /// model rejects a batch.
 pub fn simulate(
@@ -900,8 +835,7 @@ pub fn simulate(
     cfg: &SimConfig,
     arrivals_us: &[f64],
 ) -> Result<SimReport, SimError> {
-    let model = cfg.pricing_model(model);
-    let pricer = cfg.build_pricer(&model)?;
+    let pricer = cfg.pricing.build(model);
     simulate_with_pricer(workload, cfg, arrivals_us, pricer.as_ref())
 }
 
@@ -1185,6 +1119,7 @@ mod tests {
     use crate::arrivals::ArrivalProcess;
     use proptest::prelude::*;
     use tensordimm_faults::{GrayRank, NodeOutage, RowFaults};
+    use tensordimm_system::{TopologyKind, TransferBackend};
 
     fn model() -> SystemModel {
         SystemModel::paper_defaults()
@@ -1475,10 +1410,10 @@ mod tests {
         let arrivals = poisson(120_000.0, 200, 23);
         let base = SimConfig::new(DesignPoint::Pmem, 4, BatchPolicy::new(16, 200.0));
         let analytic = simulate(&m, &w, &base, &arrivals).expect("valid");
-        let fabric_cfg = base.with_transfer(TransferBackend::Fabric(
-            tensordimm_system::TopologyKind::FullyConnected,
-        ));
-        let fabric = simulate(&m, &w, &fabric_cfg, &arrivals).expect("valid");
+        let fabric_model = m
+            .clone()
+            .with_transfer(TransferBackend::Fabric(TopologyKind::FullyConnected));
+        let fabric = simulate(&fabric_model, &w, &base, &arrivals).expect("valid");
         assert_eq!(fabric.completed, 200);
         // Same crossbar, measured instead of closed-form: tails agree
         // loosely, and the run stays deterministic.
@@ -1489,15 +1424,8 @@ mod tests {
             fabric.latency.p99_us,
             analytic.latency.p99_us
         );
-        let again = simulate(&m, &w, &fabric_cfg, &arrivals).expect("valid");
+        let again = simulate(&fabric_model, &w, &base, &arrivals).expect("valid");
         assert_eq!(fabric, again);
-        // `None` inherits the model's own engine: a fabric-configured
-        // model without an override must match the explicit override.
-        let fabric_model = m.clone().with_transfer(TransferBackend::Fabric(
-            tensordimm_system::TopologyKind::FullyConnected,
-        ));
-        let inherited = simulate(&fabric_model, &w, &base, &arrivals).expect("valid");
-        assert_eq!(inherited, fabric);
     }
 
     #[test]
@@ -1871,22 +1799,6 @@ mod tests {
         assert!(r.shed_rate > 0.0 && r.shed_rate.is_finite());
     }
 
-    /// A hot-row tier whose set count is not a power of two is rejected
-    /// up front instead of panicking at the cycle backend's first replay.
-    #[test]
-    fn invalid_hot_row_tier_is_an_error_not_a_panic() {
-        let m = model();
-        let w = Workload::youtube();
-        let cfg = SimConfig::new(DesignPoint::Tdimm, 1, BatchPolicy::new(4, 50.0))
-            .with_pricing(PricingBackend::CycleCalibrated)
-            .with_hot_rows(HotRowCacheConfig::set_associative(12, 4));
-        let bad_tier = SimError::InvalidConfig {
-            parameter: "hot_rows",
-        };
-        assert_eq!(cfg.build_pricer(&m).err(), Some(bad_tier.clone()));
-        assert_eq!(simulate(&m, &w, &cfg, &[0.0, 1.0]), Err(bad_tier));
-    }
-
     /// Arrivals stream from the trace, so the timer queues hold only live
     /// timers: at a fixed offered load their peak tracks the deadline
     /// window, not the trace length. On this serving configuration (the
@@ -1900,7 +1812,7 @@ mod tests {
         let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
             .with_retry(RetryPolicy::none().with_deadline(2_000.0))
             .with_admission(AdmissionPolicy::bounded(256));
-        let pricer = cfg.build_pricer(&m).expect("valid");
+        let pricer = cfg.pricing.build(&m);
         let peak = |n| {
             let arrivals = poisson(300_000.0, n, 3);
             let (report, timers) =
@@ -1952,7 +1864,7 @@ mod tests {
             mean_burst: 4.0,
         }
         .sample_arrivals_us(20_000, 3);
-        let pricer = cfg.build_pricer(&m).expect("valid");
+        let pricer = cfg.pricing.build(&m);
         let (report, timers) =
             run_engine(&w, &cfg, &arrivals, pricer.as_ref(), TimerRouting::Lanes).expect("valid");
         assert!(report.hedge_dispatches > 0);
@@ -2122,7 +2034,7 @@ mod tests {
             let arrivals = grid_trace(&gaps);
             let m = model();
             let pricer: Box<dyn BatchPricer + '_> = if analytic {
-                cfg.build_pricer(&m).expect("valid")
+                cfg.pricing.build(&m)
             } else {
                 Box::new(GridPricer)
             };

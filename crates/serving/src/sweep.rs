@@ -89,8 +89,7 @@ pub fn offered_load_sweep_par(
     seed: u64,
     workers: usize,
 ) -> Result<Vec<LoadPoint>, SimError> {
-    let model = cfg.pricing_model(model);
-    let pricer = cfg.build_pricer(&model)?;
+    let pricer = cfg.pricing.build(model);
     let pricer = pricer.as_ref();
     // Sample every rate's arrivals before any pricing happens.
     let jobs: Vec<(f64, Vec<f64>)> = rates_qps

@@ -39,11 +39,6 @@ impl DesignPoint {
             DesignPoint::GpuOnly => "GPU-only",
         }
     }
-
-    /// Whether the DNN runs on the GPU for this design.
-    pub fn dnn_on_gpu(&self) -> bool {
-        !matches!(self, DesignPoint::CpuOnly)
-    }
 }
 
 impl fmt::Display for DesignPoint {
@@ -62,7 +57,5 @@ mod tests {
         assert_eq!(all.len(), 5);
         assert_eq!(all[0].label(), "CPU-only");
         assert_eq!(all[3].to_string(), "TDIMM");
-        assert!(!DesignPoint::CpuOnly.dnn_on_gpu());
-        assert!(DesignPoint::Tdimm.dnn_on_gpu());
     }
 }

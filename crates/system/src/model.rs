@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use tensordimm_cache::{GatherModel, GatherWorkload};
-use tensordimm_interconnect::fabric::{Fabric, FabricTopology, FullyConnected};
-use tensordimm_interconnect::{Device, InterconnectError, Topology, TopologyKind};
+use tensordimm_interconnect::{Device, Fabric, InterconnectError, Topology, TopologyKind};
 use tensordimm_models::{DeviceModel, Workload};
 
 use crate::breakdown::PhaseBreakdown;
@@ -16,7 +15,8 @@ use crate::design::DesignPoint;
 /// one event-driven [`Fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransferBackend {
-    /// The paper's NVSwitch: the [`FullyConnected`] crossbar with zero
+    /// The paper's NVSwitch: the
+    /// [`FullyConnected`](TopologyKind::FullyConnected) crossbar with zero
     /// handoff, which is exactly the closed-form max-min fluid allocation
     /// over the node and GPU ports.
     #[default]
@@ -260,14 +260,14 @@ impl SystemModel {
         // concurrent cold miss inserts the identical value.
         let nodes = active_gpus + 1;
         let link = self.config.topology.gpu_link().clone();
-        let topo: Box<dyn FabricTopology> = match self.config.transfer {
-            TransferBackend::Analytic => {
-                Box::new(FullyConnected::new(nodes, link)?.with_handoff_us(0.0))
-            }
+        let layout = match self.config.transfer {
+            TransferBackend::Analytic => TopologyKind::FullyConnected
+                .build(nodes, link)?
+                .with_handoff_us(0.0),
             TransferBackend::Fabric(kind) => kind.build(nodes, link)?,
         };
         // Node 0 feeds GPUs 1..=active_gpus, all pulling at once.
-        let mut fabric = Fabric::new(topo);
+        let mut fabric = Fabric::new(layout);
         for gpu in 1..nodes {
             fabric.inject(0, gpu, bytes)?;
         }

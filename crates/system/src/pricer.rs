@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tensordimm_cache::{HotRowCacheConfig, HotRowStats};
+use tensordimm_cache::HotRowStats;
 use tensordimm_embedding::zipf_lookup_rows;
 use tensordimm_interconnect::InterconnectError;
 use tensordimm_isa::{AccessPlan, DimmContext, Instruction};
@@ -62,30 +62,14 @@ impl PricingBackend {
         }
     }
 
-    /// Construct the backend over `model` with a hot-row cache tier in
-    /// front of the gather replay ([`HotRowCacheConfig::disabled`] for
-    /// none). The analytic backend has no replay and ignores the knob; the
-    /// cycle backend folds it into its NMP configuration (and thus into
-    /// every [`CycleKey`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns what [`CyclePricer::with_config`] finds in the cycle
-    /// backend's knobs (an invalid hot-row tier is [`NmpError::Cache`]),
-    /// so a bad tier is rejected here rather than at the first replay.
-    pub fn build_with_hot_rows<'a>(
-        self,
-        model: &'a SystemModel,
-        hot_rows: HotRowCacheConfig,
-    ) -> Result<Box<dyn BatchPricer + 'a>, NmpError> {
-        Ok(match self {
+    /// Construct the backend over `model` with the paper's knobs. A
+    /// hot-row tier or other replay knobs go through
+    /// [`CyclePricer::with_config`], which validates them.
+    pub fn build<'a>(self, model: &'a SystemModel) -> Box<dyn BatchPricer + 'a> {
+        match self {
             PricingBackend::Analytic => Box::new(AnalyticPricer::new(model)),
-            PricingBackend::CycleCalibrated => {
-                let mut cfg = CyclePricerConfig::for_model(model);
-                cfg.nmp.hot_rows = hot_rows;
-                Box::new(CyclePricer::with_config(model, cfg)?)
-            }
-        })
+            PricingBackend::CycleCalibrated => Box::new(CyclePricer::new(model)),
+        }
     }
 }
 
@@ -506,8 +490,9 @@ impl Default for CyclePricerConfig {
 /// DIMMs (only the consumer differs — see EXPERIMENTS.md), so PMEM and
 /// TDIMM share one measurement instead of paying two identical replays.
 /// The final field is the hot-row cache fingerprint
-/// ([`HotRowCacheConfig::fingerprint`]): bandwidth measured with a cache
-/// in front of DRAM must never alias an uncached measurement.
+/// ([`HotRowCacheConfig::fingerprint`](tensordimm_cache::HotRowCacheConfig::fingerprint)):
+/// bandwidth measured with a cache in front of DRAM must never alias an
+/// uncached measurement.
 pub type CycleKey = (u64, u64, u64, usize, u64, u64);
 
 /// One memoized replay: the measured aggregate bandwidth plus the hot-row
@@ -832,6 +817,7 @@ impl std::fmt::Debug for CyclePricer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensordimm_cache::HotRowCacheConfig;
 
     /// A small replay cap keeps the debug-build tests quick; bandwidth
     /// reaches steady state well before the cap.
@@ -1094,62 +1080,43 @@ mod tests {
         assert_eq!(cached_pricer.replay_count(), 1, "one replay per key");
     }
 
+    /// `PricingBackend::build` constructs exactly the pricer the direct
+    /// constructors do: both backends price bit-identically to
+    /// `AnalyticPricer::new` and `CyclePricer::new`.
     #[test]
-    fn build_with_hot_rows_flows_into_cycle_backend() {
+    fn build_prices_like_the_direct_constructors() {
         let model = SystemModel::paper_defaults();
-        let hot = HotRowCacheConfig::fully_associative(4096);
-        // Analytic ignores the knob entirely.
-        let a = PricingBackend::Analytic
-            .build_with_hot_rows(&model, hot)
-            .expect("valid tier");
-        let plain = AnalyticPricer::new(&model);
         let w = Workload::ncf();
-        assert_eq!(
-            a.price(&w, 8, DesignPoint::Tdimm, 2)
-                .expect("valid")
-                .service_us
-                .to_bits(),
-            plain
+        let service_bits = |pricer: &dyn BatchPricer| {
+            pricer
                 .price(&w, 8, DesignPoint::Tdimm, 2)
                 .expect("valid")
                 .service_us
                 .to_bits()
+        };
+        assert_eq!(
+            service_bits(PricingBackend::Analytic.build(&model).as_ref()),
+            service_bits(&AnalyticPricer::new(&model))
         );
-        // The cycle backend matches an explicitly configured pricer.
-        let b = PricingBackend::CycleCalibrated
-            .build_with_hot_rows(&model, hot)
-            .expect("valid tier");
-        let mut cfg = CyclePricerConfig::paper_defaults();
-        cfg.nmp.hot_rows = hot;
-        let explicit = CyclePricer::with_config(&model, cfg).expect("valid replay config");
         assert_eq!(
-            b.price(&w, 8, DesignPoint::Tdimm, 2)
-                .expect("valid")
-                .service_us
-                .to_bits(),
-            explicit
-                .price(&w, 8, DesignPoint::Tdimm, 2)
-                .expect("valid")
-                .service_us
-                .to_bits()
+            service_bits(PricingBackend::CycleCalibrated.build(&model).as_ref()),
+            service_bits(&CyclePricer::new(&model))
         );
     }
 
     /// A tier `HotRowCacheConfig::validate` rejects fails the cycle
-    /// backend's construction, so no pricer exists to replay with it; the
-    /// analytic backend has no replay and ignores the tier.
+    /// pricer's construction, so no pricer exists to replay with it.
     #[test]
     fn invalid_hot_row_tier_fails_the_build_not_a_replay() {
         let model = SystemModel::paper_defaults();
         let bad = HotRowCacheConfig::set_associative(12, 4);
         assert!(bad.validate().is_err());
+        let mut cfg = CyclePricerConfig::for_model(&model);
+        cfg.nmp.hot_rows = bad;
         assert!(matches!(
-            PricingBackend::CycleCalibrated.build_with_hot_rows(&model, bad),
+            CyclePricer::with_config(&model, cfg),
             Err(NmpError::Cache(_))
         ));
-        assert!(PricingBackend::Analytic
-            .build_with_hot_rows(&model, bad)
-            .is_ok());
     }
 
     /// Pricing against a healthy `DegradedNode` must be bit-identical to
@@ -1435,9 +1402,7 @@ mod tests {
         let model = SystemModel::paper_defaults();
         assert_eq!(PricingBackend::default(), PricingBackend::Analytic);
         for b in [PricingBackend::Analytic, PricingBackend::CycleCalibrated] {
-            let pricer = b
-                .build_with_hot_rows(&model, HotRowCacheConfig::disabled())
-                .expect("valid tier");
+            let pricer = b.build(&model);
             assert_eq!(pricer.backend(), b);
             assert!(!b.label().is_empty());
         }
@@ -1453,9 +1418,7 @@ mod tests {
         let w = Workload::facebook();
         let service_us = |pricing: PricingBackend, dimms: u64| {
             let model = SystemModel::paper_defaults().with_node_dimms(dimms);
-            let pricer = pricing
-                .build_with_hot_rows(&model, HotRowCacheConfig::disabled())
-                .expect("valid tier");
+            let pricer = pricing.build(&model);
             let cost = pricer.price(&w, 32, DesignPoint::Tdimm, 1).expect("valid");
             cost.service_us
         };

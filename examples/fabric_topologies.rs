@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example fabric_topologies`
 
-use tensordimm::interconnect::fabric::{Fabric, FullyConnected, DEFAULT_HANDOFF_US};
+use tensordimm::interconnect::fabric::{Fabric, DEFAULT_HANDOFF_US};
 use tensordimm::interconnect::{Link, TopologyKind};
 
 /// The slowest delivery of a broadcast from node 0 to every other node.
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // The sender stalls only for the local handoff; transit is
             // the fabric's business.
             let receipt = fabric.inject(0, gpu, bytes)?;
-            assert_eq!(receipt.handoff_us, fabric.topology().local_handoff_us());
+            assert_eq!(receipt.handoff_us, fabric.layout().local_handoff_us());
         }
         let slowest = slowest_delivery_us(&mut fabric);
         println!(
@@ -63,9 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The crossbar without the handoff is the paper's NVSwitch: every GPU
     // streams at an equal share of the node's egress port, so the
     // closed form is setup + bytes / (capacity / GPUs).
-    let mut bare = Fabric::new(Box::new(
-        FullyConnected::new(nodes, link.clone())?.with_handoff_us(0.0),
-    ));
+    let mut bare = Fabric::new(
+        TopologyKind::FullyConnected
+            .build(nodes, link.clone())?
+            .with_handoff_us(0.0),
+    );
     for gpu in 1..nodes {
         bare.inject(0, gpu, bytes)?;
     }

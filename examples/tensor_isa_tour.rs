@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example tensor_isa_tour`
 
 use tensordimm::isa::{
-    decode, encode, execute_on_dimm, DimmContext, Instruction, ReduceOp, TensorMemory, VecMemory,
+    decode, encode, execute_on_dimm, DimmContext, Instruction, ReduceOp, VecMemory,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 
-use tensordimm::interconnect::fabric::{
-    Fabric, FabricTopology, FullyConnected, DEFAULT_HANDOFF_US,
-};
+use tensordimm::interconnect::fabric::{Fabric, FabricLayout, DEFAULT_HANDOFF_US};
 use tensordimm::interconnect::{Link, LinkId, TopologyKind};
 use tensordimm::models::{Workload, WorkloadName};
 use tensordimm::serving::{offered_load_sweep_par, BatchPolicy, SimConfig};
@@ -271,8 +269,8 @@ fn build(kind: TopologyKind, nodes: usize) -> Fabric {
 
 /// Per-message completion times (µs, by id) of a single-source flow set —
 /// node 0 sends `bytes[g]` to node `g + 1` — on a crossbar fabric.
-fn crossbar_times(topo: Box<dyn FabricTopology>, bytes: &[u64]) -> Vec<f64> {
-    let mut fabric = Fabric::new(topo);
+fn crossbar_times(layout: FabricLayout, bytes: &[u64]) -> Vec<f64> {
+    let mut fabric = Fabric::new(layout);
     for (g, &b) in bytes.iter().enumerate() {
         fabric.inject(0, g + 1, b).expect("endpoints in range");
     }
@@ -466,11 +464,10 @@ proptest! {
             .concurrent_transfer_us(&flows)
             .expect("ports in range");
         let bare = crossbar_times(
-            Box::new(
-                FullyConnected::new(ports, link.clone())
-                    .expect("nonzero nodes")
-                    .with_handoff_us(0.0),
-            ),
+            TopologyKind::FullyConnected
+                .build(ports, link.clone())
+                .expect("nonzero nodes")
+                .with_handoff_us(0.0),
             &bytes,
         );
         let handed_off = crossbar_times(
@@ -502,10 +499,10 @@ proptest! {
 /// bit-identical at 1, 2 and 4 workers.
 #[test]
 fn fabric_backed_sweep_invariant_across_worker_counts() {
-    let model = SystemModel::paper_defaults();
-    let workload = Workload::by_name(WorkloadName::Facebook);
-    let cfg = SimConfig::new(DesignPoint::Tdimm, 4, BatchPolicy::new(16, 200.0))
+    let model = SystemModel::paper_defaults()
         .with_transfer(TransferBackend::Fabric(TopologyKind::FullyConnected));
+    let workload = Workload::by_name(WorkloadName::Facebook);
+    let cfg = SimConfig::new(DesignPoint::Tdimm, 4, BatchPolicy::new(16, 200.0));
     let rates = [40_000.0, 120_000.0, 360_000.0];
     let baseline =
         offered_load_sweep_par(&model, &workload, &cfg, &rates, 120, 17, 1).expect("valid sweep");

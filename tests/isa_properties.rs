@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use tensordimm::isa::{
     decode, decode_bytes, encode, execute_on_dimm, execute_on_node, AccessPlan, DimmContext,
-    EncodedInstruction, Instruction, IsaError, ReduceOp, TensorMemory, VecMemory,
+    EncodedInstruction, Instruction, IsaError, ReduceOp, VecMemory,
 };
 
 fn arb_reduce_op() -> impl Strategy<Value = ReduceOp> {

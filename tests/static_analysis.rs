@@ -16,8 +16,7 @@ use proptest::prelude::*;
 use tensordimm::analysis::{analyze_plan, analyze_program, lower_block_byte, ProgramStep};
 use tensordimm::cache::HotRowCacheConfig;
 use tensordimm::isa::{
-    execute_on_dimm, AccessPlan, DimmContext, ExecSummary, Instruction, ReduceOp, TensorMemory,
-    VecMemory,
+    execute_on_dimm, AccessPlan, DimmContext, ExecSummary, Instruction, ReduceOp, VecMemory,
 };
 use tensordimm::nmp::{LocalAddressMap, NmpConfig, NmpCore};
 

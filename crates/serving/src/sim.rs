@@ -56,11 +56,12 @@
 //!
 //! - arrivals stream from the sorted trace through a cursor;
 //! - four FIFO lanes hold the timers that fire a fixed offset after an
-//!   instant that never goes backwards: batch-window flushes (admission
-//!   plus `max_wait_us`), deadlines (arrival plus `deadline_us`), hedge
-//!   timers (dispatch plus `hedge_after_us`) and fault transitions (pushed
-//!   once, in schedule order). Timers of one kind are therefore armed
-//!   already in pop order, and a lane needs no heap;
+//!   instant that never goes backwards: batch-window flushes (a queue
+//!   front's admission plus `max_wait_us`), deadlines (arrival plus
+//!   `deadline_us`), hedge timers (dispatch plus `hedge_after_us`) and
+//!   fault transitions (pushed once, in schedule order). Timers of one
+//!   kind are therefore armed already in pop order, and a lane needs no
+//!   heap;
 //! - a heap holds the timers whose delays vary: GPU completions and
 //!   backoff re-admissions, at most one completion per GPU plus the
 //!   pending retries.
@@ -68,19 +69,51 @@
 //! A timer joins its lane only if it orders after the lane's tail;
 //! otherwise it falls back to the heap. Every source thus yields its
 //! events in order by construction, whatever the inputs, and the merge
-//! pops exactly the sequence one heap holding every event would (the
-//! lanes change where an event waits, never its key or its `seq`). This
-//! ordering is part of the simulator's contract: it never depends on
-//! queue internals, so [`simulate`] is bit-identical for identical inputs
-//! even with colliding timestamps (see the regression tests, the
-//! single-heap oracle and the record-digest pins).
+//! pops events in exactly the order one heap holding them all would (the
+//! lanes change where an event waits, never its key). This ordering is
+//! part of the simulator's contract: it never depends on queue
+//! internals, so [`simulate`] is bit-identical for identical inputs even
+//! with colliding timestamps (see the regression tests, the every-timer
+//! oracle and the record-digest pins).
+//!
+//! # Only timers that can act
+//!
+//! The straightforward loop arms a flush per admission and pops every
+//! deadline, and nearly all of those do nothing. This loop arms and pops
+//! only the ones that can act; the straightforward loop is kept as a test
+//! oracle, and the two agree on every report field bit for bit except
+//! `queue.mean_depth`, whose integral is split at fewer instants (it moves
+//! by float re-association, ~1e-15 relative).
+//!
+//! - **One flush per queue front.** A batch window expires for the
+//!   batcher's front first, and from that instant on every event that
+//!   could let a batch seal (a GPU completion, a fault transition, an
+//!   admission) seals it itself, so a flush armed for a request behind the
+//!   front can seal nothing. The flush lane carries one timer per front,
+//!   at its admission plus `max_wait_us`, armed by the first dispatch
+//!   attempt that finds it at the front (every admission, completion,
+//!   fault transition and flush makes one), unless that instant has
+//!   passed. A front exposed by a deadline removal waits for the next
+//!   attempt, which comes no later than the removed front's own flush,
+//!   whose window ends first. One case needs a second timer: a flush
+//!   also seals a front whose window ends up to the batcher's timer slack
+//!   later, so when an admission lands within that slack of the one
+//!   before it, the earlier admission's flush is armed too.
+//! - **Settled deadlines are dropped at the lane head.** A deadline whose
+//!   request already has an outcome would do nothing, and an outcome never
+//!   reverts, so the loop discards it before choosing the next event.
+//! - **The horizon rule is kept exactly.** A horizon cuts the run
+//!   (`end_us` is the horizon) iff some timer the straightforward loop
+//!   arms lies past it, a no-op one included. The engine tracks the
+//!   latest flush and deadline instant that loop would arm, and a run
+//!   whose latest such instant lies past the horizon is cut.
 //!
 //! Everything is deterministic: same model, configuration, fault plan,
 //! policies, pricing backend and arrival trace ⇒ bit-identical
-//! [`SimReport`]. The loop still *processes* timer events that trail the
-//! last request-state change (deadline fires for already-completed
-//! requests, batch-window flushes of already-dispatched requests, fault
-//! repairs after the last completion), but they do not move
+//! [`SimReport`]. The loop still *processes* some timer events that trail
+//! the last request-state change (a front's flush after its batch sealed
+//! full, a deadline of a request still on a GPU, a hedge timer, a fault
+//! repair after the last completion), but they do not move
 //! [`SimReport::end_us`]: the reported end of the run — and the
 //! denominator of `throughput_qps` / `goodput_qps` — is the last instant
 //! a request actually changed state (arrived, completed, shed or timed
@@ -488,18 +521,20 @@ impl Lane {
     }
 }
 
-/// Where the engine queues constant-delay timers.
+/// Which timers the engine arms, and where it queues them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerRouting {
-    /// On their [`Lane`]s.
+    /// Only the timers that can act (see the module docs), with the
+    /// constant-delay ones on their [`Lane`]s.
     Lanes,
-    /// On the heap with every other timer: the single-queue oracle the
-    /// lanes must reproduce bit for bit.
+    /// Every timer the straightforward loop arms (a flush per admission,
+    /// every deadline popped), all on one heap: the oracle the lanes must
+    /// reproduce bit for bit, `queue.mean_depth` aside.
     #[cfg(test)]
     HeapOnly,
 }
 
-/// Timer-queue occupancy over one run.
+/// Timer-queue occupancy and loop work over one run.
 #[derive(Debug, Clone, Copy, Default)]
 struct TimerStats {
     /// Largest heap length.
@@ -511,6 +546,9 @@ struct TimerStats {
     /// Lane timers that did not order after their lane's tail and went to
     /// the heap instead.
     fallbacks: usize,
+    /// Events the loop handled (settled deadlines dropped at the lane
+    /// head are not handled).
+    popped: usize,
 }
 
 /// Where [`Engine::pop_event`] found the next event.
@@ -562,8 +600,20 @@ struct Engine<'a> {
     /// One FIFO per constant-delay timer kind (see [`Lane`]), each in
     /// pop order by construction.
     lanes: [VecDeque<Event>; Lane::COUNT],
-    /// Where constant-delay timers go.
+    /// Timers on the lanes together.
+    lane_len: usize,
+    /// Which timers are armed, and where constant-delay ones go.
     routing: TimerRouting,
+    /// The flush instant of the front last seen by
+    /// [`Engine::arm_front_flush`]: the front changed iff its flush
+    /// instant differs (fronts with one instant share one flush).
+    front_flush_us: f64,
+    /// When the last accepted admission happened, for the timer-slack
+    /// case of [`Engine::admit`].
+    last_admit_us: f64,
+    /// The latest flush or deadline instant the every-timer loop would
+    /// arm, for the horizon rule.
+    latest_timer_us: f64,
     /// Queue occupancy, for the tests that bound it.
     timers: TimerStats,
     /// Next timer `seq`: arrivals own `0..n`, so timers start at `n`.
@@ -605,6 +655,7 @@ impl Engine<'_> {
                 // `Ord` is reversed for the max-heap: a later event is less.
                 if lane.back().is_none_or(|tail| event < *tail) {
                     lane.push_back(event);
+                    self.lane_len += 1;
                 } else {
                     self.timers.fallbacks += 1;
                     self.heap.push(event);
@@ -612,19 +663,31 @@ impl Engine<'_> {
             }
             None => self.heap.push(event),
         }
-        let lanes: usize = self.lanes.iter().map(VecDeque::len).sum();
         let timers = &mut self.timers;
         timers.peak_heap = timers.peak_heap.max(self.heap.len());
-        timers.peak_lanes = timers.peak_lanes.max(lanes);
-        timers.peak_live = timers.peak_live.max(self.heap.len() + lanes);
+        timers.peak_lanes = timers.peak_lanes.max(self.lane_len);
+        timers.peak_live = timers.peak_live.max(self.heap.len() + self.lane_len);
     }
 
     /// The next event in (time, kind, seq) order: the least of the
     /// cursor's arrival, the heap's top and the lane fronts. Each source
     /// yields its events in that order, and arrival `i` carries `seq = i`
     /// (arrivals own `0..n`), so the merge orders every event exactly as
-    /// one heap holding them all would.
-    fn pop_event(&mut self) -> Option<Event> {
+    /// one heap holding them all would. Deadlines of requests that
+    /// already have an outcome are dropped from the lane head first.
+    fn pop_event(&mut self, records: &[RequestRecord]) -> Option<Event> {
+        let deadlines = &mut self.lanes[Lane::Deadline as usize];
+        while let Some(&Event {
+            kind: EventKind::RetryFire(RetryKind::Deadline(id)),
+            ..
+        }) = deadlines.front()
+        {
+            if records[id].outcome.is_none() {
+                break;
+            }
+            deadlines.pop_front();
+            self.lane_len -= 1;
+        }
         let i = self.next_arrival;
         let mut next = self.arrivals_us.get(i).map(|&time_us| {
             let arrival = Event {
@@ -654,9 +717,29 @@ impl Engine<'_> {
             }
             Source::Lane(l) => {
                 self.lanes[l].pop_front();
+                self.lane_len -= 1;
             }
         }
         Some(event)
+    }
+
+    /// Arm the batch-window flush of the queue's front if the front
+    /// changed since the last call, unless its window already ended (an
+    /// expired front is sealed by the next event that frees a GPU or the
+    /// node, each of which dispatches what is ready).
+    fn arm_front_flush(&mut self, now_us: f64) {
+        if self.routing != TimerRouting::Lanes {
+            return;
+        }
+        let Some(flush_us) = self.batcher.next_deadline_us() else {
+            return;
+        };
+        if flush_us != self.front_flush_us {
+            self.front_flush_us = flush_us;
+            if flush_us >= now_us {
+                self.push_event(flush_us, EventKind::Flush);
+            }
+        }
     }
 
     /// The pricer's view of the current fault state, with `reread_rows`
@@ -703,13 +786,11 @@ impl Engine<'_> {
     /// afterwards at the resulting concurrency (batches already in flight
     /// from earlier events keep their dispatch-time pricing — the model's
     /// documented approximation). Pending re-read traffic from transient
-    /// row faults is charged to the first batch of the cohort.
+    /// row faults is charged to the first batch of the cohort. Whatever
+    /// front the queue is left with gets its flush armed.
     fn dispatch_ready(&mut self, now_us: f64) -> Result<(), SimError> {
-        if !self.state.can_dispatch() {
-            return Ok(());
-        }
         let mut cohort: Vec<(usize, Vec<QueuedRequest>)> = Vec::new();
-        while !self.free_gpus.is_empty() {
+        while self.state.can_dispatch() && !self.free_gpus.is_empty() {
             let Some(requests) = self.batcher.take_ready_batch(now_us) else {
                 break;
             };
@@ -747,6 +828,7 @@ impl Engine<'_> {
                 );
             }
         }
+        self.arm_front_flush(now_us);
         Ok(())
     }
 
@@ -793,7 +875,8 @@ impl Engine<'_> {
 
     /// Run the admission policy for request `id` (fresh arrival or
     /// backoff re-admission) at `now_us`. On acceptance the request is
-    /// queued, its flush timer armed, and dispatch attempted.
+    /// queued, dispatch attempted and the flush of whatever front is left
+    /// armed.
     fn admit(&mut self, now_us: f64, id: usize, arrival_us: f64) -> Result<Admit, SimError> {
         if self.admission.shed_expired && self.retry.deadline_enabled() {
             let deadline = arrival_us + self.retry.deadline_us;
@@ -809,7 +892,27 @@ impl Engine<'_> {
             arrival_us: now_us,
         });
         let max_wait_us = self.batcher.policy().max_wait_us;
-        self.push_event(now_us + max_wait_us, EventKind::Flush);
+        let flush_us = now_us + max_wait_us;
+        self.latest_timer_us = self.latest_timer_us.max(flush_us);
+        match self.routing {
+            TimerRouting::Lanes => {
+                // A flush seals a front whose window ends up to the timer
+                // slack after it, so the previous admission's flush, when
+                // it ends earlier but within that slack, can seal this
+                // request once it is the front: arm it too (a duplicate
+                // is a no-op).
+                let prev_flush_us = self.last_admit_us + max_wait_us;
+                if prev_flush_us >= now_us
+                    && prev_flush_us < flush_us
+                    && prev_flush_us + TIMER_SLACK_US >= flush_us
+                {
+                    self.push_event(prev_flush_us, EventKind::Flush);
+                }
+            }
+            #[cfg(test)]
+            TimerRouting::HeapOnly => self.push_event(flush_us, EventKind::Flush),
+        }
+        self.last_admit_us = now_us;
         self.dispatch_ready(now_us)?;
         Ok(Admit::Accepted)
     }
@@ -904,7 +1007,11 @@ fn run_engine(
         next_arrival: 0,
         heap: BinaryHeap::with_capacity(cfg.gpus),
         lanes: Default::default(),
+        lane_len: 0,
         routing,
+        front_flush_us: f64::NEG_INFINITY,
+        last_admit_us: f64::NEG_INFINITY,
+        latest_timer_us: f64::NEG_INFINITY,
         timers: TimerStats::default(),
         seq: n as u64,
         batcher: DynamicBatcher::new(cfg.policy),
@@ -940,13 +1047,14 @@ fn run_engine(
     let mut progress_us = 0.0f64;
     let mut horizon_hit = false;
 
-    while let Some(event) = engine.pop_event() {
+    while let Some(event) = engine.pop_event(&records) {
         if let Some(h) = cfg.horizon_us {
             if event.time_us > h {
                 horizon_hit = true;
                 break;
             }
         }
+        engine.timers.popped += 1;
         queue_tracker.advance(event.time_us, engine.batcher.depth());
         clock_us = clock_us.max(event.time_us);
         match event.kind {
@@ -954,10 +1062,9 @@ fn run_engine(
                 arrived += 1;
                 progress_us = event.time_us;
                 if engine.retry.deadline_enabled() {
-                    engine.push_event(
-                        records[id].arrival_us + engine.retry.deadline_us,
-                        EventKind::RetryFire(RetryKind::Deadline(id)),
-                    );
+                    let deadline_us = records[id].arrival_us + engine.retry.deadline_us;
+                    engine.latest_timer_us = engine.latest_timer_us.max(deadline_us);
+                    engine.push_event(deadline_us, EventKind::RetryFire(RetryKind::Deadline(id)));
                 }
                 match engine.admit(event.time_us, id, records[id].arrival_us)? {
                     Admit::Accepted => {}
@@ -1042,6 +1149,10 @@ fn run_engine(
         }
     }
 
+    // The every-timer loop would have popped the no-op flushes and
+    // settled deadlines this loop never armed or dropped; one past the
+    // horizon cuts the run there.
+    horizon_hit |= cfg.horizon_us.is_some_and(|h| engine.latest_timer_us > h);
     let end_us = if horizon_hit {
         cfg.horizon_us.expect("horizon_hit implies a horizon")
     } else {
@@ -1171,6 +1282,36 @@ mod tests {
             .count();
         assert_eq!(cut, r.outcomes.in_flight_at_horizon);
         assert!(r.records[r.offered - 1].outcome.is_none());
+    }
+
+    /// A horizon cuts the run iff some timer of the every-timer loop lies
+    /// past it, also a deadline or flush this loop drops or never arms.
+    /// 200 arrivals 5 µs apart all complete by 1.38 ms, but their 3 ms
+    /// deadlines still make a 2 ms horizon the end of the run. The pins
+    /// are the every-timer loop's values.
+    #[test]
+    fn horizon_counts_the_timers_the_loop_skips() {
+        let m = model();
+        let w = Workload::facebook();
+        let arrivals: Vec<f64> = (0..200).map(|i| 5.0 * f64::from(i)).collect();
+        for (horizon_us, end_us, qps, completed) in [
+            (1_200.0, 1_200.0, 160_000.0, 192),
+            (2_000.0, 2_000.0, 100_000.0, 200),
+            (
+                5_000.0,
+                1_377.730_702_096_236_7,
+                145_166.250_338_834_13,
+                200,
+            ),
+        ] {
+            let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
+                .with_retry(RetryPolicy::none().with_deadline(3_000.0))
+                .with_horizon(horizon_us);
+            let r = simulate(&m, &w, &cfg, &arrivals).expect("valid");
+            assert_eq!(r.end_us, end_us, "horizon {horizon_us}");
+            assert_eq!(r.throughput_qps, qps, "horizon {horizon_us}");
+            assert_eq!(r.completed, completed, "horizon {horizon_us}");
+        }
     }
 
     #[test]
@@ -1873,6 +2014,68 @@ mod tests {
         assert!(timers.peak_lanes > timers.peak_heap);
     }
 
+    /// The loop handles about one event per request on the benchmark's
+    /// `node_warm` shape: each arrival, plus one flush and one GPU
+    /// completion per batch of ~32. The every-timer loop also pops a flush
+    /// and a deadline per request, about three events per request.
+    #[test]
+    fn node_loop_handles_about_one_event_per_request() {
+        let m = model();
+        let w = Workload::facebook();
+        let cfg = SimConfig::new(DesignPoint::Tdimm, 8, BatchPolicy::new(32, 300.0))
+            .with_retry(RetryPolicy::none().with_deadline(2_000.0))
+            .with_admission(AdmissionPolicy::bounded(256));
+        let pricer = cfg.pricing.build(&m);
+        let n = 20_000;
+        let arrivals = poisson(300_000.0, n, 3);
+        let per_request = |routing| {
+            let (report, timers) =
+                run_engine(&w, &cfg, &arrivals, pricer.as_ref(), routing).expect("valid");
+            assert_eq!(report.completed, n);
+            timers.popped as f64 / n as f64
+        };
+        let (lanes, every) = (
+            per_request(TimerRouting::Lanes),
+            per_request(TimerRouting::HeapOnly),
+        );
+        assert!(lanes <= 1.2, "{lanes} events per request");
+        assert!(every >= 2.9, "every-timer loop: {every} events per request");
+    }
+
+    /// A flush also seals a front whose window ends up to the timer slack
+    /// after it. Requests 0 and 1 fill a batch at 1 µs; request 2 arrives
+    /// 0.5 ps later into the empty queue. Request 1's flush at 301 µs
+    /// seals request 2 in the every-timer loop, so this loop must arm it
+    /// too, not only request 2's own flush at 301.0000005 µs.
+    #[test]
+    fn flush_within_the_timer_slack_is_armed() {
+        let w = Workload::facebook();
+        let cfg = SimConfig::new(DesignPoint::Tdimm, 2, BatchPolicy::new(2, 300.0));
+        let arrivals = [0.0, 1.0, 1.0 + 0.5e-6];
+        let run = |routing| {
+            run_engine(&w, &cfg, &arrivals, &ConstPricer(10.0), routing)
+                .expect("valid")
+                .0
+        };
+        let (lanes, oracle) = (run(TimerRouting::Lanes), run(TimerRouting::HeapOnly));
+        let sealed = lanes.records[2].completion.expect("completed");
+        assert_eq!(sealed.dispatch_us, 301.0);
+        assert_eq!(oracle_depth(lanes, &oracle), oracle);
+    }
+
+    /// `lanes` with its `queue.mean_depth` checked against the every-timer
+    /// oracle's (1e-12 relative; the integral is split at fewer instants)
+    /// and then copied from it, so the rest compares bit for bit.
+    fn oracle_depth(mut lanes: SimReport, oracle: &SimReport) -> SimReport {
+        let (depth, want) = (lanes.queue.mean_depth, oracle.queue.mean_depth);
+        assert!(
+            (depth - want).abs() <= 1e-12 * want.abs(),
+            "mean depth {depth} vs {want}"
+        );
+        lanes.queue.mean_depth = want;
+        lanes
+    }
+
     /// A pricer whose service times sit on the 25 µs arrival grid, so
     /// completions collide with arrivals and every kind of timer.
     struct GridPricer;
@@ -2021,9 +2224,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The lanes reproduce the single-heap oracle exactly: the whole
-        /// report, records included, is equal whichever way the
-        /// constant-delay timers are queued.
+        /// The lanes reproduce the every-timer, single-heap oracle: the
+        /// whole report, records included, is bit-identical whether the
+        /// loop arms a flush per admission and pops every deadline or only
+        /// the timers that can act. Only the queue-depth integral, split
+        /// at fewer instants, may differ by float re-association.
         #[test]
         fn lanes_match_the_heap_only_oracle(
             cfg in arb_lane_config(),
@@ -2040,9 +2245,10 @@ mod tests {
             };
             let run = |routing| run_engine(&w, &cfg, &arrivals, pricer.as_ref(), routing);
             let (lanes, timers) = run(TimerRouting::Lanes).expect("valid");
-            let (oracle, _) = run(TimerRouting::HeapOnly).expect("valid");
+            let (oracle, every) = run(TimerRouting::HeapOnly).expect("valid");
             prop_assert_eq!(timers.fallbacks, 0);
-            prop_assert_eq!(lanes, oracle);
+            prop_assert!(timers.popped <= every.popped);
+            prop_assert_eq!(oracle_depth(lanes, &oracle), oracle);
         }
     }
 

@@ -490,13 +490,30 @@ fn event_order_digests_are_pinned() {
 
     let runs = [plain, faulted, cut, analytic];
     assert!(runs.iter().all(SimReport::is_conserved));
+    // The mean queue depth is an integral over the loop's event instants,
+    // so a loop that handles fewer no-op events moves its last digits by
+    // float re-association: each run stays within 1e-12 relative of the
+    // every-timer loop's value.
+    let every_timer_mean_depth = [
+        3.152_422_611_036_339_4,
+        3.634_253_028_263_795_5,
+        3.939_166_666_666_666_5,
+        18.876_664_778_389_983,
+    ];
+    for (r, want) in runs.iter().zip(every_timer_mean_depth) {
+        let depth = r.queue.mean_depth;
+        assert!(
+            (depth - want).abs() <= 1e-12 * want,
+            "mean depth {depth} vs {want}"
+        );
+    }
     assert_eq!(
         runs.map(|r| report_digest(&r)),
         [
             0x7a23_04b1_7320_aaf9,
             0x0936_c7d8_dad4_c1d0,
             0xdce6_efb7_eeee_9451,
-            0x00a2_a64d_f713_78a2,
+            0xf655_29f7_f1f7_6a49,
         ]
     );
 }

@@ -14,14 +14,18 @@
 //! ```
 //!
 //! `--quick` shrinks the traces so CI can gate on the equivalence
-//! assertions (not the speed numbers) in seconds. The full run also writes
-//! `BENCH_dram_engine.json`, seeding the repo's perf trajectory.
+//! assertions and the work gate below (not the speed numbers) in seconds.
+//! The full run also writes `BENCH_dram_engine.json`, seeding the repo's
+//! perf trajectory.
 //!
-//! Besides wall-clock, the replay rows carry `banks_examined`, the
-//! scheduler's deterministic work counter
-//! ([`MemorySystem::banks_examined`]): bank candidates visited over all
-//! scheduling decisions of the event path (the NMP row reports its
-//! uncached replay).
+//! Besides wall-clock, the replay rows carry the scheduler's
+//! deterministic work counters for the event path:
+//! `banks_examined` ([`MemorySystem::banks_examined`], bank candidates
+//! visited over all scheduling decisions) and `decisions`
+//! ([`MemorySystem::decisions`], decisions evaluated); the NMP row
+//! reports its uncached replay. Both modes gate the work: the dense
+//! one-channel gather must visit fewer than
+//! [`MAX_BANKS_PER_COMMAND`] banks per issued command.
 //!
 //! The `cached_gather` scenario exercises the hot-row SRAM tier in the
 //! gather replay: a zero-capacity cache must reproduce the uncached
@@ -42,6 +46,14 @@ use tensordimm_embedding::zipf_lookup_rows;
 use tensordimm_isa::{DimmContext, Instruction};
 use tensordimm_nmp::{NmpConfig, NmpCore, NmpRunStats};
 use tensordimm_system::HotRowCacheConfig;
+
+/// Ceiling on `dense_gather_1ch`'s bank visits per issued DRAM command
+/// on the event path. Walking every live bank per decision visited 22.4
+/// per command (quick and full size). Walking banks in candidate order up
+/// to the first issuable one visits 13.8 (quick) and 14.0 (full size),
+/// most of them in decisions that issue nothing and need every bank's
+/// horizon.
+const MAX_BANKS_PER_COMMAND: f64 = 16.0;
 
 struct Scenario {
     name: &'static str,
@@ -119,6 +131,7 @@ struct PathResult {
     final_cycle: u64,
     skipped: u64,
     banks_examined: u64,
+    decisions: u64,
     wall_s: f64,
 }
 
@@ -141,6 +154,7 @@ fn replay(trace: &Trace, config: &DramConfig, event_driven: bool) -> PathResult 
         final_cycle: memory.cycle(),
         skipped: memory.idle_cycles_skipped(),
         banks_examined: memory.banks_examined(),
+        decisions: memory.decisions(),
         wall_s,
     }
 }
@@ -174,6 +188,19 @@ fn main() {
         );
         assert_eq!(oracle.skipped, 0, "oracle path must not skip");
 
+        // Every DRAM command the controller issued; open page, so no
+        // precharge rides on a column command.
+        let t = &fast.stats.totals;
+        let commands = t.activates + t.precharges + t.reads + t.writes + t.refreshes;
+        let banks_per_command = fast.banks_examined as f64 / commands as f64;
+        if sc.name == "dense_gather_1ch" {
+            assert!(
+                banks_per_command < MAX_BANKS_PER_COMMAND,
+                "{}: {banks_per_command:.2} bank visits per command, ceiling {MAX_BANKS_PER_COMMAND}",
+                sc.name
+            );
+        }
+
         let speedup = oracle.wall_s / fast.wall_s.max(1e-9);
         if !quick && speedup < sc.speedup_floor {
             gate_failures.push(format!(
@@ -185,7 +212,7 @@ fn main() {
             concat!(
                 "    {{\"scenario\": \"{}\", \"requests\": {}, ",
                 "\"simulated_cycles\": {}, \"idle_cycles_skipped\": {}, ",
-                "\"banks_examined\": {}, ",
+                "\"commands\": {}, \"banks_examined\": {}, \"decisions\": {}, ",
                 "\"tick_wall_s\": {:.6}, \"event_wall_s\": {:.6}, ",
                 "\"speedup\": {:.2}, \"identical\": true}}"
             ),
@@ -193,17 +220,20 @@ fn main() {
             sc.trace.len(),
             fast.final_cycle,
             fast.skipped,
+            commands,
             fast.banks_examined,
+            fast.decisions,
             oracle.wall_s,
             fast.wall_s,
             speedup,
         ));
         eprintln!(
-            "{:<24} {:>7} reqs  {:>10} cycles  {:>10} skipped  tick {:>8.3}s  event {:>8.3}s  {:>6.1}x",
+            "{:<24} {:>7} reqs  {:>10} cycles  {:>10} skipped  {:>5.2} banks/cmd  tick {:>8.3}s  event {:>8.3}s  {:>6.1}x",
             sc.name,
             sc.trace.len(),
             fast.final_cycle,
             fast.skipped,
+            banks_per_command,
             oracle.wall_s,
             fast.wall_s,
             speedup
@@ -292,7 +322,7 @@ fn main() {
                 "\"table_rows\": {}, \"zipf_s\": {}, \"capacity_rows\": {}, ",
                 "\"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, ",
                 "\"uncached_cycles\": {}, \"cached_cycles\": {}, ",
-                "\"uncached_banks_examined\": {}, ",
+                "\"uncached_banks_examined\": {}, \"uncached_decisions\": {}, ",
                 "\"cycle_speedup\": {:.3}, \"uncached_wall_s\": {:.6}, ",
                 "\"cached_wall_s\": {:.6}, \"wall_speedup\": {:.2}, ",
                 "\"identical_when_disabled\": true}}"
@@ -307,6 +337,7 @@ fn main() {
             uncached.cycles,
             cached.cycles,
             uncached.banks_examined,
+            uncached.decisions,
             cycle_ratio,
             uncached_wall_s,
             cached_wall_s,

@@ -24,6 +24,13 @@ pub struct Bank {
 }
 
 /// Timing state of a rank: its banks plus rank-wide constraints.
+///
+/// The cross-bank constraints are kept as bounds raised when a command is
+/// recorded: each ACTIVATE, READ and WRITE raises the earliest cycle the
+/// next one of each class may issue to every bank group. Commands are
+/// recorded in issue order, so the bound a command leaves never falls
+/// below one an earlier command left, and a running maximum equals the
+/// spacing from the latest command per bank group.
 #[derive(Debug, Clone)]
 pub struct Rank {
     /// Banks, indexed `bank_group * banks_per_group + bank`.
@@ -31,12 +38,16 @@ pub struct Rank {
     banks_per_group: usize,
     /// Issue times of the most recent ACTIVATEs (bounded by four, for tFAW).
     act_window: VecDeque<u64>,
-    /// Last ACTIVATE per bank group (for tRRD_S/L).
-    last_act: Vec<Option<u64>>,
-    /// Last READ command per bank group (for tCCD_S/L).
-    last_rd: Vec<Option<u64>>,
-    /// Last WRITE command per bank group (for tCCD_S/L and tWTR_S/L).
-    last_wr: Vec<Option<u64>>,
+    /// Per bank group: earliest ACTIVATE past ACTIVATEs allow (tRRD_S/L).
+    act_bound: Vec<u64>,
+    /// Earliest ACTIVATE the four-activate window allows (tFAW).
+    faw_bound: u64,
+    /// Per bank group: earliest READ past READs and WRITEs allow (tCCD_S/L,
+    /// tWTR_S/L).
+    rd_bound: Vec<u64>,
+    /// Per bank group: earliest WRITE past READs and WRITEs allow
+    /// (tCCD_S/L).
+    wr_bound: Vec<u64>,
     /// Next scheduled refresh deadline.
     pub next_refresh_due: u64,
     /// Rank is unavailable until this cycle (mid-refresh).
@@ -50,9 +61,10 @@ impl Rank {
             banks: vec![Bank::default(); bank_groups * banks_per_group],
             banks_per_group,
             act_window: VecDeque::with_capacity(4),
-            last_act: vec![None; bank_groups],
-            last_rd: vec![None; bank_groups],
-            last_wr: vec![None; bank_groups],
+            act_bound: vec![0; bank_groups],
+            faw_bound: 0,
+            rd_bound: vec![0; bank_groups],
+            wr_bound: vec![0; bank_groups],
             next_refresh_due: first_refresh,
             refresh_busy_until: 0,
         }
@@ -64,60 +76,30 @@ impl Rank {
     }
 
     /// Earliest cycle an ACTIVATE to `(bank_group, bank)` may issue.
-    pub fn earliest_activate(&self, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
-        let mut earliest = self.banks[self.bank_index(bank_group, bank)].next_act;
-        earliest = earliest.max(self.refresh_busy_until);
-        for (bg, last) in self.last_act.iter().enumerate() {
-            if let Some(at) = last {
-                let spacing = if bg == bank_group { t.trrd_l } else { t.trrd_s };
-                earliest = earliest.max(at + spacing);
-            }
-        }
-        if self.act_window.len() == 4 {
-            earliest = earliest.max(self.act_window[0] + t.tfaw);
-        }
-        earliest
+    pub fn earliest_activate(&self, bank_group: usize, bank: usize) -> u64 {
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_act
+            .max(self.refresh_busy_until)
+            .max(self.act_bound[bank_group])
+            .max(self.faw_bound)
     }
 
     /// Earliest cycle a READ to `(bank_group, bank)` may issue,
     /// considering only rank-internal constraints.
-    pub fn earliest_read(&self, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
-        let mut earliest = self.banks[self.bank_index(bank_group, bank)].next_rd;
-        earliest = earliest.max(self.refresh_busy_until);
-        for bg in 0..self.last_rd.len() {
-            let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
-            if let Some(at) = self.last_rd[bg] {
-                earliest = earliest.max(at + ccd);
-            }
-            if let Some(at) = self.last_wr[bg] {
-                earliest = earliest.max(at + ccd);
-                // Write-to-read turnaround.
-                let wtr = if bg == bank_group {
-                    t.write_to_read_same_bg()
-                } else {
-                    t.write_to_read_diff_bg()
-                };
-                earliest = earliest.max(at + wtr);
-            }
-        }
-        earliest
+    pub fn earliest_read(&self, bank_group: usize, bank: usize) -> u64 {
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_rd
+            .max(self.refresh_busy_until)
+            .max(self.rd_bound[bank_group])
     }
 
     /// Earliest cycle a WRITE to `(bank_group, bank)` may issue,
     /// considering only rank-internal constraints.
-    pub fn earliest_write(&self, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
-        let mut earliest = self.banks[self.bank_index(bank_group, bank)].next_wr;
-        earliest = earliest.max(self.refresh_busy_until);
-        for bg in 0..self.last_wr.len() {
-            let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
-            if let Some(at) = self.last_rd[bg] {
-                earliest = earliest.max(at + ccd);
-            }
-            if let Some(at) = self.last_wr[bg] {
-                earliest = earliest.max(at + ccd);
-            }
-        }
-        earliest
+    pub fn earliest_write(&self, bank_group: usize, bank: usize) -> u64 {
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_wr
+            .max(self.refresh_busy_until)
+            .max(self.wr_bound[bank_group])
     }
 
     /// Earliest cycle a PRECHARGE to `(bank_group, bank)` may issue.
@@ -143,11 +125,17 @@ impl Rank {
         b.next_wr = b.next_wr.max(cycle + t.trcd);
         b.next_pre = b.next_pre.max(cycle + t.tras);
         b.next_act = b.next_act.max(cycle + t.trc());
-        self.last_act[bank_group] = Some(cycle);
+        for (bg, bound) in self.act_bound.iter_mut().enumerate() {
+            let spacing = if bg == bank_group { t.trrd_l } else { t.trrd_s };
+            *bound = (*bound).max(cycle + spacing);
+        }
         if self.act_window.len() == 4 {
             self.act_window.pop_front();
         }
         self.act_window.push_back(cycle);
+        if self.act_window.len() == 4 {
+            self.faw_bound = self.faw_bound.max(self.act_window[0] + t.tfaw);
+        }
     }
 
     /// Record a READ issued at `cycle`; `auto_precharge` models RDA.
@@ -159,8 +147,12 @@ impl Rank {
         cycle: u64,
         auto_precharge: bool,
     ) {
+        for bg in 0..self.rd_bound.len() {
+            let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
+            self.rd_bound[bg] = self.rd_bound[bg].max(cycle + ccd);
+            self.wr_bound[bg] = self.wr_bound[bg].max(cycle + ccd);
+        }
         let idx = self.bank_index(bank_group, bank);
-        self.last_rd[bank_group] = Some(cycle);
         let b = &mut self.banks[idx];
         b.next_pre = b.next_pre.max(cycle + t.trtp);
         if auto_precharge {
@@ -179,8 +171,16 @@ impl Rank {
         cycle: u64,
         auto_precharge: bool,
     ) {
+        for bg in 0..self.wr_bound.len() {
+            let (ccd, wtr) = if bg == bank_group {
+                (t.tccd_l, t.write_to_read_same_bg())
+            } else {
+                (t.tccd_s, t.write_to_read_diff_bg())
+            };
+            self.rd_bound[bg] = self.rd_bound[bg].max(cycle + ccd.max(wtr));
+            self.wr_bound[bg] = self.wr_bound[bg].max(cycle + ccd);
+        }
         let idx = self.bank_index(bank_group, bank);
-        self.last_wr[bank_group] = Some(cycle);
         let b = &mut self.banks[idx];
         b.next_pre = b.next_pre.max(cycle + t.write_to_precharge());
         if auto_precharge {
@@ -251,6 +251,7 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rank() -> Rank {
         Rank::new(4, 4, 12480)
@@ -262,13 +263,13 @@ mod tests {
         let mut r = rank();
         r.record_activate(&t, 0, 0, 100, 7);
         assert_eq!(r.banks[0].open_row, Some(7));
-        assert_eq!(r.earliest_read(&t, 0, 0), 100 + t.trcd);
+        assert_eq!(r.earliest_read(0, 0), 100 + t.trcd);
         assert_eq!(r.earliest_precharge(0, 0), 100 + t.tras);
         // Same bank group: tRRD_L; different: tRRD_S.
-        assert_eq!(r.earliest_activate(&t, 0, 1), 100 + t.trrd_l);
-        assert_eq!(r.earliest_activate(&t, 1, 0), 100 + t.trrd_s);
+        assert_eq!(r.earliest_activate(0, 1), 100 + t.trrd_l);
+        assert_eq!(r.earliest_activate(1, 0), 100 + t.trrd_s);
         // Same bank: tRC.
-        assert_eq!(r.earliest_activate(&t, 0, 0), 100 + t.trc());
+        assert_eq!(r.earliest_activate(0, 0), 100 + t.trc());
     }
 
     #[test]
@@ -282,7 +283,7 @@ mod tests {
             c += t.trrd_s;
         }
         // Fifth activate must wait for the window regardless of tRRD.
-        let e = r.earliest_activate(&t, 0, 1);
+        let e = r.earliest_activate(0, 1);
         assert!(e >= t.tfaw, "tFAW not enforced: {e}");
     }
 
@@ -294,10 +295,10 @@ mod tests {
         r.record_activate(&t, 1, 0, t.trrd_s, 1);
         r.record_write(&t, 0, 0, 50, false);
         // Same bank group pays the long turnaround.
-        assert!(r.earliest_read(&t, 0, 0) >= 50 + t.write_to_read_same_bg());
+        assert!(r.earliest_read(0, 0) >= 50 + t.write_to_read_same_bg());
         // Different group pays the short one.
-        assert!(r.earliest_read(&t, 1, 0) >= 50 + t.write_to_read_diff_bg());
-        assert!(r.earliest_read(&t, 1, 0) < 50 + t.write_to_read_same_bg());
+        assert!(r.earliest_read(1, 0) >= 50 + t.write_to_read_diff_bg());
+        assert!(r.earliest_read(1, 0) < 50 + t.write_to_read_same_bg());
     }
 
     #[test]
@@ -307,7 +308,7 @@ mod tests {
         assert!(r.all_banks_closed());
         r.record_refresh(&t, 1000);
         assert_eq!(r.refresh_busy_until, 1000 + t.trfc);
-        assert!(r.earliest_activate(&t, 0, 0) >= 1000 + t.trfc);
+        assert!(r.earliest_activate(0, 0) >= 1000 + t.trfc);
         assert_eq!(r.next_refresh_due, 12480 + t.trefi);
     }
 
@@ -339,5 +340,146 @@ mod tests {
         // An open bank gates the event on its earliest precharge.
         r.record_activate(&t, 1, 2, 12000, 9);
         assert_eq!(r.next_refresh_event(12480), 12000 + t.tras);
+    }
+
+    /// The cross-bank formulas the bounds replaced, kept as their oracle:
+    /// the latest ACTIVATE, READ and WRITE per bank group, with every
+    /// spacing re-derived from them on each query.
+    struct History {
+        act_window: VecDeque<u64>,
+        last_act: Vec<Option<u64>>,
+        last_rd: Vec<Option<u64>>,
+        last_wr: Vec<Option<u64>>,
+    }
+
+    impl History {
+        fn new(bank_groups: usize) -> Self {
+            History {
+                act_window: VecDeque::with_capacity(4),
+                last_act: vec![None; bank_groups],
+                last_rd: vec![None; bank_groups],
+                last_wr: vec![None; bank_groups],
+            }
+        }
+
+        fn record_activate(&mut self, bank_group: usize, cycle: u64) {
+            self.last_act[bank_group] = Some(cycle);
+            if self.act_window.len() == 4 {
+                self.act_window.pop_front();
+            }
+            self.act_window.push_back(cycle);
+        }
+
+        fn earliest_activate(
+            &self,
+            r: &Rank,
+            t: &DramTiming,
+            bank_group: usize,
+            bank: usize,
+        ) -> u64 {
+            let mut earliest = r.banks[r.bank_index(bank_group, bank)].next_act;
+            earliest = earliest.max(r.refresh_busy_until);
+            for (bg, last) in self.last_act.iter().enumerate() {
+                if let Some(at) = last {
+                    let spacing = if bg == bank_group { t.trrd_l } else { t.trrd_s };
+                    earliest = earliest.max(at + spacing);
+                }
+            }
+            if self.act_window.len() == 4 {
+                earliest = earliest.max(self.act_window[0] + t.tfaw);
+            }
+            earliest
+        }
+
+        fn earliest_read(&self, r: &Rank, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
+            let mut earliest = r.banks[r.bank_index(bank_group, bank)].next_rd;
+            earliest = earliest.max(r.refresh_busy_until);
+            for bg in 0..self.last_rd.len() {
+                let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
+                if let Some(at) = self.last_rd[bg] {
+                    earliest = earliest.max(at + ccd);
+                }
+                if let Some(at) = self.last_wr[bg] {
+                    earliest = earliest.max(at + ccd);
+                    let wtr = if bg == bank_group {
+                        t.write_to_read_same_bg()
+                    } else {
+                        t.write_to_read_diff_bg()
+                    };
+                    earliest = earliest.max(at + wtr);
+                }
+            }
+            earliest
+        }
+
+        fn earliest_write(&self, r: &Rank, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
+            let mut earliest = r.banks[r.bank_index(bank_group, bank)].next_wr;
+            earliest = earliest.max(r.refresh_busy_until);
+            for bg in 0..self.last_wr.len() {
+                let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
+                if let Some(at) = self.last_rd[bg] {
+                    earliest = earliest.max(at + ccd);
+                }
+                if let Some(at) = self.last_wr[bg] {
+                    earliest = earliest.max(at + ccd);
+                }
+            }
+            earliest
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random ACT/RD/WR/RDA/WRA/PRE/REF sequences at non-decreasing
+        /// cycles, legal or not: after every command the bounds kept at
+        /// issue time give every bank the same earliest ACTIVATE, READ and
+        /// WRITE as the formulas over the latest command per bank group.
+        /// Gaps are short and refreshes rare, so bursts of ACTIVATEs reach
+        /// the tFAW window and column commands crowd tCCD and tWTR.
+        #[test]
+        fn rank_bounds_match_the_latest_command_formulas(
+            ops in prop::collection::vec(
+                (0usize..16, 0usize..4, 0usize..4, 0usize..4, 0u64..24),
+                1..120,
+            ),
+        ) {
+            let t = DramTiming::ddr4_3200();
+            let mut r = Rank::new(4, 4, 500);
+            let mut oracle = History::new(4);
+            let mut cycle = 0;
+            for (op, bg, bank, row, gap) in ops {
+                cycle += gap;
+                match op {
+                    0..=5 => {
+                        r.record_activate(&t, bg, bank, cycle, row);
+                        oracle.record_activate(bg, cycle);
+                    }
+                    6..=9 => {
+                        r.record_read(&t, bg, bank, cycle, op == 9);
+                        oracle.last_rd[bg] = Some(cycle);
+                    }
+                    10..=12 => {
+                        r.record_write(&t, bg, bank, cycle, op == 12);
+                        oracle.last_wr[bg] = Some(cycle);
+                    }
+                    13 | 14 => r.record_precharge(&t, bg, bank, cycle),
+                    _ => r.record_refresh(&t, cycle),
+                }
+                for bg in 0..4 {
+                    for bank in 0..4 {
+                        prop_assert_eq!(
+                            r.earliest_activate(bg, bank),
+                            oracle.earliest_activate(&r, &t, bg, bank)
+                        );
+                        prop_assert_eq!(r.earliest_read(bg, bank), oracle.earliest_read(&r, &t, bg, bank));
+                        prop_assert_eq!(
+                            r.earliest_write(bg, bank),
+                            oracle.earliest_write(&r, &t, bg, bank)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -74,7 +74,7 @@ impl ChannelState {
     pub fn earliest_issue(&self, t: &DramTiming, cmd: DramCommand, addr: &DramAddr) -> Option<u64> {
         let rank = &self.ranks[addr.rank];
         match cmd {
-            DramCommand::Activate => Some(rank.earliest_activate(t, addr.bank_group, addr.bank)),
+            DramCommand::Activate => Some(rank.earliest_activate(addr.bank_group, addr.bank)),
             DramCommand::Precharge => Some(rank.earliest_precharge(addr.bank_group, addr.bank)),
             DramCommand::PrechargeAll => {
                 let mut earliest = rank.refresh_busy_until;
@@ -91,7 +91,7 @@ impl ChannelState {
                     return None;
                 }
                 let earliest = rank
-                    .earliest_read(t, addr.bank_group, addr.bank)
+                    .earliest_read(addr.bank_group, addr.bank)
                     .max(self.bus_free_from(t, addr.rank, t.cl));
                 Some(earliest)
             }
@@ -101,7 +101,7 @@ impl ChannelState {
                     return None;
                 }
                 let mut earliest = rank
-                    .earliest_write(t, addr.bank_group, addr.bank)
+                    .earliest_write(addr.bank_group, addr.bank)
                     .max(self.bus_free_from(t, addr.rank, t.cwl));
                 if let Some(at) = self.last_read_cmd {
                     earliest = earliest.max(at + t.read_to_write());
@@ -143,7 +143,7 @@ impl ChannelState {
                 DramCommand::Precharge,
             ),
             None => (
-                rank.earliest_activate(t, addr.bank_group, addr.bank),
+                rank.earliest_activate(addr.bank_group, addr.bank),
                 DramCommand::Activate,
             ),
         }

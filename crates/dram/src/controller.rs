@@ -5,17 +5,16 @@
 //! write draining, open- or closed-page row management, and all-bank
 //! refresh. One DRAM command may issue per controller cycle.
 //!
-//! # One candidate per bank
+//! # One candidate per bank, in rank order
 //!
 //! Each queue keeps, per bank (rank, bank group, bank), a FIFO of its
 //! requests in arrival order and a count of those that hit the bank's
-//! open row, plus a bitset of the banks with queued requests. The next
-//! command of a queued request is its column command on an open-row hit,
-//! ACTIVATE on a closed bank, or PRECHARGE on a row conflict, and the
-//! earliest cycle that command can issue reads only rank, bank-group, bank
-//! and bus state. So every hit queued to one bank shares one issue cycle,
-//! as does every miss, and a scheduling decision evaluates one candidate
-//! per live bank:
+//! open row. The next command of a queued request is its column command
+//! on an open-row hit, ACTIVATE on a closed bank, or PRECHARGE on a row
+//! conflict, and the earliest cycle that command can issue reads only
+//! rank, bank-group, bank and bus state. So every hit queued to one bank
+//! shares one issue cycle, as does every miss, and a scheduling decision
+//! evaluates one candidate per bank with queued requests:
 //!
 //! - FR-FCFS: the bank's oldest open-row hit if its hit count is nonzero,
 //!   else its oldest request. A conflicting row is never precharged while
@@ -25,10 +24,18 @@
 //! - FCFS: only the oldest request in the queue; it precharges a
 //!   conflicting row even when younger requests still hit it.
 //!
+//! FR-FCFS keeps its live banks sorted by that rank: column command
+//! before ACTIVATE/PRECHARGE, then the served request's arrival sequence.
+//! A request joining a bank, a served request leaving it and an open row
+//! changing re-rank only that bank. A decision walks the banks in this
+//! order and stops at the first candidate that can issue now, which is
+//! the winner. Only a decision with nothing issuable visits every bank,
+//! because it needs the horizon: the earliest cycle any candidate could
+//! issue. FCFS keeps its queue head instead.
+//!
 //! This picks the same request and command as the two-pass linear scan of
 //! the whole queue that it replaced; the tests keep that scan as the
-//! oracle. When nothing can issue, the same evaluation yields the
-//! horizon: the earliest cycle any candidate could.
+//! oracle.
 //!
 //! # Event-driven time skipping
 //!
@@ -43,16 +50,23 @@
 //! the skipped span to [`ChannelStats::busy_cycles`]) is exactly
 //! equivalent to ticking through it.
 //!
-//! The same frozen state lets the event path reuse scheduling work. An
-//! idle step and [`MemoryController::next_event_cycle`] both store the
-//! horizon they prove, and both reuse a stored horizon until a command
-//! issues or a request is enqueued. Each bank's candidate (its earliest
-//! issue cycle and command) is memoized until a command issues or a
-//! request joins that bank. So a co-simulation loop that asks for the
-//! next event and then advances to it evaluates the banks once, and the
-//! decision that issues at that horizon reads the memos instead of
-//! evaluating them again. [`MemoryController::tick`], the oracle,
-//! evaluates every bank afresh.
+//! The same frozen state lets the event path reuse scheduling work:
+//!
+//! - an idle step and [`MemoryController::next_event_cycle`] both store
+//!   the horizon they prove, and both reuse a stored horizon until a
+//!   command issues or a request is enqueued;
+//! - when [`MemoryController::next_event_cycle`] finds a command issuable
+//!   now, it keeps that decision, tagged with its cycle, memo epoch and
+//!   write-drain mode. The step at that cycle issues it without deciding
+//!   again. An enqueue drops it; an issued command or a refresh moves the
+//!   memo epoch, which voids it;
+//! - each bank's candidate (its earliest issue cycle and command) is
+//!   memoized until a command issues or a request joins that bank, so a
+//!   decision at a horizon re-evaluates only what changed since the
+//!   decision that found it.
+//!
+//! [`MemoryController::tick`], the oracle, decides afresh every cycle and
+//! evaluates every bank it visits afresh.
 
 use std::collections::VecDeque;
 
@@ -76,6 +90,51 @@ struct QueuedRequest {
     needed_precharge: bool,
 }
 
+/// Key bit of an FR-FCFS candidate that needs ACTIVATE or PRECHARGE;
+/// clear for a column command. The rest of a key is the arrival sequence
+/// of the request the candidate serves, so keys order candidates as a
+/// decision ranks them: column commands first, then the oldest.
+const PREP: u64 = 1 << 63;
+
+/// The banks a decision visits, in the order it visits them.
+#[derive(Debug, Clone)]
+enum Candidates {
+    /// FR-FCFS: every live bank, sorted by its candidate's key.
+    ByAge(AgeOrder),
+    /// FCFS: the bank of every queued request in arrival order. FCFS
+    /// serves only the oldest request, so its front is the queue head and
+    /// a column command pops it.
+    Fcfs(VecDeque<usize>),
+}
+
+/// The live banks of an FR-FCFS queue sorted by candidate key.
+#[derive(Debug, Clone)]
+struct AgeOrder {
+    /// `(key, bank)` for every bank with queued requests, ascending.
+    sorted: Vec<(u64, usize)>,
+    /// Per bank: its key in `sorted`, `None` while its FIFO is empty.
+    keys: Vec<Option<u64>>,
+}
+
+impl AgeOrder {
+    /// Move `bank` to `key` (`None`: out of the order). Keys are unique,
+    /// so a binary search finds a bank's entry.
+    fn set(&mut self, bank: usize, key: Option<u64>) {
+        let old = std::mem::replace(&mut self.keys[bank], key);
+        if old == key {
+            return;
+        }
+        if let Some(old) = old {
+            let at = self.sorted.partition_point(|&(k, _)| k < old);
+            self.sorted.remove(at);
+        }
+        if let Some(key) = key {
+            let at = self.sorted.partition_point(|&(k, _)| k < key);
+            self.sorted.insert(at, (key, bank));
+        }
+    }
+}
+
 /// One request queue (reads or writes), bucketed by bank. Banks are
 /// indexed flat across ranks: `rank * banks_per_rank` plus the bank's
 /// index within its rank ([`DramAddr::flat_bank`]).
@@ -85,52 +144,63 @@ struct BankQueue {
     fifos: Vec<VecDeque<QueuedRequest>>,
     /// Per bank: queued requests whose row is the bank's open row.
     hits: Vec<usize>,
-    /// One bit per bank with a non-empty FIFO.
-    live: Vec<u64>,
     /// Per bank: the candidate's earliest issue cycle and command, tagged
     /// with the controller's memo epoch when it was computed.
     memo: Vec<Option<(u64, u64, DramCommand)>>,
-    /// FCFS only: the bank of every queued request in arrival order. FCFS
-    /// serves only the oldest request, so its front is the queue head and
-    /// a column command pops it. `None` under FR-FCFS.
-    fcfs_order: Option<VecDeque<usize>>,
+    candidates: Candidates,
     /// Queued requests over all banks.
     len: usize,
 }
 
 impl BankQueue {
     fn new(banks: usize, scheduler: SchedulerKind) -> Self {
+        let candidates = match scheduler {
+            SchedulerKind::FrFcfs => Candidates::ByAge(AgeOrder {
+                sorted: Vec::with_capacity(banks),
+                keys: vec![None; banks],
+            }),
+            SchedulerKind::Fcfs => Candidates::Fcfs(VecDeque::new()),
+        };
         BankQueue {
             fifos: vec![VecDeque::new(); banks],
             hits: vec![0; banks],
-            live: vec![0; banks.div_ceil(64)],
             memo: vec![None; banks],
-            fcfs_order: (scheduler == SchedulerKind::Fcfs).then(VecDeque::new),
+            candidates,
             len: 0,
         }
     }
 
     fn push(&mut self, bank: usize, q: QueuedRequest, open_row: Option<usize>) {
-        if open_row == Some(q.dram.row) {
+        let hit = open_row == Some(q.dram.row);
+        let seq = q.seq;
+        if hit {
             self.hits[bank] += 1;
         }
         self.fifos[bank].push_back(q);
-        self.live[bank / 64] |= 1 << (bank % 64);
         self.memo[bank] = None;
-        if let Some(order) = &mut self.fcfs_order {
-            order.push_back(bank);
+        match &mut self.candidates {
+            Candidates::Fcfs(order) => order.push_back(bank),
+            // The youngest request changes the bank's candidate only as its
+            // first request or its first open-row hit.
+            Candidates::ByAge(age) => {
+                if hit && self.hits[bank] == 1 {
+                    age.set(bank, Some(seq));
+                } else if self.fifos[bank].len() == 1 {
+                    age.set(bank, Some(PREP | seq));
+                }
+            }
         }
         self.len += 1;
     }
 
+    /// Take the request at `pos` out of `bank`'s FIFO. The caller then
+    /// settles the bank's hit count with [`BankQueue::hit_served`] or
+    /// [`BankQueue::recount`], which also re-ranks it.
     fn remove(&mut self, bank: usize, pos: usize) -> QueuedRequest {
         let q = self.fifos[bank]
             .remove(pos)
             .expect("scheduler chose a queued request");
-        if self.fifos[bank].is_empty() {
-            self.live[bank / 64] &= !(1 << (bank % 64));
-        }
-        if let Some(order) = &mut self.fcfs_order {
+        if let Candidates::Fcfs(order) = &mut self.candidates {
             let head = order.pop_front();
             debug_assert_eq!(head, Some(bank), "FCFS serves the queue head");
         }
@@ -138,15 +208,47 @@ impl BankQueue {
         q
     }
 
+    /// A column command that left `row` open served `bank`'s open-row hit
+    /// at `pos`, under FR-FCFS its oldest: any other hit sits at or after
+    /// `pos`.
+    fn hit_served(&mut self, bank: usize, pos: usize, row: usize) {
+        self.hits[bank] -= 1;
+        if let Candidates::ByAge(age) = &mut self.candidates {
+            let fifo = &self.fifos[bank];
+            let next_hit = if self.hits[bank] > 0 {
+                fifo.range(pos..).find(|q| q.dram.row == row)
+            } else {
+                None
+            };
+            age.set(bank, age_key(fifo, next_hit));
+        }
+    }
+
     /// Recount `bank`'s hits after its open row changed to `open_row`.
     fn recount(&mut self, bank: usize, open_row: Option<usize>) {
-        self.hits[bank] = match open_row {
-            Some(row) => self.fifos[bank]
-                .iter()
-                .filter(|q| q.dram.row == row)
-                .count(),
-            None => 0,
-        };
+        let fifo = &self.fifos[bank];
+        let mut hits = 0;
+        let mut first_hit = None;
+        if let Some(row) = open_row {
+            for q in fifo.iter().filter(|q| q.dram.row == row) {
+                first_hit.get_or_insert(q);
+                hits += 1;
+            }
+        }
+        self.hits[bank] = hits;
+        if let Candidates::ByAge(age) = &mut self.candidates {
+            age.set(bank, age_key(fifo, first_hit));
+        }
+    }
+}
+
+/// A bank's FR-FCFS key: its oldest open-row hit's sequence if it has one
+/// (`oldest_hit`), else [`PREP`] plus its oldest request's; `None` for an
+/// empty bank.
+fn age_key(fifo: &VecDeque<QueuedRequest>, oldest_hit: Option<&QueuedRequest>) -> Option<u64> {
+    match oldest_hit {
+        Some(q) => Some(q.seq),
+        None => fifo.front().map(|q| PREP | q.seq),
     }
 }
 
@@ -163,20 +265,6 @@ fn served_pos(fifo: &VecDeque<QueuedRequest>, cmd: DramCommand, open_row: Option
     }
 }
 
-/// The banks set in a live-bank bitset, in index order.
-fn live_banks(live: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    live.iter().enumerate().flat_map(|(word_idx, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                word_idx * 64 + bit
-            })
-        })
-    })
-}
-
 /// The outcome of one scheduling decision over a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
@@ -189,6 +277,18 @@ enum Decision {
     /// No candidate can issue before this cycle (`u64::MAX`: none can
     /// until a request arrives or a refresh changes the state).
     Wait(u64),
+}
+
+/// An issuable decision [`MemoryController::next_event_cycle`] found,
+/// kept for the step at the same cycle. It is valid while the memo epoch
+/// stands (no command issued, no refresh, no oracle tick), no request has
+/// been enqueued and the step serves the same queue.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    cycle: u64,
+    epoch: u64,
+    serve_writes: bool,
+    decision: Decision,
 }
 
 /// The column command a request maps to under the given row policy.
@@ -228,16 +328,22 @@ pub struct MemoryController {
     /// enqueued); lets repeated `advance_to` and `next_event_cycle` calls
     /// reuse it without re-evaluating the banks.
     cached_horizon: Option<u64>,
+    /// The issuable decision the last horizon probe found, for the step
+    /// that follows it to issue without deciding again.
+    probe: Option<Probe>,
     /// Idle cycles the event-driven path jumped over (diagnostic; not part
     /// of [`ChannelStats`], which stays identical between both paths).
     idle_cycles_skipped: u64,
     /// Banks the scheduler visited over all decisions (deterministic work
     /// counter; diagnostic, not part of [`ChannelStats`]).
     banks_examined: u64,
-    /// Tags the per-bank candidate memos. It moves on every issued
-    /// command, which can change any timing constraint, open row or FIFO,
-    /// and on every [`MemoryController::tick`], which as the oracle
-    /// evaluates every bank afresh.
+    /// Scheduling decisions evaluated (deterministic work counter; a
+    /// decision reused from the horizon probe is not evaluated again).
+    decisions: u64,
+    /// Tags the per-bank candidate memos and the probed decision. It moves
+    /// on every issued command, which can change any timing constraint,
+    /// open row or FIFO, and on every [`MemoryController::tick`], which as
+    /// the oracle decides afresh.
     memo_epoch: u64,
 }
 
@@ -267,8 +373,10 @@ impl MemoryController {
             stats: ChannelStats::default(),
             next_refresh_due_min,
             cached_horizon: None,
+            probe: None,
             idle_cycles_skipped: 0,
             banks_examined: 0,
+            decisions: 0,
             memo_epoch: 0,
             config,
         }
@@ -318,9 +426,11 @@ impl MemoryController {
         queue.push(bank, queue_entry, open_row);
         self.next_seq += 1;
         // An accepted request can become issuable (or flip the write-drain
-        // mode) before any previously computed horizon; a rejected one
-        // returned above without touching state.
+        // mode) before any previously computed horizon, and can outrank a
+        // probed decision; a rejected one returned above without touching
+        // state.
         self.cached_horizon = None;
+        self.probe = None;
         true
     }
 
@@ -350,17 +460,27 @@ impl MemoryController {
 
     /// Banks the scheduler visited over all its decisions, for both
     /// issuing commands and computing horizons: a deterministic measure of
-    /// scheduling work (per decision, every bank with queued requests under
-    /// FR-FCFS, the queue head's bank under FCFS).
+    /// scheduling work. Under FR-FCFS a decision visits banks in candidate
+    /// order up to the first that can issue, every bank with queued
+    /// requests when none can; under FCFS, the queue head's bank.
     pub fn banks_examined(&self) -> u64 {
         self.banks_examined
+    }
+
+    /// Scheduling decisions evaluated, for both issuing commands and
+    /// computing horizons (deterministic work counter). A step that issues
+    /// the decision the preceding [`MemoryController::next_event_cycle`]
+    /// found does not decide again and does not count.
+    pub fn decisions(&self) -> u64 {
+        self.decisions
     }
 
     /// Advance one controller cycle, issuing at most one DRAM command.
     ///
     /// This is the bit-exact oracle the event-driven path is verified
-    /// against: it evaluates every bank afresh, where the event path
-    /// reuses candidates memoized while the timing state stood still.
+    /// against: it decides afresh and evaluates every bank it visits
+    /// afresh, where the event path reuses the decision a horizon probe
+    /// found and candidates memoized while the timing state stood still.
     /// Prefer [`MemoryController::advance_to`] when simulating long spans.
     pub fn tick(&mut self) {
         self.memo_epoch += 1;
@@ -439,7 +559,9 @@ impl MemoryController {
     /// misses an event, which is the invariant the event-driven engine
     /// rests on. The command horizon behind it is stored, so the
     /// [`MemoryController::advance_to`] that usually follows jumps without
-    /// evaluating the banks again, and so does a repeated call.
+    /// evaluating the banks again, and so does a repeated call. When a
+    /// command can issue now, the decision is stored too, and the step at
+    /// this cycle issues it without deciding again.
     pub fn next_event_cycle(&mut self) -> Option<u64> {
         let now = self.cycle;
         let mut horizon = match self.cached_horizon {
@@ -472,8 +594,17 @@ impl MemoryController {
             }
         }
         if horizon > now {
-            let schedule_horizon = match self.decide(self.next_write_mode()) {
-                Decision::Issue { .. } => now,
+            let serve_writes = self.next_write_mode();
+            let schedule_horizon = match self.decide(serve_writes) {
+                decision @ Decision::Issue { .. } => {
+                    self.probe = Some(Probe {
+                        cycle: now,
+                        epoch: self.memo_epoch,
+                        serve_writes,
+                        decision,
+                    });
+                    now
+                }
                 Decision::Wait(earliest) => earliest,
             };
             horizon = horizon.min(schedule_horizon);
@@ -628,7 +759,17 @@ impl MemoryController {
     /// queued request's next command could become issuable.
     fn schedule(&mut self) -> (bool, u64) {
         let serve_writes = self.write_mode;
-        match self.decide(serve_writes) {
+        let decision = match self.probe.take() {
+            Some(probe)
+                if probe.cycle == self.cycle
+                    && probe.epoch == self.memo_epoch
+                    && probe.serve_writes == serve_writes =>
+            {
+                probe.decision
+            }
+            _ => self.decide(serve_writes),
+        };
+        match decision {
             Decision::Issue { bank, pos, cmd } => {
                 self.execute(bank, pos, cmd, serve_writes);
                 (true, u64::MAX)
@@ -649,12 +790,16 @@ impl MemoryController {
     /// PRECHARGE with the lowest sequence; with nothing issuable, the
     /// earliest cycle a candidate could issue.
     ///
+    /// FR-FCFS keeps its live banks sorted in that rank order, so the
+    /// first issuable candidate wins and the walk stops there; only a
+    /// decision that issues nothing visits every bank, for the horizon.
+    ///
     /// Each bank's (earliest cycle, command) is memoized until a command
     /// issues (which can move any timing constraint, open row or FIFO), a
-    /// request joins the bank or the oracle ticks. On the event path the
-    /// decision that issues at a horizon thus reuses what the decision
-    /// that found the horizon computed.
+    /// request joins the bank or the oracle ticks, so a decision at a
+    /// horizon re-evaluates only what changed since the one that found it.
     fn decide(&mut self, serve_writes: bool) -> Decision {
+        self.decisions += 1;
         let now = self.cycle;
         let epoch = self.memo_epoch;
         let (queue, kind) = if serve_writes {
@@ -667,21 +812,18 @@ impl MemoryController {
         let BankQueue {
             fifos,
             hits,
-            live,
             memo,
-            fcfs_order,
+            candidates,
             ..
         } = queue;
-        // FR-FCFS scans the live banks; FCFS looks at the head's bank only.
-        let (scanned, head): (&[u64], Option<usize>) = match fcfs_order {
-            None => (live, None),
-            Some(order) => (&[], order.front().copied()),
+        // FR-FCFS walks the live banks in rank order; FCFS looks at the
+        // head's bank only.
+        let (sorted, head): (&[(u64, usize)], Option<usize>) = match candidates {
+            Candidates::ByAge(age) => (&age.sorted, None),
+            Candidates::Fcfs(order) => (&[], order.front().copied()),
         };
-        // The best issuable candidate, ordered by (preparatory command?,
-        // arrival sequence): column commands first, then the oldest.
-        let mut best: Option<((bool, u64), Decision)> = None;
         let mut horizon = u64::MAX;
-        for bank in live_banks(scanned).chain(head) {
+        for bank in sorted.iter().map(|&(_, bank)| bank).chain(head) {
             self.banks_examined += 1;
             let front = &fifos[bank][0].dram;
             let refresh_blocked =
@@ -704,17 +846,13 @@ impl MemoryController {
                     (earliest, cmd)
                 }
             };
-            if earliest > now {
-                horizon = horizon.min(earliest);
-                continue;
+            if earliest <= now {
+                let pos = served_pos(&fifos[bank], cmd, self.state.open_row(front));
+                return Decision::Issue { bank, pos, cmd };
             }
-            let pos = served_pos(&fifos[bank], cmd, self.state.open_row(front));
-            let order = (!cmd.is_column(), fifos[bank][pos].seq);
-            if best.is_none_or(|(best_order, _)| order < best_order) {
-                best = Some((order, Decision::Issue { bank, pos, cmd }));
-            }
+            horizon = horizon.min(earliest);
         }
-        best.map_or(Decision::Wait(horizon), |(_, issue)| issue)
+        Decision::Wait(horizon)
     }
 
     fn execute(&mut self, bank: usize, pos: usize, cmd: DramCommand, serve_writes: bool) {
@@ -763,7 +901,7 @@ impl MemoryController {
                     queue.recount(bank, None);
                     other.recount(bank, None);
                 } else {
-                    queue.hits[bank] -= 1;
+                    queue.hit_served(bank, pos, q.dram.row);
                 }
                 if q.needed_precharge {
                     stats.row_conflicts += 1;
@@ -1036,6 +1174,87 @@ mod tests {
     }
 
     #[test]
+    fn enqueue_drops_a_probed_decision_it_outranks() {
+        // `next_event_cycle` finds a row conflict's PRECHARGE issuable and
+        // keeps that decision for the step. A younger request that hits the
+        // open row then arrives first: its READ outranks the PRECHARGE, so
+        // the step must decide again, as `tick` does.
+        let mut cfg = DramConfig::ddr4_3200_channel();
+        cfg.refresh_enabled = false;
+        let at = |row, column| DramAddr {
+            row,
+            column,
+            ..DramAddr::default()
+        };
+        let (open, conflict, hit) = (at(5, 0), at(9, 0), at(5, 1));
+
+        let mut mc = MemoryController::new(cfg);
+        assert!(mc.enqueue(Request::read(0).with_id(0), open));
+        mc.run_until_idle();
+        // Idle long enough for the open row to be closable at once.
+        mc.advance_to(mc.cycle() + 100);
+        let mut oracle = mc.clone();
+        let now = mc.cycle();
+
+        assert!(mc.enqueue(Request::read(128).with_id(1), conflict));
+        assert_eq!(mc.next_event_cycle(), Some(now));
+        assert!(matches!(
+            mc.probe,
+            Some(Probe {
+                decision: Decision::Issue {
+                    cmd: DramCommand::Precharge,
+                    ..
+                },
+                ..
+            })
+        ));
+        assert!(mc.enqueue(Request::read(64).with_id(2), hit));
+        assert!(
+            mc.probe.is_none(),
+            "the enqueue must drop the probed decision"
+        );
+
+        let decisions = mc.decisions();
+        mc.advance_to(now + 1);
+        assert_eq!(mc.decisions(), decisions + 1, "the step decides afresh");
+        assert_eq!(
+            (mc.stats().reads, mc.stats().precharges),
+            (2, 0),
+            "the hit's READ issues first"
+        );
+
+        assert!(oracle.enqueue(Request::read(128).with_id(1), conflict));
+        assert!(oracle.enqueue(Request::read(64).with_id(2), hit));
+        oracle.tick();
+        assert_eq!(oracle.stats(), mc.stats());
+        mc.run_until_idle();
+        while oracle.is_busy() {
+            oracle.tick();
+        }
+        assert_eq!(oracle.cycle(), mc.cycle());
+        assert_eq!(oracle.stats(), mc.stats());
+        assert_eq!(oracle.drain_completions(), mc.drain_completions());
+    }
+
+    #[test]
+    fn a_probed_decision_issues_without_deciding_again() {
+        let mut cfg = DramConfig::ddr4_3200_channel();
+        cfg.refresh_enabled = false;
+        let mut mc = MemoryController::new(cfg.clone());
+        assert!(mc.enqueue(Request::read(0), decode(&cfg, 0)));
+        assert_eq!(mc.next_event_cycle(), Some(0));
+        assert_eq!(mc.decisions(), 1);
+        let mut oracle = mc.clone();
+        mc.advance_to(1);
+        assert_eq!(mc.decisions(), 1, "the step reused the probe's decision");
+        assert_eq!(mc.stats().activates, 1);
+        // The oracle evaluates afresh, so tick-vs-event tests check the reuse.
+        oracle.tick();
+        assert_eq!(oracle.decisions(), 2, "tick decided again");
+        assert_eq!(oracle.stats(), mc.stats());
+    }
+
+    #[test]
     fn run_until_idle_matches_ticked_drain() {
         let mut cfg = DramConfig::ddr4_3200_channel();
         cfg.refresh_enabled = true;
@@ -1228,7 +1447,7 @@ mod linear_oracle {
             let rank = &self.state.ranks[q.dram.rank];
             match self.state.open_row(&q.dram) {
                 None => Some((
-                    rank.earliest_activate(&self.config.timing, q.dram.bank_group, q.dram.bank),
+                    rank.earliest_activate(q.dram.bank_group, q.dram.bank),
                     DramCommand::Activate,
                 )),
                 Some(row) if row != q.dram.row => {
@@ -1335,19 +1554,40 @@ mod linear_oracle {
         }
 
         /// Every bank's hit count equals its queued requests to the open
-        /// row, and the live bitset and lengths match the FIFOs.
+        /// row, the lengths match the FIFOs, and under FR-FCFS the age
+        /// order holds exactly the live banks, sorted, each under the key
+        /// of its oldest open-row hit or else its oldest request.
         fn index_is_consistent(&self) -> bool {
             [&self.read_queue, &self.write_queue].iter().all(|queue| {
                 let len_ok = queue.len == queue.fifos.iter().map(VecDeque::len).sum::<usize>();
-                len_ok
-                    && queue.fifos.iter().enumerate().all(|(bank, fifo)| {
-                        let live = queue.live[bank / 64] >> (bank % 64) & 1 == 1;
-                        let hits = fifo.front().map_or(0, |front| {
-                            let open = self.state.open_row(&front.dram);
-                            fifo.iter().filter(|q| Some(q.dram.row) == open).count()
-                        });
-                        live != fifo.is_empty() && queue.hits[bank] == hits
-                    })
+                let hits_ok = queue.fifos.iter().enumerate().all(|(bank, fifo)| {
+                    let hits = fifo.front().map_or(0, |front| {
+                        let open = self.state.open_row(&front.dram);
+                        fifo.iter().filter(|q| Some(q.dram.row) == open).count()
+                    });
+                    queue.hits[bank] == hits
+                });
+                let order_ok = match &queue.candidates {
+                    Candidates::Fcfs(order) => order.len() == queue.len,
+                    Candidates::ByAge(age) => {
+                        let mut expect: Vec<(u64, usize)> = queue
+                            .fifos
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(bank, fifo)| {
+                                let open = self.state.open_row(&fifo.front()?.dram);
+                                let hit = fifo.iter().find(|q| Some(q.dram.row) == open);
+                                Some((age_key(fifo, hit)?, bank))
+                            })
+                            .collect();
+                        expect.sort_unstable();
+                        age.sorted == expect
+                            && age.keys.iter().enumerate().all(|(bank, key)| {
+                                *key == expect.iter().find(|e| e.1 == bank).map(|e| e.0)
+                            })
+                    }
+                };
+                len_ok && hits_ok && order_ok
             })
         }
     }

@@ -219,6 +219,15 @@ impl MemorySystem {
             .sum()
     }
 
+    /// Scheduling decisions the channels evaluated, summed across channels
+    /// (deterministic work counter; see [`MemoryController::decisions`]).
+    pub fn decisions(&self) -> u64 {
+        self.controllers
+            .iter()
+            .map(MemoryController::decisions)
+            .sum()
+    }
+
     /// Collect completions from every channel (in channel order).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         let mut all = Vec::new();

@@ -44,6 +44,10 @@ pub struct NmpRunStats {
     /// deterministic measure of simulator work, not a modeled quantity;
     /// see [`MemorySystem::banks_examined`]).
     pub banks_examined: u64,
+    /// Scheduling decisions the local controller evaluated over the run
+    /// (simulator work, like `banks_examined`; see
+    /// [`MemorySystem::decisions`]).
+    pub decisions: u64,
 }
 
 impl NmpRunStats {
@@ -157,6 +161,7 @@ impl NmpCore {
             output_wait_cycles: 0,
             hot_rows: HotRowStats::default(),
             banks_examined: runner.memory_mut().banks_examined(),
+            decisions: runner.memory_mut().decisions(),
             memory: stats,
         })
     }
@@ -391,6 +396,7 @@ impl NmpCore {
             output_wait_cycles,
             hot_rows: cache.map(|c| c.stats()).unwrap_or_default(),
             banks_examined: memory.banks_examined(),
+            decisions: memory.decisions(),
             memory: stats,
         };
         if self.config.verify {
@@ -793,9 +799,11 @@ mod event_engine_pins {
     /// linear queue scan, under FR-FCFS (the pricer's own setting), FCFS
     /// and closed page.
     ///
-    /// The scheduler's work counter is pinned too, so a change that makes
-    /// scheduling costlier shows here. For scale, the linear scan read
-    /// 2 381 254, 45 102 and 2 595 878 queue entries on these replays.
+    /// The scheduler's work counters are pinned too (bank visits, then
+    /// decisions evaluated), so a change that makes scheduling costlier
+    /// shows here. For scale, the linear scan read 2 381 254, 45 102 and
+    /// 2 595 878 queue entries on these replays, and a walk over every
+    /// live bank per decision visited 379 926, 18 528 and 494 712 banks.
     fn pricer_replay_matches_linear_scan_baseline() {
         use tensordimm_dram::{RowPolicy, SchedulerKind};
 
@@ -818,13 +826,14 @@ mod event_engine_pins {
 
         // (scheduler, row policy, [cycles, in_stall, out_wait, busy,
         //  refreshes, activates, precharges, row_hits, row_misses,
-        //  read_latency_sum], banks examined)
+        //  read_latency_sum], banks examined, decisions)
         let cases = [
             (
                 SchedulerKind::FrFcfs,
                 RowPolicy::OpenPage,
                 [20215, 17346, 17586, 20196, 3, 2480, 2416, 1878, 104, 312128],
-                379_926,
+                166_834,
+                14_006,
             ),
             (
                 SchedulerKind::Fcfs,
@@ -832,16 +841,18 @@ mod event_engine_pins {
                 [
                     111743, 106467, 108961, 111724, 32, 2309, 2245, 1827, 564, 1767101,
                 ],
-                18_528,
+                16_267,
+                16_268,
             ),
             (
                 SchedulerKind::FrFcfs,
                 RowPolicy::ClosedPage,
                 [21464, 18395, 18728, 21445, 3, 4401, 4401, 0, 3858, 329056],
-                494_712,
+                237_804,
+                14_379,
             ),
         ];
-        for (scheduler, row_policy, expect, banks_examined) in cases {
+        for (scheduler, row_policy, expect, banks_examined, decisions) in cases {
             let mut cfg = NmpConfig::paper();
             cfg.dram.read_queue_depth = 256;
             cfg.dram.write_queue_depth = 256;
@@ -872,6 +883,10 @@ mod event_engine_pins {
             assert_eq!(
                 s.banks_examined, banks_examined,
                 "scheduler work moved: {scheduler:?}, {row_policy:?}"
+            );
+            assert_eq!(
+                s.decisions, decisions,
+                "scheduler decisions moved: {scheduler:?}, {row_policy:?}"
             );
         }
     }

@@ -23,8 +23,11 @@ pub enum Distribution {
 
 /// A deterministic stream of embedding-table indices.
 ///
-/// Zipfian sampling uses the rejection-inversion method of Hörmann &
-/// Derflinger, which is O(1) per sample for any table size.
+/// Zipfian sampling draws rank k (1-based, row k − 1) with probability
+/// proportional to k^-s by the rejection-inversion method of Hörmann &
+/// Derflinger ("Rejection-inversion to generate variates from monotone
+/// discrete distributions", ACM TOMACS 1996): one uniform per trial, O(1)
+/// time and state for any table size.
 ///
 /// # Example
 ///
@@ -45,56 +48,100 @@ pub struct IndexStream {
     zipf: Option<ZipfSampler>,
 }
 
+/// Rejection inversion over ranks 1..=N with hat function h(x) = x^-s.
+///
+/// H(x) = ∫₁ˣ t^-s dt maps ranks onto a line: rank k ≥ 2 owns the slice
+/// from H(k−½) to H(k+½) and rank 1 the slice from H(1½) − 1 to H(1½). A
+/// trial draws u uniformly between H(1½) − 1 and H(N+½), inverts it to
+/// x = H⁻¹(u) and rounds x to k, clamped to 1..=N. It accepts when u lies
+/// in the top k^-s of k's slice, so each rank's accept set has measure
+/// exactly k^-s (h is convex, so the slice is at least that wide). The
+/// squeeze `k − x ≤ s₀` accepts most trials without evaluating H(k+½) or
+/// k^-s.
 #[derive(Debug, Clone)]
 struct ZipfSampler {
     s: f64,
     rows: f64,
-    h_x1: f64,
+    /// H(N + ½), the top of the uniform's range.
     h_n: f64,
+    /// H(1½) − 1, the bottom of the uniform's range.
+    h_x1: f64,
+    /// The squeeze s₀ = 2 − H⁻¹(H(2½) − 2^-s).
+    squeeze: f64,
 }
 
 impl ZipfSampler {
     fn new(s: f64, rows: u64) -> Self {
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "Zipf exponent must be finite and non-negative, got {s}"
+        );
         let rows = rows as f64;
         ZipfSampler {
             s,
             rows,
-            h_x1: Self::h_static(1.5, s) - 1.0,
-            h_n: Self::h_static(rows + 0.5, s),
+            h_n: h_integral(rows + 0.5, s),
+            h_x1: h_integral(1.5, s) - 1.0,
+            squeeze: 2.0 - h_integral_inverse(h_integral(2.5, s) - h(2.0, s), s),
         }
     }
 
-    /// Integral of x^-s (the "H" function of rejection inversion).
-    fn h_static(x: f64, s: f64) -> f64 {
-        if (s - 1.0).abs() < 1e-9 {
-            x.ln()
-        } else {
-            (x.powf(1.0 - s) - 1.0) / (1.0 - s)
-        }
-    }
-
-    fn h_inv(&self, x: f64) -> f64 {
-        if (self.s - 1.0).abs() < 1e-9 {
-            x.exp()
-        } else {
-            (1.0 + x * (1.0 - self.s)).powf(1.0 / (1.0 - self.s))
-        }
+    /// One trial at uniform point `u`: the rounded rank and whether the
+    /// trial accepts it.
+    fn trial(&self, u: f64) -> (f64, bool) {
+        let x = h_integral_inverse(u, self.s);
+        let k = (x + 0.5).floor().clamp(1.0, self.rows);
+        let accept = k - x <= self.squeeze || u >= h_integral(k + 0.5, self.s) - h(k, self.s);
+        (k, accept)
     }
 
     fn sample(&self, rng: &mut StdRng) -> u64 {
         loop {
-            let u = self.h_x1 + rng.gen::<f64>() * (self.h_n - self.h_x1);
-            let x = self.h_inv(u);
-            let k = (x + 0.5).floor().clamp(1.0, self.rows);
-            let h_k = Self::h_static(k + 0.5, self.s) - Self::h_static(k - 0.5, self.s);
-            if u >= Self::h_static(k + 0.5, self.s) - h_k.min(k.powf(-self.s)) {
-                // Accept when u falls inside k's slice; the simple guard
-                // below accepts k with probability proportional to k^-s.
-                if rng.gen::<f64>() * h_k <= k.powf(-self.s) {
-                    return k as u64 - 1;
-                }
+            let u = self.h_n + rng.gen::<f64>() * (self.h_x1 - self.h_n);
+            let (k, accept) = self.trial(u);
+            if accept {
+                return k as u64 - 1;
             }
         }
+    }
+}
+
+/// h(x) = x^-s.
+fn h(x: f64, s: f64) -> f64 {
+    (-s * x.ln()).exp()
+}
+
+/// H(x) = ∫₁ˣ t^-s dt = (x^(1−s) − 1)/(1 − s), written as
+/// ln x · (e^((1−s)·ln x) − 1)/((1−s)·ln x) so it stays exact through
+/// s = 1, where it is ln x.
+fn h_integral(x: f64, s: f64) -> f64 {
+    let log_x = x.ln();
+    exp_m1_over_x((1.0 - s) * log_x) * log_x
+}
+
+/// H⁻¹(y) = (1 + (1−s)·y)^(1/(1−s)), written as
+/// exp(y · ln(1 + (1−s)·y)/((1−s)·y)) for the same reason. (1−s)·y is
+/// clamped at −1, where rounding can push it just past the pole.
+fn h_integral_inverse(y: f64, s: f64) -> f64 {
+    let t = (y * (1.0 - s)).max(-1.0);
+    (ln_1p_over_x(t) * y).exp()
+}
+
+/// ln(1 + x)/x, continued by its series through x = 0.
+fn ln_1p_over_x(x: f64) -> f64 {
+    if x.abs() > 1e-8 {
+        x.ln_1p() / x
+    } else {
+        1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x))
+    }
+}
+
+/// (eˣ − 1)/x, continued by its series through x = 0.
+fn exp_m1_over_x(x: f64) -> f64 {
+    if x.abs() > 1e-8 {
+        x.exp_m1() / x
+    } else {
+        1.0 + x * 0.5 * (1.0 + x / 3.0 * (1.0 + 0.25 * x))
     }
 }
 
@@ -122,6 +169,12 @@ pub fn hot_row_share(rows_hit: &[u64], rows: u64, hot_fraction: f64) -> f64 {
 
 impl IndexStream {
     /// A stream over `[0, rows)` with the given distribution and seed.
+    ///
+    /// # Panics
+    ///
+    /// On a Zipfian exponent that is NaN, infinite or negative: no Zipf
+    /// distribution is defined there, and the sampler would never accept
+    /// a trial.
     pub fn new(distribution: Distribution, rows: u64, seed: u64) -> Self {
         let zipf = match distribution {
             Distribution::Zipfian { s } => Some(ZipfSampler::new(s, rows)),
@@ -135,14 +188,15 @@ impl IndexStream {
         }
     }
 
-    /// A stream over `[0, rows)` at Zipf exponent `s`: Zipfian for
-    /// `s > 0`, uniform for `s = 0` (the skew knob every workload and
-    /// router config carries).
+    /// A stream over `[0, rows)` at Zipf exponent `s`: uniform for
+    /// `s <= 0`, Zipfian otherwise (the skew knob every workload and
+    /// router config carries). A NaN or `+∞` exponent panics as in
+    /// [`IndexStream::new`].
     pub fn with_skew(rows: u64, s: f64, seed: u64) -> Self {
-        let distribution = if s > 0.0 {
-            Distribution::Zipfian { s }
-        } else {
+        let distribution = if s <= 0.0 {
             Distribution::Uniform
+        } else {
+            Distribution::Zipfian { s }
         };
         IndexStream::new(distribution, rows, seed)
     }
@@ -165,7 +219,16 @@ impl IndexStream {
     }
 
     /// Draw one index.
+    ///
+    /// # Panics
+    ///
+    /// On a stream over zero rows, which has no index to draw (drawing
+    /// none, as `batch(0)` does, is fine).
     pub fn next_index(&mut self) -> u64 {
+        assert!(
+            self.rows > 0,
+            "cannot draw an index from a table of zero rows"
+        );
         match &self.zipf {
             None => self.rng.gen_range(0..self.rows),
             Some(z) => z.sample(&mut self.rng),
@@ -261,13 +324,145 @@ mod tests {
         // either reproduce these streams or consciously update this test.
         assert_eq!(
             zipf_lookup_rows(8, 100, 0.9, 7),
-            zipf_lookup_rows(8, 100, 0.9, 7)
+            [79, 48, 2, 14, 0, 11, 2, 23]
         );
-        let zipf = zipf_lookup_rows(8, 100, 0.9, 7);
-        let uniform = zipf_lookup_rows(8, 100, 0.0, 7);
-        assert!(zipf.iter().all(|&r| r < 100));
-        assert!(uniform.iter().all(|&r| r < 100));
-        assert_ne!(zipf, zipf_lookup_rows(8, 100, 0.9, 8), "seed must matter");
+        assert_eq!(
+            zipf_lookup_rows(8, 100, 0.0, 7),
+            [61, 16, 78, 56, 42, 65, 8, 72]
+        );
+        assert_ne!(
+            zipf_lookup_rows(8, 100, 0.9, 7),
+            zipf_lookup_rows(8, 100, 0.9, 8),
+            "seed must matter"
+        );
+    }
+
+    /// The least float in `[lo, hi]` where `pred` turns true, for a `pred`
+    /// that is false and then true over that range and true at `hi`.
+    fn first_true(mut lo: f64, mut hi: f64, pred: impl Fn(f64) -> bool) -> f64 {
+        if pred(lo) {
+            return lo;
+        }
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if mid <= lo || mid >= hi {
+                return hi;
+            }
+            if pred(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_accept_sets_have_measure_k_pow_minus_s() {
+        // A trial at u yields rank k = round(H⁻¹(u)); the u that round to
+        // k form one slice, and inside it a trial accepts from a threshold
+        // up. Bisection finds both ends to the last float, so this is the
+        // exact accept measure of each rank, squeeze included, up to
+        // rounding: it must be k^-s for the draws to follow Zipf(s).
+        for s in [0.5, 0.9, 1.0, 1.1, 2.0] {
+            for n in [1u64, 2, 3, 17, 64] {
+                let z = ZipfSampler::new(s, n);
+                let mut lo = z.h_x1;
+                for k in 1..=n {
+                    let rank = k as f64;
+                    let top = if k == n {
+                        z.h_n
+                    } else {
+                        first_true(lo, z.h_n, |u| z.trial(u).0 > rank)
+                    };
+                    let start = first_true(lo, top, |u| u >= top || z.trial(u).1);
+                    let measure = top - start;
+                    let want = rank.powf(-s);
+                    assert!(
+                        (measure - want).abs() <= 1e-9 * want,
+                        "s = {s}, N = {n}, k = {k}: accept measure {measure}, want {want}"
+                    );
+                    lo = top;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_draws_pass_a_chi_square_test() {
+        // 1M draws over 1000 ranks against the Zipf(s) pmf. Tail ranks are
+        // pooled so every bin expects at least five draws (only s = 2 has
+        // such ranks). The bound is the 99.9% point of chi-square with
+        // bins − 1 degrees of freedom (Wilson–Hilferty): 1142.9 for the
+        // unpooled 999.
+        const ROWS: u64 = 1000;
+        const DRAWS: usize = 1_000_000;
+        for s in [0.5, 0.9, 1.0, 1.1, 2.0] {
+            let mut counts = vec![0u64; ROWS as usize];
+            let mut stream = IndexStream::new(Distribution::Zipfian { s }, ROWS, 1);
+            for _ in 0..DRAWS {
+                counts[stream.next_index() as usize] += 1;
+            }
+            let weights: Vec<f64> = (1..=ROWS).map(|k| (k as f64).powf(-s)).collect();
+            let total: f64 = weights.iter().sum();
+            // (expected, observed) per bin.
+            let mut bins: Vec<(f64, f64)> = Vec::new();
+            let mut open = (0.0, 0.0);
+            for (w, &c) in weights.iter().zip(&counts) {
+                open.0 += w / total * DRAWS as f64;
+                open.1 += c as f64;
+                if open.0 >= 5.0 {
+                    bins.push(std::mem::take(&mut open));
+                }
+            }
+            let last = bins.last_mut().unwrap();
+            last.0 += open.0;
+            last.1 += open.1;
+            let chi2: f64 = bins.iter().map(|(e, o)| (o - e).powi(2) / e).sum();
+            let dof = (bins.len() - 1) as f64;
+            // Wilson–Hilferty, with the standard normal's 99.9% point.
+            let (c, z) = (2.0 / (9.0 * dof), 3.0902);
+            let bound = dof * (1.0 - c + z * c.sqrt()).powi(3);
+            assert!(
+                chi2 < bound,
+                "s = {s}: chi-square {chi2:.1} over {dof} dof exceeds {bound:.1}"
+            );
+        }
+    }
+
+    #[test]
+    fn h_integral_is_continuous_through_s_equal_one() {
+        // At s = 1, H(x) = ln x and H⁻¹(y) = eʸ; just beside it the plain
+        // (x^(1−s) − 1)/(1 − s) form cancels away most of its digits.
+        for x in [1.5, 2.5, 1e3, 4e9] {
+            for s in [1.0 - 1e-12, 1.0, 1.0 + 1e-12] {
+                let h = h_integral(x, s);
+                assert!(
+                    (h - x.ln()).abs() <= 1e-10 * x.ln(),
+                    "H({x}) at s = {s}: {h}"
+                );
+                let back = h_integral_inverse(h, s);
+                assert!(
+                    (back - x).abs() <= 1e-12 * x,
+                    "H⁻¹(H({x})) at s = {s}: {back}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent must be finite and non-negative, got NaN")]
+    fn nan_zipf_exponent_is_rejected() {
+        IndexStream::new(Distribution::Zipfian { s: f64::NAN }, 100, 1);
+    }
+
+    #[test]
+    fn zero_row_streams_draw_nothing() {
+        for s in [0.0, 0.9] {
+            assert!(zipf_lookup_rows(0, 0, s, 1).is_empty());
+            let drawn = std::panic::catch_unwind(|| IndexStream::with_skew(0, s, 1).next_index());
+            let message = *drawn.unwrap_err().downcast::<&str>().unwrap();
+            assert_eq!(message, "cannot draw an index from a table of zero rows");
+        }
     }
 
     #[test]

@@ -795,15 +795,13 @@ mod event_engine_pins {
     /// gather it lowers (`CyclePricerConfig::lowered_gather`, rebuilt here
     /// because this crate sits below the pricer). The tick and event paths
     /// share the scheduler, so only exact pins can see a scheduler change;
-    /// these were captured before the per-bank scheduler replaced the
-    /// linear queue scan, under FR-FCFS (the pricer's own setting), FCFS
-    /// and closed page.
+    /// these were captured on the linear queue scan that the per-bank
+    /// scheduler replaced, fed this exact index list, under FR-FCFS (the
+    /// pricer's own setting), FCFS and closed page.
     ///
     /// The scheduler's work counters are pinned too (bank visits, then
-    /// decisions evaluated), so a change that makes scheduling costlier
-    /// shows here. For scale, the linear scan read 2 381 254, 45 102 and
-    /// 2 595 878 queue entries on these replays, and a walk over every
-    /// live bank per decision visited 379 926, 18 528 and 494 712 banks.
+    /// decisions evaluated), as counted by the current scheduler, so a
+    /// change that makes scheduling costlier shows here.
     fn pricer_replay_matches_linear_scan_baseline() {
         use tensordimm_dram::{RowPolicy, SchedulerKind};
 
@@ -831,25 +829,25 @@ mod event_engine_pins {
             (
                 SchedulerKind::FrFcfs,
                 RowPolicy::OpenPage,
-                [20215, 17346, 17586, 20196, 3, 2480, 2416, 1878, 104, 312128],
-                166_834,
-                14_006,
+                [20210, 17364, 17569, 20191, 3, 2449, 2385, 1893, 107, 312352],
+                166_498,
+                13_891,
             ),
             (
                 SchedulerKind::Fcfs,
                 RowPolicy::OpenPage,
                 [
-                    111743, 106467, 108961, 111724, 32, 2309, 2245, 1827, 564, 1767101,
+                    111166, 106027, 108295, 111147, 32, 2276, 2212, 1854, 574, 1756114,
                 ],
-                16_267,
-                16_268,
+                16_144,
+                16_145,
             ),
             (
                 SchedulerKind::FrFcfs,
                 RowPolicy::ClosedPage,
-                [21464, 18395, 18728, 21445, 3, 4401, 4401, 0, 3858, 329056],
-                237_804,
-                14_379,
+                [21360, 18394, 18640, 21341, 3, 4388, 4388, 0, 3873, 328926],
+                243_148,
+                14_398,
             ),
         ];
         for (scheduler, row_policy, expect, banks_examined, decisions) in cases {

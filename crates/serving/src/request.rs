@@ -106,7 +106,8 @@ pub struct RequestTrace {
     /// Zipf exponent of the per-request row popularity.
     pub zipf_s: f64,
     /// Measured share of this trace's lookups hitting the hottest 1% of
-    /// table rows (sampled; 0.01 would be the uniform baseline).
+    /// table rows (sampled; 0.01 would be the uniform baseline, and a
+    /// workload with empty tables reads 0.0).
     pub hot_lookup_share: f64,
 }
 
@@ -122,8 +123,13 @@ impl RequestTrace {
         seed: u64,
     ) -> Self {
         let arrivals_us = process.sample_arrivals_us(n, seed);
-        // Locality summary: sample the rows the first requests would touch.
-        let lookups = (n * workload.lookups_per_sample() as usize).min(LOCALITY_SAMPLE_LOOKUPS);
+        // Locality summary: sample the rows the first requests would touch
+        // (none when the tables have no rows to touch).
+        let lookups = if workload.rows_per_table == 0 {
+            0
+        } else {
+            (n * workload.lookups_per_sample() as usize).min(LOCALITY_SAMPLE_LOOKUPS)
+        };
         let rows = zipf_lookup_rows(lookups, workload.rows_per_table, zipf_s, seed ^ 0x5e71);
         RequestTrace {
             arrivals_us,
@@ -185,6 +191,17 @@ mod tests {
             (25_000.0..100_000.0).contains(&realized),
             "realized {realized:.0} qps"
         );
+    }
+
+    #[test]
+    fn empty_tables_have_no_hot_share() {
+        let w = Workload {
+            rows_per_table: 0,
+            ..Workload::facebook()
+        };
+        let t = RequestTrace::generate(&w, ArrivalProcess::Poisson { rate_qps: 1e4 }, 50, 0.9, 3);
+        assert_eq!(t.len(), 50);
+        assert_eq!(t.hot_lookup_share, 0.0);
     }
 
     #[test]

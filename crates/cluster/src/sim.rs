@@ -7,9 +7,9 @@ use tensordimm_exec::par_map;
 use tensordimm_faults::FaultPlan;
 use tensordimm_models::Workload;
 use tensordimm_serving::{
-    simulate_with_pricer, validate_arrivals, AdmissionPolicy, BatchPolicy, IndexStream,
-    LatencySummary, OutcomeCounts, OutcomeFold, RequestOutcome, RequestRecord, RetryPolicy,
-    SimConfig, SimError, SimReport,
+    simulate_with_pricer, validate_arrivals, validate_zipf_s, AdmissionPolicy, BatchPolicy,
+    IndexStream, LatencySummary, OutcomeCounts, OutcomeFold, RequestOutcome, RequestRecord,
+    RetryPolicy, SimConfig, SimError, SimReport,
 };
 use tensordimm_system::{BatchPricer, DesignPoint, PricingBackend, SystemModel};
 
@@ -226,7 +226,7 @@ impl ClusterConfig {
                 return bad("node.gpus");
             }
         }
-        if !self.zipf_s.is_finite() || self.zipf_s < 0.0 {
+        if validate_zipf_s(self.zipf_s).is_err() {
             return bad("zipf_s");
         }
         if self.routing_lookups == 0 {
@@ -801,7 +801,8 @@ fn per_shard_arrivals(
 ///
 /// [`ClusterError::InvalidConfig`] for unusable cluster knobs;
 /// [`ClusterError::Shard`] when a per-shard run rejects its configuration
-/// or trace.
+/// or trace, or when the model's Zipf skew is unusable (every shard
+/// prices with it).
 pub fn simulate_cluster(
     model: &SystemModel,
     workload: &Workload,
@@ -810,6 +811,7 @@ pub fn simulate_cluster(
 ) -> Result<ClusterReport, ClusterError> {
     cfg.validate(workload)?;
     validate_arrivals(arrivals_us)?;
+    validate_zipf_s(model.config().zipf_s)?;
     let health = node_healths(cfg, arrivals_us)?;
     let (routes, legs, stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, health);
     let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes, &legs);
@@ -1448,9 +1450,9 @@ mod tests {
         reject(no_dimms, "node.dimms");
         reject(base_cfg(2, 1).with_lookups(0, 0.9, 1), "routing_lookups");
         reject(base_cfg(2, 1).with_workers(0), "workers");
-        let mut bad_skew = base_cfg(2, 1);
-        bad_skew.zipf_s = f64::NAN;
-        reject(bad_skew, "zipf_s");
+        for zipf_s in [f64::NAN, f64::INFINITY, -0.5] {
+            reject(base_cfg(2, 1).with_lookups(4, zipf_s, 1), "zipf_s");
+        }
         // An empty table has no row to route, at either skew; both entry
         // points refuse it before the sampler runs.
         let mut empty = Workload::ncf();
@@ -1488,6 +1490,25 @@ mod tests {
                 parameter: "gpus"
             }))
         );
+        // So does an unusable Zipf skew on the model every shard prices
+        // with; `0.0` spells uniform rows and stays accepted.
+        let with_skew = |zipf_s| {
+            let mut config = tensordimm_system::SystemModelConfig::paper_defaults();
+            config.zipf_s = zipf_s;
+            SystemModel::new(config)
+        };
+        for zipf_s in [f64::NAN, f64::INFINITY, -0.5] {
+            assert_eq!(
+                simulate_cluster(&with_skew(zipf_s), &w, &base_cfg(2, 1), &[0.0]),
+                Err(ClusterError::Shard(SimError::InvalidConfig {
+                    parameter: "zipf_s"
+                })),
+                "zipf_s = {zipf_s}"
+            );
+        }
+        let uniform = simulate_cluster(&with_skew(0.0), &w, &base_cfg(2, 1), &[0.0, 1.0])
+            .expect("uniform rows");
+        assert_eq!(uniform.outcomes.completed, 2);
         assert!(!ClusterError::InvalidConfig { parameter: "nodes" }
             .to_string()
             .is_empty());

@@ -66,17 +66,12 @@ pub struct QueuedRequest {
 /// FIFO wait queue plus the sealing policy.
 ///
 /// The batcher itself is time-free: the simulator's event loop tells it the
-/// current virtual time and asks whether a batch is ready. Tolerance for
-/// floating-point timer jitter is built into [`DynamicBatcher::ready`].
+/// current virtual time and asks whether a batch is ready.
 #[derive(Debug, Clone)]
 pub struct DynamicBatcher {
     policy: BatchPolicy,
     queue: VecDeque<QueuedRequest>,
 }
-
-/// Slack for comparing a timer event's firing time against the deadline it
-/// was scheduled for (`arrival + max_wait` summed in a different order).
-pub(crate) const TIMER_SLACK_US: f64 = 1e-6;
 
 impl DynamicBatcher {
     /// An empty batcher under `policy`.
@@ -112,15 +107,13 @@ impl DynamicBatcher {
 
     /// Whether a batch should be sealed at virtual time `now`: either a
     /// full `max_batch` is waiting, or the front request's wait budget is
-    /// exhausted.
+    /// exhausted (`now` has reached [`next_deadline_us`](Self::next_deadline_us),
+    /// the instant its flush timer fires at).
     pub fn ready(&self, now_us: f64) -> bool {
-        if self.queue.len() >= self.policy.max_batch {
-            return true;
-        }
-        match self.next_deadline_us() {
-            Some(deadline) => now_us + TIMER_SLACK_US >= deadline,
-            None => false,
-        }
+        self.queue.len() >= self.policy.max_batch
+            || self
+                .next_deadline_us()
+                .is_some_and(|deadline| now_us >= deadline)
     }
 
     /// Remove a still-queued request by id (deadline-expired shedding).

@@ -51,6 +51,7 @@
 
 pub mod arrivals;
 pub mod batcher;
+mod events;
 pub mod metrics;
 pub mod policy;
 pub mod request;
@@ -62,7 +63,10 @@ pub use batcher::{BatchPolicy, DynamicBatcher, QueuedRequest};
 pub use metrics::{percentile, BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueStats};
 pub use policy::{AdmissionPolicy, RetryPolicy};
 pub use request::{CompletionRecord, RequestOutcome, RequestRecord, RequestTrace};
-pub use sim::{simulate, simulate_with_pricer, validate_arrivals, SimConfig, SimError, SimReport};
+pub use sim::{
+    simulate, simulate_with_pricer, validate_arrivals, validate_zipf_s, SimConfig, SimError,
+    SimReport,
+};
 pub use sweep::{
     offered_load_sweep, offered_load_sweep_par, sustainable_qps, sweep_arrivals_us, LoadPoint,
 };

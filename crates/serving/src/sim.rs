@@ -51,27 +51,8 @@
 //! event `i`, fault transitions follow, then timers in the order they were
 //! armed.
 //!
-//! Events come from six sorted sources, merged by taking the least head
-//! under that (time, kind, creation order) key at every step:
-//!
-//! - arrivals stream from the sorted trace through a cursor;
-//! - four FIFO lanes hold the timers that fire a fixed offset after an
-//!   instant that never goes backwards: batch-window flushes (a queue
-//!   front's admission plus `max_wait_us`), deadlines (arrival plus
-//!   `deadline_us`), hedge timers (dispatch plus `hedge_after_us`) and
-//!   fault transitions (pushed once, in schedule order). Timers of one
-//!   kind are therefore armed already in pop order, and a lane needs no
-//!   heap;
-//! - a heap holds the timers whose delays vary: GPU completions and
-//!   backoff re-admissions, at most one completion per GPU plus the
-//!   pending retries.
-//!
-//! A timer joins its lane only if it orders after the lane's tail;
-//! otherwise it falls back to the heap. Every source thus yields its
-//! events in order by construction, whatever the inputs, and the merge
-//! pops events in exactly the order one heap holding them all would (the
-//! lanes change where an event waits, never its key). This ordering is
-//! part of the simulator's contract: it never depends on queue
+//! The event queue (`events.rs`) pops events in exactly that order. The
+//! order is part of the simulator's contract: it never depends on queue
 //! internals, so [`simulate`] is bit-identical for identical inputs even
 //! with colliding timestamps (see the regression tests, the every-timer
 //! oracle and the record-digest pins).
@@ -95,16 +76,14 @@
 //!   fault transition and flush makes one), unless that instant has
 //!   passed. A front exposed by a deadline removal waits for the next
 //!   attempt, which comes no later than the removed front's own flush,
-//!   whose window ends first. One case needs a second timer: a flush
-//!   also seals a front whose window ends up to the batcher's timer slack
-//!   later, so when an admission lands within that slack of the one
-//!   before it, the earlier admission's flush is armed too.
+//!   whose window ends first. Windows are exact: a flush seals only a
+//!   front whose window has ended, at the very instant it ends.
 //! - **Settled deadlines are dropped at the lane head.** A deadline whose
 //!   request already has an outcome would do nothing, and an outcome never
 //!   reverts, so the loop discards it before choosing the next event.
 //! - **The horizon rule is kept exactly.** A horizon cuts the run
 //!   (`end_us` is the horizon) iff some timer the straightforward loop
-//!   arms lies past it, a no-op one included. The engine tracks the
+//!   arms lies past it, a no-op one included. The event queue tracks the
 //!   latest flush and deadline instant that loop would arm, and a run
 //!   whose latest such instant lies past the horizon is cut.
 //!
@@ -137,8 +116,7 @@
 //! # Ok::<(), tensordimm_serving::SimError>(())
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::num::NonZeroU32;
@@ -148,7 +126,8 @@ use tensordimm_interconnect::InterconnectError;
 use tensordimm_models::Workload;
 use tensordimm_system::{BatchPricer, DegradedNode, DesignPoint, PricingBackend, SystemModel};
 
-use crate::batcher::{BatchPolicy, DynamicBatcher, QueuedRequest, TIMER_SLACK_US};
+use crate::batcher::{BatchPolicy, DynamicBatcher, QueuedRequest};
+use crate::events::{EventKind, EventQueue, RetryKind, TimerRouting, TimerStats};
 use crate::metrics::{
     BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueDepthTracker, QueueStats,
 };
@@ -407,158 +386,6 @@ fn fold_records(records: &[RequestRecord], sla_us: f64, end_us: f64) -> OutcomeF
     )
 }
 
-/// What a [`EventKind::RetryFire`] event does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RetryKind {
-    /// Re-admit request `id` after its backoff delay (no-op when a
-    /// deadline already resolved it).
-    Readmit(usize),
-    /// Request `id`'s deadline: remove it from the queue or cancel its
-    /// pending retry; an in-flight request is left to finish.
-    Deadline(usize),
-    /// Hedge logical batch `batch` if it is still running on `gpu`:
-    /// dispatch a duplicate copy to a free GPU.
-    Hedge { gpu: usize, batch: u64 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    /// Request `id` arrives.
-    Arrival(usize),
-    /// A batch-window timer fires; seal a partial batch if one expired.
-    Flush,
-    /// The batch copy on `gpu` completes.
-    GpuDone(usize),
-    /// Fault state transition (index into the expanded transition list).
-    FaultTransition(usize),
-    /// A retry/deadline/hedge timer fires.
-    RetryFire(RetryKind),
-}
-
-impl EventKind {
-    /// Same-instant ordering (see the module docs): completions release
-    /// their GPU first, fault transitions change the node state next,
-    /// arrivals are admitted after that, retry timers run once every
-    /// same-instant arrival is in, and the batch-window timer runs last.
-    fn tie_rank(&self) -> u8 {
-        match self {
-            EventKind::GpuDone(_) => 0,
-            EventKind::FaultTransition(_) => 1,
-            EventKind::Arrival(_) => 2,
-            EventKind::RetryFire(_) => 3,
-            EventKind::Flush => 4,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time_us: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-// Min-heap ordering on (time, kind rank, seq): BinaryHeap is a max-heap,
-// so compare reversed. The kind rank makes timestamp collisions follow the
-// documented semantics instead of heap/push-order accidents; `seq` breaks
-// the remaining ties deterministically (FIFO within a kind).
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time_us
-            .total_cmp(&self.time_us)
-            .then_with(|| other.kind.tie_rank().cmp(&self.kind.tie_rank()))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Event {}
-
-/// The timer kinds that fire a fixed offset after an instant that never
-/// goes backwards, so each kind is armed already in pop order and rides a
-/// FIFO instead of the heap.
-#[derive(Debug, Clone, Copy)]
-enum Lane {
-    /// Batch-window timers: the admission instant plus `max_wait_us`.
-    Flush,
-    /// Deadlines: the arrival instant plus `deadline_us`.
-    Deadline,
-    /// Hedge timers: the dispatch instant plus `hedge_after_us`.
-    Hedge,
-    /// Fault transitions, all pushed up front in schedule order.
-    Fault,
-}
-
-impl Lane {
-    const COUNT: usize = 4;
-
-    /// The lane a timer of `kind` rides, or `None` for the heap.
-    fn of(kind: EventKind, routing: TimerRouting) -> Option<Lane> {
-        if routing != TimerRouting::Lanes {
-            return None;
-        }
-        match kind {
-            EventKind::Flush => Some(Lane::Flush),
-            EventKind::RetryFire(RetryKind::Deadline(_)) => Some(Lane::Deadline),
-            EventKind::RetryFire(RetryKind::Hedge { .. }) => Some(Lane::Hedge),
-            EventKind::FaultTransition(_) => Some(Lane::Fault),
-            EventKind::Arrival(_)
-            | EventKind::GpuDone(_)
-            | EventKind::RetryFire(RetryKind::Readmit(_)) => None,
-        }
-    }
-}
-
-/// Which timers the engine arms, and where it queues them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimerRouting {
-    /// Only the timers that can act (see the module docs), with the
-    /// constant-delay ones on their [`Lane`]s.
-    Lanes,
-    /// Every timer the straightforward loop arms (a flush per admission,
-    /// every deadline popped), all on one heap: the oracle the lanes must
-    /// reproduce bit for bit, `queue.mean_depth` aside.
-    #[cfg(test)]
-    HeapOnly,
-}
-
-/// Timer-queue occupancy and loop work over one run.
-#[derive(Debug, Clone, Copy, Default)]
-struct TimerStats {
-    /// Largest heap length.
-    peak_heap: usize,
-    /// Largest number of timers on the lanes together.
-    peak_lanes: usize,
-    /// Largest number of live timers, heap plus lanes.
-    peak_live: usize,
-    /// Lane timers that did not order after their lane's tail and went to
-    /// the heap instead.
-    fallbacks: usize,
-    /// Events the loop handled (settled deadlines dropped at the lane
-    /// head are not handled).
-    popped: usize,
-}
-
-/// Where [`Engine::pop_event`] found the next event.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Arrival,
-    Heap,
-    Lane(usize),
-}
-
 /// A dispatched batch. Normally one GPU runs one copy; hedging can put a
 /// duplicate copy on a second GPU, in which case the first copy to finish
 /// completes the requests (once) and the straggler just releases its GPU.
@@ -575,49 +402,13 @@ struct LogicalBatch {
 /// Price-cache key: (batch size, active GPUs, degraded-state fingerprint).
 type PriceKey = (usize, usize, (u64, u64, u64, u64));
 
-/// What became of an admission attempt.
-enum Admit {
-    /// Queued (and dispatch was attempted).
-    Accepted,
-    /// Deadline already expired at admission; shed immediately.
-    Expired,
-    /// The queue is full; retry or shed.
-    QueueFull,
-}
-
 struct Engine<'a> {
     pricer: &'a dyn BatchPricer,
     workload: &'a Workload,
     design: DesignPoint,
     gpus: usize,
-    /// The validated, sorted trace; arrivals stream from it by cursor.
-    arrivals_us: &'a [f64],
-    /// Index of the next arrival not yet handed to the loop.
-    next_arrival: usize,
-    /// Timers whose delay varies (GPU completions, backoff re-admissions),
-    /// plus any lane timer that would not order after its lane's tail.
-    heap: BinaryHeap<Event>,
-    /// One FIFO per constant-delay timer kind (see [`Lane`]), each in
-    /// pop order by construction.
-    lanes: [VecDeque<Event>; Lane::COUNT],
-    /// Timers on the lanes together.
-    lane_len: usize,
-    /// Which timers are armed, and where constant-delay ones go.
-    routing: TimerRouting,
-    /// The flush instant of the front last seen by
-    /// [`Engine::arm_front_flush`]: the front changed iff its flush
-    /// instant differs (fronts with one instant share one flush).
-    front_flush_us: f64,
-    /// When the last accepted admission happened, for the timer-slack
-    /// case of [`Engine::admit`].
-    last_admit_us: f64,
-    /// The latest flush or deadline instant the every-timer loop would
-    /// arm, for the horizon rule.
-    latest_timer_us: f64,
-    /// Queue occupancy, for the tests that bound it.
-    timers: TimerStats,
-    /// Next timer `seq`: arrivals own `0..n`, so timers start at `n`.
-    seq: u64,
+    /// Arrivals, timers and the horizon rule (see `events.rs`).
+    queue: EventQueue<'a>,
     batcher: DynamicBatcher,
     /// Free GPU ids; popped from the back (lowest id first by construction).
     free_gpus: Vec<usize>,
@@ -642,124 +433,21 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    fn push_event(&mut self, time_us: f64, kind: EventKind) {
-        let event = Event {
-            time_us,
-            seq: self.seq,
-            kind,
-        };
-        self.seq += 1;
-        match Lane::of(kind, self.routing) {
-            Some(lane) => {
-                let lane = &mut self.lanes[lane as usize];
-                // `Ord` is reversed for the max-heap: a later event is less.
-                if lane.back().is_none_or(|tail| event < *tail) {
-                    lane.push_back(event);
-                    self.lane_len += 1;
-                } else {
-                    self.timers.fallbacks += 1;
-                    self.heap.push(event);
-                }
-            }
-            None => self.heap.push(event),
-        }
-        let timers = &mut self.timers;
-        timers.peak_heap = timers.peak_heap.max(self.heap.len());
-        timers.peak_lanes = timers.peak_lanes.max(self.lane_len);
-        timers.peak_live = timers.peak_live.max(self.heap.len() + self.lane_len);
-    }
-
-    /// The next event in (time, kind, seq) order: the least of the
-    /// cursor's arrival, the heap's top and the lane fronts. Each source
-    /// yields its events in that order, and arrival `i` carries `seq = i`
-    /// (arrivals own `0..n`), so the merge orders every event exactly as
-    /// one heap holding them all would. Deadlines of requests that
-    /// already have an outcome are dropped from the lane head first.
-    fn pop_event(&mut self, records: &[RequestRecord]) -> Option<Event> {
-        let deadlines = &mut self.lanes[Lane::Deadline as usize];
-        while let Some(&Event {
-            kind: EventKind::RetryFire(RetryKind::Deadline(id)),
-            ..
-        }) = deadlines.front()
-        {
-            if records[id].outcome.is_none() {
-                break;
-            }
-            deadlines.pop_front();
-            self.lane_len -= 1;
-        }
-        let i = self.next_arrival;
-        let mut next = self.arrivals_us.get(i).map(|&time_us| {
-            let arrival = Event {
-                time_us,
-                seq: i as u64,
-                kind: EventKind::Arrival(i),
-            };
-            (arrival, Source::Arrival)
-        });
-        let fronts = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(l, lane)| lane.front().map(|&e| (e, Source::Lane(l))));
-        let top = self.heap.peek().map(|&e| (e, Source::Heap));
-        for (event, source) in top.into_iter().chain(fronts) {
-            // `Ord` is reversed for the max-heap: greater orders first.
-            if next.is_none_or(|(best, _)| event > best) {
-                next = Some((event, source));
-            }
-        }
-        let (event, source) = next?;
-        match source {
-            Source::Arrival => self.next_arrival += 1,
-            Source::Heap => {
-                self.heap.pop();
-            }
-            Source::Lane(l) => {
-                self.lanes[l].pop_front();
-                self.lane_len -= 1;
-            }
-        }
-        Some(event)
-    }
-
-    /// Arm the batch-window flush of the queue's front if the front
-    /// changed since the last call, unless its window already ended (an
-    /// expired front is sealed by the next event that frees a GPU or the
-    /// node, each of which dispatches what is ready).
-    fn arm_front_flush(&mut self, now_us: f64) {
-        if self.routing != TimerRouting::Lanes {
-            return;
-        }
-        let Some(flush_us) = self.batcher.next_deadline_us() else {
-            return;
-        };
-        if flush_us != self.front_flush_us {
-            self.front_flush_us = flush_us;
-            if flush_us >= now_us {
-                self.push_event(flush_us, EventKind::Flush);
-            }
-        }
-    }
-
-    /// The pricer's view of the current fault state, with `reread_rows`
-    /// of transient-fault re-read traffic charged to this batch.
-    fn degraded_view(&self, reread_rows: u64) -> DegradedNode {
-        DegradedNode {
-            dimms_alive: self.state.dimms_alive(),
-            dimms_total: self.state.dimms_total(),
-            latency_multiplier: self.state.gray_multiplier(),
-            reread_rows,
-        }
-    }
-
+    /// Service time of a `batch`-request batch at `active` GPUs under the
+    /// current fault state, with `reread_rows` of transient-fault re-read
+    /// traffic charged to it.
     fn service_us(
         &mut self,
         batch: usize,
         active: usize,
         reread_rows: u64,
     ) -> Result<f64, SimError> {
-        let degraded = self.degraded_view(reread_rows);
+        let degraded = DegradedNode {
+            dimms_alive: self.state.dimms_alive(),
+            dimms_total: self.state.dimms_total(),
+            latency_multiplier: self.state.gray_multiplier(),
+            reread_rows,
+        };
         let key = (batch, active, degraded.fingerprint());
         if let Some(&us) = self.price_cache.get(&key) {
             return Ok(us);
@@ -820,15 +508,16 @@ impl Engine<'_> {
                 },
             );
             self.in_flight[gpu] = Some(id);
-            self.push_event(now_us + service, EventKind::GpuDone(gpu));
+            self.queue.push(now_us + service, EventKind::GpuDone(gpu));
             if self.retry.hedging_enabled() {
-                self.push_event(
+                self.queue.push(
                     now_us + self.retry.hedge_after_us,
                     EventKind::RetryFire(RetryKind::Hedge { gpu, batch: id }),
                 );
             }
         }
-        self.arm_front_flush(now_us);
+        self.queue
+            .arm_front_flush(now_us, self.batcher.next_deadline_us());
         Ok(())
     }
 
@@ -844,77 +533,63 @@ impl Engine<'_> {
         {
             return Ok(());
         }
-        let size = self
-            .batches
-            .get(&batch)
-            .map(|b| b.requests.len())
-            .unwrap_or(0);
-        if size == 0 {
-            return Ok(());
-        }
+        // A GPU's batch stays live while the GPU runs it, and a sealed
+        // batch is never empty.
+        let size = self.batches.get(&batch).expect("live batch").requests.len();
+        // A pricing error ends the run: the GPU need not be handed back.
         let hedge_gpu = self.free_gpus.pop().expect("checked nonempty");
         let active = self.gpus - self.free_gpus.len();
-        match self.service_us(size, active, 0) {
-            Ok(service) => {
-                let b = self
-                    .batches
-                    .get_mut(&batch)
-                    .expect("in-flight batch exists");
-                b.copies += 1;
-                self.in_flight[hedge_gpu] = Some(batch);
-                self.hedge_dispatches += 1;
-                self.push_event(now_us + service, EventKind::GpuDone(hedge_gpu));
-                Ok(())
-            }
-            Err(e) => {
-                self.free_gpus.push(hedge_gpu);
-                Err(e)
-            }
-        }
+        let service = self.service_us(size, active, 0)?;
+        let b = self
+            .batches
+            .get_mut(&batch)
+            .expect("in-flight batch exists");
+        b.copies += 1;
+        self.in_flight[hedge_gpu] = Some(batch);
+        self.hedge_dispatches += 1;
+        self.queue
+            .push(now_us + service, EventKind::GpuDone(hedge_gpu));
+        Ok(())
     }
 
     /// Run the admission policy for request `id` (fresh arrival or
-    /// backoff re-admission) at `now_us`. On acceptance the request is
-    /// queued, dispatch attempted and the flush of whatever front is left
-    /// armed.
-    fn admit(&mut self, now_us: f64, id: usize, arrival_us: f64) -> Result<Admit, SimError> {
-        if self.admission.shed_expired && self.retry.deadline_enabled() {
-            let deadline = arrival_us + self.retry.deadline_us;
-            if now_us + TIMER_SLACK_US >= deadline {
-                return Ok(Admit::Expired);
+    /// backoff re-admission) at `now_us`. A request whose deadline has
+    /// passed times out (under `shed_expired`); one that finds the queue
+    /// full consumes a retry, re-admitted after a deterministic backoff,
+    /// or is shed for good; any other is queued and dispatch attempted.
+    fn admit(
+        &mut self,
+        now_us: f64,
+        id: usize,
+        records: &mut [RequestRecord],
+    ) -> Result<(), SimError> {
+        let rec = &mut records[id];
+        if self.admission.shed_expired
+            && self.retry.deadline_enabled()
+            && now_us >= rec.arrival_us + self.retry.deadline_us
+        {
+            rec.outcome = Some(RequestOutcome::TimedOut);
+        } else if self.batcher.depth() >= self.admission.max_queue_depth {
+            if rec.retries < self.retry.max_retries {
+                let delay = self.retry.backoff_us(id, rec.retries);
+                rec.retries += 1;
+                self.awaiting_retry[id] = true;
+                self.retry_pending += 1;
+                let readmit = EventKind::RetryFire(RetryKind::Readmit(id));
+                self.queue.push(now_us + delay, readmit);
+            } else {
+                rec.outcome = Some(RequestOutcome::Shed);
             }
+        } else {
+            self.batcher.push(QueuedRequest {
+                id,
+                arrival_us: now_us,
+            });
+            self.queue
+                .admitted(now_us + self.batcher.policy().max_wait_us);
+            self.dispatch_ready(now_us)?;
         }
-        if self.batcher.depth() >= self.admission.max_queue_depth {
-            return Ok(Admit::QueueFull);
-        }
-        self.batcher.push(QueuedRequest {
-            id,
-            arrival_us: now_us,
-        });
-        let max_wait_us = self.batcher.policy().max_wait_us;
-        let flush_us = now_us + max_wait_us;
-        self.latest_timer_us = self.latest_timer_us.max(flush_us);
-        match self.routing {
-            TimerRouting::Lanes => {
-                // A flush seals a front whose window ends up to the timer
-                // slack after it, so the previous admission's flush, when
-                // it ends earlier but within that slack, can seal this
-                // request once it is the front: arm it too (a duplicate
-                // is a no-op).
-                let prev_flush_us = self.last_admit_us + max_wait_us;
-                if prev_flush_us >= now_us
-                    && prev_flush_us < flush_us
-                    && prev_flush_us + TIMER_SLACK_US >= flush_us
-                {
-                    self.push_event(prev_flush_us, EventKind::Flush);
-                }
-            }
-            #[cfg(test)]
-            TimerRouting::HeapOnly => self.push_event(flush_us, EventKind::Flush),
-        }
-        self.last_admit_us = now_us;
-        self.dispatch_ready(now_us)?;
-        Ok(Admit::Accepted)
+        Ok(())
     }
 }
 
@@ -929,15 +604,16 @@ impl Engine<'_> {
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] for unusable knobs (including
-/// fault-plan and policy knobs), [`SimError::BadArrival`] for an
-/// unsorted/non-finite trace, and [`SimError::Pricing`] if the system
-/// model rejects a batch.
+/// fault-plan and policy knobs, and the model's Zipf skew),
+/// [`SimError::BadArrival`] for an unsorted/non-finite trace, and
+/// [`SimError::Pricing`] if the system model rejects a batch.
 pub fn simulate(
     model: &SystemModel,
     workload: &Workload,
     cfg: &SimConfig,
     arrivals_us: &[f64],
 ) -> Result<SimReport, SimError> {
+    validate_zipf_s(model.config().zipf_s)?;
     let pricer = cfg.pricing.build(model);
     simulate_with_pricer(workload, cfg, arrivals_us, pricer.as_ref())
 }
@@ -956,6 +632,23 @@ pub fn validate_arrivals(arrivals_us: &[f64]) -> Result<(), SimError> {
         }
     }
     Ok(())
+}
+
+/// The Zipf-skew check every simulator runs on the popularity skew it
+/// draws rows with: finite and non-negative (`0.0` draws uniform rows).
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] for `zipf_s` when the skew is NaN,
+/// infinite or negative.
+pub fn validate_zipf_s(zipf_s: f64) -> Result<(), SimError> {
+    if zipf_s.is_finite() && zipf_s >= 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::InvalidConfig {
+            parameter: "zipf_s",
+        })
+    }
 }
 
 /// [`simulate`] with an explicit pricing backend. `cfg.pricing` is ignored
@@ -1003,17 +696,7 @@ fn run_engine(
         workload,
         design: cfg.design,
         gpus: cfg.gpus,
-        arrivals_us,
-        next_arrival: 0,
-        heap: BinaryHeap::with_capacity(cfg.gpus),
-        lanes: Default::default(),
-        lane_len: 0,
-        routing,
-        front_flush_us: f64::NEG_INFINITY,
-        last_admit_us: f64::NEG_INFINITY,
-        latest_timer_us: f64::NEG_INFINITY,
-        timers: TimerStats::default(),
-        seq: n as u64,
+        queue: EventQueue::new(arrivals_us, cfg.horizon_us, cfg.gpus, routing),
         batcher: DynamicBatcher::new(cfg.policy),
         free_gpus: (0..cfg.gpus).rev().collect(),
         in_flight: vec![None; cfg.gpus],
@@ -1030,7 +713,7 @@ fn run_engine(
         hedge_dispatches: 0,
     };
     for (i, tr) in transitions.iter().enumerate() {
-        engine.push_event(tr.at_us, EventKind::FaultTransition(i));
+        engine.queue.push(tr.at_us, EventKind::FaultTransition(i));
     }
 
     let mut records: Vec<RequestRecord> = arrivals_us
@@ -1045,16 +728,8 @@ fn run_engine(
     // completed, a flush for one that already dispatched, a fault repair
     // after the last completion) advance `clock_us` but not this.
     let mut progress_us = 0.0f64;
-    let mut horizon_hit = false;
 
-    while let Some(event) = engine.pop_event(&records) {
-        if let Some(h) = cfg.horizon_us {
-            if event.time_us > h {
-                horizon_hit = true;
-                break;
-            }
-        }
-        engine.timers.popped += 1;
+    while let Some(event) = engine.queue.pop(|id| records[id].outcome.is_some()) {
         queue_tracker.advance(event.time_us, engine.batcher.depth());
         clock_us = clock_us.max(event.time_us);
         match event.kind {
@@ -1063,14 +738,11 @@ fn run_engine(
                 progress_us = event.time_us;
                 if engine.retry.deadline_enabled() {
                     let deadline_us = records[id].arrival_us + engine.retry.deadline_us;
-                    engine.latest_timer_us = engine.latest_timer_us.max(deadline_us);
-                    engine.push_event(deadline_us, EventKind::RetryFire(RetryKind::Deadline(id)));
+                    engine
+                        .queue
+                        .push(deadline_us, EventKind::RetryFire(RetryKind::Deadline(id)));
                 }
-                match engine.admit(event.time_us, id, records[id].arrival_us)? {
-                    Admit::Accepted => {}
-                    Admit::Expired => records[id].outcome = Some(RequestOutcome::TimedOut),
-                    Admit::QueueFull => reject(&mut engine, &mut records, event.time_us, id),
-                }
+                engine.admit(event.time_us, id, &mut records)?;
             }
             EventKind::Flush => {
                 engine.dispatch_ready(event.time_us)?;
@@ -1084,11 +756,7 @@ fn run_engine(
                     progress_us = event.time_us;
                     engine.awaiting_retry[id] = false;
                     engine.retry_pending -= 1;
-                    match engine.admit(event.time_us, id, records[id].arrival_us)? {
-                        Admit::Accepted => {}
-                        Admit::Expired => records[id].outcome = Some(RequestOutcome::TimedOut),
-                        Admit::QueueFull => reject(&mut engine, &mut records, event.time_us, id),
-                    }
+                    engine.admit(event.time_us, id, &mut records)?;
                 }
             }
             EventKind::RetryFire(RetryKind::Deadline(id)) => {
@@ -1149,14 +817,11 @@ fn run_engine(
         }
     }
 
-    // The every-timer loop would have popped the no-op flushes and
-    // settled deadlines this loop never armed or dropped; one past the
-    // horizon cuts the run there.
-    horizon_hit |= cfg.horizon_us.is_some_and(|h| engine.latest_timer_us > h);
-    let end_us = if horizon_hit {
-        cfg.horizon_us.expect("horizon_hit implies a horizon")
-    } else {
-        progress_us
+    // A horizon the run reached (the every-timer loop's no-op flushes
+    // and settled deadlines count) is the end of the run.
+    let end_us = match cfg.horizon_us {
+        Some(h) if engine.queue.horizon_cut() => h,
+        _ => progress_us,
     };
     // Arrivals are processed in trace order, so the arrived requests are
     // exactly the first `arrived` records; any of them without a resolved
@@ -1206,22 +871,7 @@ fn run_engine(
         batches,
         records,
     };
-    Ok((report, engine.timers))
-}
-
-/// Queue-full rejection: consume a retry (scheduling re-admission after
-/// deterministic backoff) or shed for good.
-fn reject(engine: &mut Engine<'_>, records: &mut [RequestRecord], now_us: f64, id: usize) {
-    let attempt = records[id].retries;
-    if attempt < engine.retry.max_retries {
-        records[id].retries += 1;
-        engine.awaiting_retry[id] = true;
-        engine.retry_pending += 1;
-        let delay = engine.retry.backoff_us(id, attempt);
-        engine.push_event(now_us + delay, EventKind::RetryFire(RetryKind::Readmit(id)));
-    } else {
-        records[id].outcome = Some(RequestOutcome::Shed);
-    }
+    Ok((report, engine.queue.stats()))
 }
 
 #[cfg(test)]
@@ -1689,6 +1339,28 @@ mod tests {
                 parameter: "max_queue_depth"
             })
         ));
+        // The model's Zipf skew is a typed error at both entry points that
+        // take the model, not a panic when the first rows are drawn (NaN,
+        // +∞) or a silent switch to uniform rows (negative); `0.0` spells
+        // uniform rows and stays accepted.
+        let with_skew = |zipf_s| {
+            let mut config = tensordimm_system::SystemModelConfig::paper_defaults();
+            config.zipf_s = zipf_s;
+            SystemModel::new(config)
+        };
+        let cpu = SimConfig::new(DesignPoint::CpuGpu, 1, BatchPolicy::new(4, 50.0));
+        for zipf_s in [f64::NAN, f64::INFINITY, -0.5] {
+            let m = with_skew(zipf_s);
+            let err: Result<usize, _> = Err(SimError::InvalidConfig {
+                parameter: "zipf_s",
+            });
+            let run = simulate(&m, &w, &cpu, &[0.0]).map(|r| r.completed);
+            assert_eq!(run, err, "zipf_s = {zipf_s}");
+            let sweep = crate::sweep::offered_load_sweep(&m, &w, &cpu, &[1e4], 4, 1);
+            assert_eq!(sweep.map(|p| p.len()), err, "zipf_s = {zipf_s}");
+        }
+        let uniform = simulate(&with_skew(0.0), &w, &cpu, &[0.0, 1.0]).expect("uniform rows");
+        assert_eq!(uniform.completed, 2);
     }
 
     /// The headline robustness contract: fault/retry/admission machinery
@@ -2012,6 +1684,18 @@ mod tests {
         assert!(report.records.iter().any(|r| r.retries > 0));
         assert_eq!(timers.fallbacks, 0);
         assert!(timers.peak_lanes > timers.peak_heap);
+        assert_eq!(work(timers), (22_462, 99, 746, 770));
+    }
+
+    /// The loop's deterministic work counters: events popped and the peak
+    /// heap, lane and live timer counts.
+    fn work(timers: TimerStats) -> (usize, usize, usize, usize) {
+        (
+            timers.popped,
+            timers.peak_heap,
+            timers.peak_lanes,
+            timers.peak_live,
+        )
     }
 
     /// The loop handles about one event per request on the benchmark's
@@ -2028,27 +1712,35 @@ mod tests {
         let pricer = cfg.pricing.build(&m);
         let n = 20_000;
         let arrivals = poisson(300_000.0, n, 3);
-        let per_request = |routing| {
+        // (popped, peak_heap, peak_lanes, peak_live) of each routing.
+        for (routing, pinned) in [
+            (TimerRouting::Lanes, (21_250, 4, 131, 135)),
+            (TimerRouting::HeapOnly, (60_625, 782, 0, 782)),
+        ] {
             let (report, timers) =
                 run_engine(&w, &cfg, &arrivals, pricer.as_ref(), routing).expect("valid");
             assert_eq!(report.completed, n);
-            timers.popped as f64 / n as f64
-        };
-        let (lanes, every) = (
-            per_request(TimerRouting::Lanes),
-            per_request(TimerRouting::HeapOnly),
-        );
-        assert!(lanes <= 1.2, "{lanes} events per request");
-        assert!(every >= 2.9, "every-timer loop: {every} events per request");
+            assert_eq!(work(timers), pinned, "{routing:?}");
+            let per_request = timers.popped as f64 / n as f64;
+            match routing {
+                TimerRouting::Lanes => assert!(per_request <= 1.2, "{per_request} per request"),
+                TimerRouting::HeapOnly => {
+                    assert!(
+                        per_request >= 2.9,
+                        "every-timer loop: {per_request} per request"
+                    )
+                }
+            }
+        }
     }
 
-    /// A flush also seals a front whose window ends up to the timer slack
-    /// after it. Requests 0 and 1 fill a batch at 1 µs; request 2 arrives
-    /// 0.5 ps later into the empty queue. Request 1's flush at 301 µs
-    /// seals request 2 in the every-timer loop, so this loop must arm it
-    /// too, not only request 2's own flush at 301.0000005 µs.
+    /// A flush seals only a front whose window has ended. Requests 0 and
+    /// 1 fill a batch at 1 µs; request 2 arrives 0.5 ps later into the
+    /// empty queue. Request 1's flush at 301 µs seals nothing, and request
+    /// 2 waits out its own window to 301.0000005 µs, in this loop and in
+    /// the every-timer loop alike.
     #[test]
-    fn flush_within_the_timer_slack_is_armed() {
+    fn sub_picosecond_arrival_waits_out_its_own_window() {
         let w = Workload::facebook();
         let cfg = SimConfig::new(DesignPoint::Tdimm, 2, BatchPolicy::new(2, 300.0));
         let arrivals = [0.0, 1.0, 1.0 + 0.5e-6];
@@ -2059,7 +1751,8 @@ mod tests {
         };
         let (lanes, oracle) = (run(TimerRouting::Lanes), run(TimerRouting::HeapOnly));
         let sealed = lanes.records[2].completion.expect("completed");
-        assert_eq!(sealed.dispatch_us, 301.0);
+        assert_eq!(sealed.dispatch_us, arrivals[2] + 300.0);
+        assert!(sealed.dispatch_us > 301.0);
         assert_eq!(oracle_depth(lanes, &oracle), oracle);
     }
 
@@ -2105,12 +1798,17 @@ mod tests {
     }
 
     /// Arrivals on the 25 µs grid; a gap code of 0 or 1 puts two arrivals
-    /// at one instant.
+    /// at one instant, and code 4 puts arrival `i` 0.3–1.2 ps (varied
+    /// with `i`) after the one before it.
     fn grid_trace(gaps: &[u8]) -> Vec<f64> {
         let mut t = 0.0;
         gaps.iter()
-            .map(|&g| {
-                t += grid(u32::from(g.saturating_sub(1)));
+            .enumerate()
+            .map(|(i, &g)| {
+                t += match g {
+                    4 => 1e-6 * (0.3 + 0.1 * (i % 10) as f64),
+                    _ => grid(u32::from(g.saturating_sub(1))),
+                };
                 t
             })
             .collect()
@@ -2232,7 +1930,7 @@ mod tests {
         #[test]
         fn lanes_match_the_heap_only_oracle(
             cfg in arb_lane_config(),
-            gaps in prop::collection::vec(0u8..4, 1..400),
+            gaps in prop::collection::vec(0u8..5, 1..400),
             analytic in any_bool(),
         ) {
             let w = Workload::facebook();

@@ -18,7 +18,7 @@ use tensordimm_models::Workload;
 use tensordimm_system::SystemModel;
 
 use crate::arrivals::ArrivalProcess;
-use crate::sim::{simulate_with_pricer, SimConfig, SimError, SimReport};
+use crate::sim::{simulate_with_pricer, validate_zipf_s, SimConfig, SimError, SimReport};
 
 /// One point of an offered-load sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +89,7 @@ pub fn offered_load_sweep_par(
     seed: u64,
     workers: usize,
 ) -> Result<Vec<LoadPoint>, SimError> {
+    validate_zipf_s(model.config().zipf_s)?;
     let pricer = cfg.pricing.build(model);
     let pricer = pricer.as_ref();
     // Sample every rate's arrivals before any pricing happens.

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use tensordimm_exec::par_map;
-use tensordimm_faults::FaultPlan;
+use tensordimm_faults::{FaultPlan, FaultSchedule, FaultState};
 use tensordimm_models::Workload;
 use tensordimm_serving::{
     simulate_with_pricer, validate_arrivals, validate_zipf_s, AdmissionPolicy, BatchPolicy,
@@ -257,94 +257,49 @@ pub fn shard_sim_config(cfg: &ClusterConfig, node: usize) -> SimConfig {
     sim
 }
 
-/// A node's liveness over virtual time, folded from its fault schedule.
-/// Half-open windows `[start, end)`, matching the serving engine's
-/// same-instant order (fault transitions apply before arrivals).
-#[derive(Debug, Clone, Default)]
+/// A node's liveness over virtual time: its fault schedule's transitions,
+/// folded into a live [`FaultState`] as the router's clock advances, the
+/// way the node's serving engine folds them. Queries come at
+/// non-decreasing times (the router walks a sorted trace), so a forward
+/// cursor applies each transition once. A query at `t` sees every
+/// transition at or before `t`, matching the engine's same-instant order
+/// (fault transitions apply before arrivals).
+#[derive(Debug, Clone)]
 struct NodeHealth {
-    /// Node cannot dispatch at all: node outage or every DIMM down.
-    dead: WindowCursor,
-    /// Node serves but is degraded: ranks down or a gray window open.
-    degraded: WindowCursor,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Health {
-    Healthy,
-    Degraded,
-    Dead,
+    schedule: FaultSchedule,
+    /// First transition not yet applied.
+    next: usize,
+    state: FaultState,
 }
 
 impl NodeHealth {
     fn from_plan(plan: &FaultPlan, horizon_us: f64) -> Result<Self, ClusterError> {
-        let mut health = NodeHealth::default();
-        if plan.is_inert() {
-            return Ok(health);
-        }
-        let transitions = plan.schedule(horizon_us)?.transitions();
-        let mut state = tensordimm_faults::FaultState::healthy(plan.dimms);
-        let classify = |s: &tensordimm_faults::FaultState| {
-            if !s.can_dispatch() {
-                Health::Dead
-            } else if s.dimms_alive() < s.dimms_total() || s.gray_multiplier() > 1.0 {
-                Health::Degraded
-            } else {
-                Health::Healthy
-            }
-        };
-        let mut cur = classify(&state);
-        let mut cur_start = 0.0f64;
-        let push = |h: Health, start: f64, end: f64, me: &mut NodeHealth| {
-            if end <= start {
-                return;
-            }
-            let list = match h {
-                Health::Dead => &mut me.dead.windows,
-                Health::Degraded => &mut me.degraded.windows,
-                Health::Healthy => return,
-            };
-            match list.last_mut() {
-                Some(last) if last.1 >= start => last.1 = last.1.max(end),
-                _ => list.push((start, end)),
-            }
-        };
-        for t in &transitions {
-            // RowFault transitions don't change liveness; applying them
-            // is harmless (pending rows never reach `classify`).
-            let next_time = t.at_us;
-            state.apply(t.change);
-            // Same-instant transitions collapse: the interval is empty.
-            let next = classify(&state);
-            if next != cur {
-                push(cur, cur_start, next_time, &mut health);
-                cur = next;
-                cur_start = next_time;
-            }
-        }
-        push(cur, cur_start, f64::INFINITY, &mut health);
-        Ok(health)
+        Ok(NodeHealth {
+            schedule: plan.schedule(horizon_us)?,
+            next: 0,
+            state: FaultState::healthy(plan.dimms),
+        })
     }
-}
 
-/// Sorted, disjoint half-open windows read by a forward cursor: queries
-/// come at non-decreasing times (the router walks a sorted trace), so the
-/// cursor only ever steps past windows that ended and each query is
-/// amortized O(1).
-#[derive(Debug, Clone, Default)]
-struct WindowCursor {
-    windows: Vec<(f64, f64)>,
-    /// First window not yet ended at the last query time.
-    next: usize,
-}
-
-impl WindowCursor {
-    /// Whether `t` falls inside a window. `t` must not be earlier than
-    /// the previous query's.
-    fn contains(&mut self, t: f64) -> bool {
-        while self.windows.get(self.next).is_some_and(|w| w.1 <= t) {
+    /// Apply every transition at or before `t`, which must not be earlier
+    /// than the previous call's.
+    fn advance(&mut self, t: f64) {
+        let transitions = self.schedule.transitions();
+        while let Some(tr) = transitions.get(self.next).filter(|tr| tr.at_us <= t) {
+            self.state.apply(tr.change);
             self.next += 1;
         }
-        self.windows.get(self.next).is_some_and(|w| w.0 <= t)
+    }
+
+    /// The node cannot dispatch at all: node outage or every DIMM down.
+    fn dead(&self) -> bool {
+        !self.state.can_dispatch()
+    }
+
+    /// The node serves but is degraded: ranks down or a gray window open.
+    fn degraded(&self) -> bool {
+        let s = &self.state;
+        s.can_dispatch() && (s.dimms_alive() < s.dimms_total() || s.gray_multiplier() > 1.0)
     }
 }
 
@@ -548,7 +503,7 @@ fn fold_records(records: &[ClusterRecord], sla_us: f64, end_us: f64) -> OutcomeF
 #[derive(Debug)]
 struct Router<'a> {
     cfg: &'a ClusterConfig,
-    /// Per-node liveness, read through forward cursors.
+    /// Per-node liveness, advanced to each request's arrival.
     health: Vec<NodeHealth>,
     /// The one row sampler, reseeded per request.
     sampler: IndexStream,
@@ -599,7 +554,8 @@ impl<'a> Router<'a> {
         self.rows.sort_unstable();
         self.rows.dedup();
         for (dead, health) in self.dead.iter_mut().zip(&mut self.health) {
-            *dead = health.dead.contains(t);
+            health.advance(t);
+            *dead = health.dead();
         }
         let dead = &self.dead;
         // One deterministic per-request draw spreads hot-row load across
@@ -659,9 +615,7 @@ impl<'a> Router<'a> {
                 self.primaries.push(target);
                 // SLA-aware hedging: duplicate the leg on a live replica
                 // when its shard is inside a repair window.
-                if cfg.failover == FailoverPolicy::HedgeDegraded
-                    && self.health[target].degraded.contains(t)
-                {
+                if cfg.failover == FailoverPolicy::HedgeDegraded && self.health[target].degraded() {
                     let alt = owners.iter().copied().find(|&o| o != target && !dead[o]);
                     if let Some(h) = alt {
                         self.hedges.push((target, h));
@@ -1147,23 +1101,111 @@ mod tests {
         rerouted: bool,
     }
 
-    fn in_windows(windows: &[(f64, f64)], t: f64) -> bool {
-        let i = windows.partition_point(|w| w.1 <= t);
-        windows.get(i).is_some_and(|w| w.0 <= t)
+    /// A faulted 4-node run pinned bit for bit under `Reroute` and
+    /// `HedgeDegraded`: every `RoutingStats` field and an FNV-1a digest
+    /// of the rejoined records. Every window sits on the 250 µs grid the
+    /// arrivals also hit; node 0's outage ends exactly when its gray
+    /// window opens, and node 1 (2 DIMMs) dies while both ranks are out.
+    /// The router and its oracle could share a mistake; this pin cannot.
+    #[test]
+    fn faulted_cluster_run_is_pinned() {
+        let window = |start_us, duration_us| NodeOutage {
+            start_us,
+            duration_us,
+        };
+        let ranks = |rank, start_us, duration_us| RankOutage {
+            rank,
+            start_us,
+            duration_us,
+        };
+        let gray = |start_us, duration_us, latency_multiplier| GrayRank {
+            start_us,
+            duration_us,
+            latency_multiplier,
+        };
+        let mut node1 = FaultPlan::none()
+            .with_rank_outage(ranks(0, 250.0, 500.0))
+            .with_rank_outage(ranks(1, 500.0, 750.0));
+        node1.dimms = 2;
+        let mut node2 = FaultPlan::dimm_faults(0x5eed, 0.8).for_node(2);
+        node2.dimms = 4;
+        node2.dimm_candidate_gap_us = 250.0;
+        node2.dimm_repair_us = 500.0;
+        let plans = [
+            FaultPlan::none()
+                .with_node_outage(window(500.0, 500.0))
+                .with_gray(gray(1_000.0, 500.0, 2.0)),
+            node1,
+            node2,
+            FaultPlan::none()
+                .with_node_outage(window(1_250.0, 250.0))
+                .with_rank_outage(ranks(3, 1_500.0, 250.0))
+                .with_gray(gray(1_750.0, 250.0, 3.0)),
+        ];
+        // Two arrivals every 25 µs (duplicate instants), 0..2500 µs.
+        let trace: Vec<f64> = (0..200u32).map(|k| 25.0 * f64::from(k / 2)).collect();
+        let digest = |records: &[ClusterRecord]| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
+            for r in records {
+                eat(r.arrival_us.to_bits());
+                eat(r.finish_us.map_or(u64::MAX, f64::to_bits));
+                eat(r.outcome.map_or(u64::MAX, |o| u64::from(rank(o))));
+                eat(u64::from(r.fanout));
+                eat(u64::from(r.rerouted) | u64::from(r.hedged) << 1);
+            }
+            h
+        };
+        let m = model();
+        let w = Workload::facebook();
+        let mut got = Vec::new();
+        for failover in [FailoverPolicy::Reroute, FailoverPolicy::HedgeDegraded] {
+            let mut cfg = base_cfg(4, 2).with_failover(failover);
+            cfg.plan = ShardPlan::hot_cold(4, 2, 64).expect("valid");
+            for (node, plan) in cfg.nodes.iter_mut().zip(plans) {
+                *node = node.with_faults(plan);
+            }
+            let r = simulate_cluster(&m, &w, &cfg, &trace).expect("valid");
+            assert!(r.is_conserved());
+            let s = r.routing;
+            got.push((
+                [
+                    s.subrequests,
+                    s.hedge_subrequests,
+                    s.rerouted_requests,
+                    s.router_shed,
+                    s.affinity_hits,
+                ],
+                s.mean_fanout.to_bits(),
+                digest(&r.records),
+            ));
+        }
+        // mean_fanout = 664 legs / 180 routed requests in both runs.
+        let want = vec![
+            (
+                [664, 0, 40, 20, 430],
+                0x400d_82d8_2d82_d82e,
+                0x2126_b2f4_39b9_3766,
+            ),
+            (
+                [867, 203, 40, 20, 430],
+                0x400d_82d8_2d82_d82e,
+                0xe5b6_6d30_7652_b729,
+            ),
+        ];
+        assert_eq!(got, want);
     }
 
     /// The per-request router [`Router`] replaced, kept as its oracle: a
     /// fresh sampler, row vector and owner set per request, one leg
-    /// vector per route, and binary-searched health windows queried per
-    /// owner.
+    /// vector per route, and every node's fault state folded afresh from
+    /// its schedule for each request.
     fn oracle_route_requests(
         cfg: &ClusterConfig,
         rows_per_table: u64,
         arrivals_us: &[f64],
         health: &[NodeHealth],
     ) -> (Vec<OracleRoute>, RoutingStats) {
-        let dead_at = |node: ShardId, t: f64| in_windows(&health[node].dead.windows, t);
-        let degraded_at = |node: ShardId, t: f64| in_windows(&health[node].degraded.windows, t);
         let mut routes = Vec::with_capacity(arrivals_us.len());
         let mut stats = RoutingStats::default();
         let mut routed_requests = 0usize;
@@ -1172,6 +1214,23 @@ mod tests {
         let mut primaries: Vec<ShardId> = Vec::new();
         let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
         for (id, &t) in arrivals_us.iter().enumerate() {
+            let states: Vec<FaultState> = health
+                .iter()
+                .zip(&cfg.nodes)
+                .map(|(h, node)| {
+                    let mut state = FaultState::healthy(node.faults.dimms);
+                    let transitions = h.schedule.transitions();
+                    for tr in transitions.iter().take_while(|tr| tr.at_us <= t) {
+                        state.apply(tr.change);
+                    }
+                    state
+                })
+                .collect();
+            let dead_at = |node: ShardId| !states[node].can_dispatch();
+            let degraded_at = |node: ShardId| {
+                let s = &states[node];
+                s.can_dispatch() && (s.dimms_alive() < s.dimms_total() || s.gray_multiplier() > 1.0)
+            };
             let mut rows = zipf_lookup_rows(
                 cfg.routing_lookups,
                 rows_per_table,
@@ -1189,7 +1248,7 @@ mod tests {
                 let target = match cfg.failover {
                     FailoverPolicy::None => {
                         let primary = owners[0];
-                        if dead_at(primary, t) {
+                        if dead_at(primary) {
                             route.router_shed = true;
                             break 'rows;
                         }
@@ -1197,7 +1256,7 @@ mod tests {
                     }
                     FailoverPolicy::Reroute | FailoverPolicy::HedgeDegraded => {
                         live.clear();
-                        live.extend(owners.iter().copied().filter(|&o| !dead_at(o, t)));
+                        live.extend(owners.iter().copied().filter(|&o| !dead_at(o)));
                         if live.is_empty() {
                             route.router_shed = true;
                             break 'rows;
@@ -1213,7 +1272,7 @@ mod tests {
                         } else {
                             live[0]
                         };
-                        if dead_at(owners[0], t) {
+                        if dead_at(owners[0]) {
                             route.rerouted = true;
                         }
                         chosen
@@ -1221,11 +1280,8 @@ mod tests {
                 };
                 if !primaries.contains(&target) {
                     primaries.push(target);
-                    if cfg.failover == FailoverPolicy::HedgeDegraded && degraded_at(target, t) {
-                        let alt = owners
-                            .iter()
-                            .copied()
-                            .find(|&o| o != target && !dead_at(o, t));
+                    if cfg.failover == FailoverPolicy::HedgeDegraded && degraded_at(target) {
+                        let alt = owners.iter().copied().find(|&o| o != target && !dead_at(o));
                         if let Some(h) = alt {
                             hedges.push((target, h));
                         }
@@ -1526,19 +1582,23 @@ mod tests {
                 start_us: 300.0,
                 duration_us: 100.0,
             });
-        // The cursors answer queries at non-decreasing times.
+        // The cursor answers queries at non-decreasing times.
         let mut h = NodeHealth::from_plan(&plan, 1_000.0).expect("valid");
-        assert!(!h.dead.contains(99.9) && h.dead.contains(100.0) && h.dead.contains(149.9));
-        assert!(h.dead.contains(149.9), "a repeated instant reads the same");
-        assert!(
-            !h.dead.contains(150.0),
-            "half-open: repaired at the boundary"
-        );
-        assert!(!h.degraded.contains(120.0), "dead is not degraded");
-        assert!(h.degraded.contains(350.0) && !h.degraded.contains(450.0));
-        // A cursor jumping past every window lands after the last one.
+        let mut at = |t| {
+            h.advance(t);
+            (h.dead(), h.degraded())
+        };
+        assert_eq!(at(99.9), (false, false));
+        assert_eq!(at(100.0), (true, false), "dead is not degraded");
+        assert_eq!(at(149.9), (true, false));
+        assert_eq!(at(149.9), (true, false), "a repeated instant agrees");
+        assert_eq!(at(150.0), (false, false), "repaired at the boundary");
+        assert_eq!(at(350.0), (false, true));
+        assert_eq!(at(450.0), (false, false));
+        // A cursor jumping past every transition lands healthy.
         let mut jump = NodeHealth::from_plan(&plan, 1_000.0).expect("valid");
-        assert!(!jump.dead.contains(500.0) && !jump.degraded.contains(500.0));
+        jump.advance(500.0);
+        assert!(!jump.dead() && !jump.degraded());
         // A 1-DIMM node losing its only rank is dead, not degraded.
         let mut tiny = FaultPlan::none().with_rank_outage(RankOutage {
             rank: 0,
@@ -1547,8 +1607,19 @@ mod tests {
         });
         tiny.dimms = 1;
         let mut h1 = NodeHealth::from_plan(&tiny, 100.0).expect("valid");
-        assert!(h1.dead.contains(12.0) && !h1.degraded.contains(12.0));
-        assert!(!h1.dead.contains(15.0));
+        h1.advance(12.0);
+        assert!(h1.dead() && !h1.degraded());
+        h1.advance(15.0);
+        assert!(!h1.dead());
+        // A gray window alone degrades a node.
+        let slow = FaultPlan::none().with_gray(GrayRank {
+            start_us: 10.0,
+            duration_us: 5.0,
+            latency_multiplier: 2.0,
+        });
+        let mut g = NodeHealth::from_plan(&slow, 100.0).expect("valid");
+        g.advance(10.0);
+        assert!(!g.dead() && g.degraded());
     }
 
     fn grid(k: u32) -> f64 {

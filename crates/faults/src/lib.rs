@@ -25,11 +25,14 @@
 //!
 //! # Consuming a schedule
 //!
-//! The serving simulator folds [`FaultSchedule::transitions`] into a
-//! [`FaultState`] as virtual time advances: the state answers "how many
-//! DIMMs are alive", "is the node reachable", "what latency multiplier is
-//! in force", and "how many rows must the next batch re-read" — the four
-//! quantities degraded-mode pricing needs.
+//! A schedule is one sorted list of [`Transition`]s, and both of its
+//! consumers fold [`FaultSchedule::transitions`] into a [`FaultState`] as
+//! virtual time advances: the serving engine applies each transition as
+//! an event of its loop, and the cluster router applies every transition
+//! at or before a request's arrival before routing it. The state answers
+//! "how many DIMMs are alive", "is the node reachable", "what latency
+//! multiplier is in force", and "how many rows must the next batch
+//! re-read" — the four quantities degraded-mode pricing needs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -340,7 +343,15 @@ impl FaultPlan {
                 parameter: "horizon_us",
             });
         }
-        let mut events = Vec::new();
+        // Each transition is emitted with its anchor: a window's start
+        // for both ends of node-outage and gray windows, its own instant
+        // otherwise. One stable sort on (time, anchor) orders same-instant
+        // transitions by anchor, then by emission order (a window's start
+        // before its end) — the order the serving engine observes.
+        let mut anchored: Vec<(f64, Transition)> = Vec::new();
+        let mut emit = |anchor: f64, at_us: f64, change: StateChange| {
+            anchored.push((anchor, Transition { at_us, change }));
+        };
 
         let mut windows: Vec<(u64, f64, f64)> = Vec::new();
         if self.dimm_fault_rate > 0.0 {
@@ -383,42 +394,35 @@ impl FaultPlan {
             }
         }
         for (dimm, start, end) in merged {
-            events.push(FaultEvent::DimmDown { at_us: start, dimm });
-            events.push(FaultEvent::DimmRestored { at_us: end, dimm });
+            emit(start, start, StateChange::DimmDown(dimm));
+            emit(end, end, StateChange::DimmRestored(dimm));
         }
 
         if let Some(o) = self.node_outage {
             if o.start_us <= horizon_us {
-                events.push(FaultEvent::NodeOutage {
-                    start_us: o.start_us,
-                    duration_us: o.duration_us,
-                });
+                emit(o.start_us, o.start_us, StateChange::NodeDown);
+                emit(o.start_us, o.start_us + o.duration_us, StateChange::NodeUp);
             }
         }
         if let Some(g) = self.gray {
             if g.start_us <= horizon_us {
-                events.push(FaultEvent::GrayRank {
-                    start_us: g.start_us,
-                    duration_us: g.duration_us,
-                    latency_multiplier: g.latency_multiplier,
-                });
+                let change = StateChange::GrayStart(g.latency_multiplier);
+                emit(g.start_us, g.start_us, change);
+                emit(g.start_us, g.start_us + g.duration_us, StateChange::GrayEnd);
             }
         }
         if let Some(r) = self.row_faults {
             let mut t = r.every_us;
             while t <= horizon_us {
-                events.push(FaultEvent::RowFault {
-                    at_us: t,
-                    rows: r.rows,
-                });
+                emit(t, t, StateChange::RowFault(r.rows));
                 t += r.every_us;
             }
         }
 
-        // Stable sort on the anchor time: same-instant events keep their
-        // deterministic emission order.
-        events.sort_by(|a, b| a.at_us().total_cmp(&b.at_us()));
-        Ok(FaultSchedule { events })
+        anchored.sort_by(|(a, x), (b, y)| x.at_us.total_cmp(&y.at_us).then(a.total_cmp(b)));
+        Ok(FaultSchedule {
+            transitions: anchored.into_iter().map(|(_, t)| t).collect(),
+        })
     }
 }
 
@@ -428,67 +432,9 @@ impl Default for FaultPlan {
     }
 }
 
-/// A typed failure event. Window events (`NodeOutage`, `GrayRank`) carry
-/// their full extent; point events carry their instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// A DIMM rank drops out: the node keeps serving at reduced
-    /// aggregated bandwidth.
-    DimmDown {
-        /// When, µs.
-        at_us: f64,
-        /// Which DIMM.
-        dimm: u64,
-    },
-    /// A failed DIMM comes back.
-    DimmRestored {
-        /// When, µs.
-        at_us: f64,
-        /// Which DIMM.
-        dimm: u64,
-    },
-    /// The whole node is unreachable for a window.
-    NodeOutage {
-        /// When the outage begins, µs.
-        start_us: f64,
-        /// How long it lasts, µs.
-        duration_us: f64,
-    },
-    /// A gray-failure window: service times inflate, capacity stays.
-    GrayRank {
-        /// When the slowdown begins, µs.
-        start_us: f64,
-        /// How long it lasts, µs.
-        duration_us: f64,
-        /// Service-time inflation factor.
-        latency_multiplier: f64,
-    },
-    /// A transient fault forces a bounded re-read.
-    RowFault {
-        /// When, µs.
-        at_us: f64,
-        /// Rows the next dispatched batch must re-read.
-        rows: u64,
-    },
-}
-
-impl FaultEvent {
-    /// The event's anchor instant (window events anchor at their start).
-    pub fn at_us(&self) -> f64 {
-        match *self {
-            FaultEvent::DimmDown { at_us, .. }
-            | FaultEvent::DimmRestored { at_us, .. }
-            | FaultEvent::RowFault { at_us, .. } => at_us,
-            FaultEvent::NodeOutage { start_us, .. } | FaultEvent::GrayRank { start_us, .. } => {
-                start_us
-            }
-        }
-    }
-}
-
 /// One instantaneous change to the fault state — what the serving event
-/// loop schedules as a `FaultTransition` event. Window events expand to a
-/// start/end pair.
+/// loop schedules as a `FaultTransition` event. Every window (DIMM repair,
+/// node outage, gray slowdown) contributes a start/end pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// When the change takes effect, µs.
@@ -516,100 +462,38 @@ pub enum StateChange {
     RowFault(u64),
 }
 
-/// A generated failure schedule: typed events sorted by anchor time.
+/// A generated failure schedule: the state transitions, sorted by time.
 /// Bit-identical across replays of the same `(plan, horizon)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
-    events: Vec<FaultEvent>,
+    transitions: Vec<Transition>,
 }
 
 impl FaultSchedule {
-    /// A schedule with no events — what an inert plan generates.
-    pub fn empty() -> Self {
-        FaultSchedule::default()
-    }
-
-    /// The typed events, sorted by [`FaultEvent::at_us`].
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Whether the schedule has no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Expand window events into their start/end [`Transition`]s, sorted
-    /// by time (stable: same-instant transitions keep schedule order).
-    pub fn transitions(&self) -> Vec<Transition> {
-        let mut out = Vec::with_capacity(self.events.len() * 2);
-        for e in &self.events {
-            match *e {
-                FaultEvent::DimmDown { at_us, dimm } => out.push(Transition {
-                    at_us,
-                    change: StateChange::DimmDown(dimm),
-                }),
-                FaultEvent::DimmRestored { at_us, dimm } => out.push(Transition {
-                    at_us,
-                    change: StateChange::DimmRestored(dimm),
-                }),
-                FaultEvent::NodeOutage {
-                    start_us,
-                    duration_us,
-                } => {
-                    out.push(Transition {
-                        at_us: start_us,
-                        change: StateChange::NodeDown,
-                    });
-                    out.push(Transition {
-                        at_us: start_us + duration_us,
-                        change: StateChange::NodeUp,
-                    });
-                }
-                FaultEvent::GrayRank {
-                    start_us,
-                    duration_us,
-                    latency_multiplier,
-                } => {
-                    out.push(Transition {
-                        at_us: start_us,
-                        change: StateChange::GrayStart(latency_multiplier),
-                    });
-                    out.push(Transition {
-                        at_us: start_us + duration_us,
-                        change: StateChange::GrayEnd,
-                    });
-                }
-                FaultEvent::RowFault { at_us, rows } => out.push(Transition {
-                    at_us,
-                    change: StateChange::RowFault(rows),
-                }),
-            }
-        }
-        out.sort_by(|a, b| a.at_us.total_cmp(&b.at_us));
-        out
+    /// The transitions, sorted by time; same-instant ones by the anchor
+    /// of the window they belong to, then in generation order.
+    pub fn transitions(&self) -> &[Transition] {
+        &self.transitions
     }
 
     /// Total DIMM-down time summed over DIMMs, clipped to `[0,
     /// horizon_us]` — the scalar the nesting/monotonicity tests compare
     /// across fault rates.
     pub fn dimm_downtime_us(&self, horizon_us: f64) -> f64 {
-        let mut open: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
+        let mut open = [None::<f64>; FaultPlan::MAX_DIMMS as usize];
         let mut total = 0.0;
-        for e in &self.events {
-            match *e {
-                FaultEvent::DimmDown { at_us, dimm } => {
-                    open.insert(dimm, at_us);
-                }
-                FaultEvent::DimmRestored { at_us, dimm } => {
-                    if let Some(start) = open.remove(&dimm) {
-                        total += at_us.min(horizon_us) - start.min(horizon_us);
+        for t in &self.transitions {
+            match t.change {
+                StateChange::DimmDown(dimm) => open[dimm as usize] = Some(t.at_us),
+                StateChange::DimmRestored(dimm) => {
+                    if let Some(start) = open[dimm as usize].take() {
+                        total += t.at_us.min(horizon_us) - start.min(horizon_us);
                     }
                 }
                 _ => {}
             }
         }
-        for (_, start) in open {
+        for start in open.into_iter().flatten() {
             total += horizon_us - start.min(horizon_us);
         }
         total
@@ -691,23 +575,10 @@ impl FaultState {
         self.gray_multiplier
     }
 
-    /// Rows awaiting re-read by the next dispatched batch.
-    pub fn pending_reread_rows(&self) -> u64 {
-        self.pending_reread_rows
-    }
-
     /// Consume the pending re-read rows (charged to the batch now being
     /// dispatched).
     pub fn take_reread_rows(&mut self) -> u64 {
         std::mem::take(&mut self.pending_reread_rows)
-    }
-
-    /// Whether the state is indistinguishable from healthy.
-    pub fn is_inert(&self) -> bool {
-        self.down_mask == 0
-            && !self.node_out
-            && self.gray_multiplier == 1.0
-            && self.pending_reread_rows == 0
     }
 }
 
@@ -720,9 +591,8 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_inert());
         let s = plan.schedule(1e6).expect("valid");
-        assert!(s.is_empty());
-        assert_eq!(s, FaultSchedule::empty());
         assert!(s.transitions().is_empty());
+        assert_eq!(s, FaultSchedule::default());
         assert_eq!(s.dimm_downtime_us(1e6), 0.0);
     }
 
@@ -732,7 +602,10 @@ mod tests {
         let a = plan.schedule(500_000.0).expect("valid");
         let b = plan.schedule(500_000.0).expect("valid");
         assert_eq!(a, b, "same (plan, horizon) must replay bit-identically");
-        assert!(!a.is_empty(), "rate 0.7 over 250 candidates must accept");
+        assert!(
+            !a.transitions().is_empty(),
+            "rate 0.7 over 250 candidates must accept"
+        );
         let other_seed = FaultPlan::dimm_faults(43, 0.7)
             .schedule(500_000.0)
             .expect("valid");
@@ -743,16 +616,16 @@ mod tests {
     fn events_sorted_and_windows_paired() {
         let plan = FaultPlan::dimm_faults(7, 0.5);
         let s = plan.schedule(200_000.0).expect("valid");
-        let times: Vec<f64> = s.events().iter().map(|e| e.at_us()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted by time");
+        let t = s.transitions();
+        assert!(t.windows(2).all(|w| w[0].at_us <= w[1].at_us), "sorted");
         // Every DimmDown has a matching later DimmRestored.
-        let mut open = std::collections::HashSet::new();
-        for e in s.events() {
-            match *e {
-                FaultEvent::DimmDown { dimm, .. } => {
+        let mut open = std::collections::BTreeSet::new();
+        for tr in t {
+            match tr.change {
+                StateChange::DimmDown(dimm) => {
                     assert!(open.insert(dimm), "no nested down for one DIMM");
                 }
-                FaultEvent::DimmRestored { dimm, .. } => {
+                StateChange::DimmRestored(dimm) => {
                     assert!(open.remove(&dimm), "restore pairs with a down");
                 }
                 _ => {}
@@ -789,8 +662,7 @@ mod tests {
         plan.dimm_repair_us = 50_000.0;
         let horizon = 10_000.0;
         let s = plan.schedule(horizon).expect("valid");
-        assert!(!s.is_empty());
-        let last = s.events().last().expect("nonempty").at_us();
+        let last = s.transitions().last().expect("nonempty").at_us;
         assert!(last > horizon, "repair completes after the cut");
         // Downtime clipping never counts past the horizon.
         assert!(s.dimm_downtime_us(horizon) <= horizon * plan.dimms as f64);
@@ -839,15 +711,68 @@ mod tests {
         assert_eq!(row_faults, 4, "150, 300, 450, 600");
     }
 
+    /// Same-instant transitions keep a fixed order: by the anchor of the
+    /// window they come from (a window's end shares its start's anchor),
+    /// then by emission order — DIMM windows, node outage, gray window,
+    /// row faults. The serving engine dispatches after every transition,
+    /// so this order is observable; a time-only sort would move
+    /// `DimmDown(0)` ahead of `NodeUp` at 150 µs.
+    #[test]
+    fn same_instant_transitions_keep_anchor_then_emission_order() {
+        let plan = FaultPlan::none()
+            .with_node_outage(NodeOutage {
+                start_us: 100.0,
+                duration_us: 50.0,
+            })
+            .with_gray(GrayRank {
+                start_us: 150.0,
+                duration_us: 50.0,
+                latency_multiplier: 2.0,
+            })
+            .with_row_faults(RowFaults {
+                every_us: 50.0,
+                rows: 8,
+            })
+            .with_rank_outage(RankOutage {
+                rank: 0,
+                start_us: 150.0,
+                duration_us: 50.0,
+            })
+            .with_rank_outage(RankOutage {
+                rank: 1,
+                start_us: 100.0,
+                duration_us: 100.0,
+            });
+        let s = plan.schedule(200.0).expect("valid");
+        let at = |at_us, change| Transition { at_us, change };
+        use StateChange::*;
+        let want = [
+            at(50.0, RowFault(8)),
+            at(100.0, DimmDown(1)),
+            at(100.0, NodeDown),
+            at(100.0, RowFault(8)),
+            at(150.0, NodeUp),
+            at(150.0, DimmDown(0)),
+            at(150.0, GrayStart(2.0)),
+            at(150.0, RowFault(8)),
+            at(200.0, GrayEnd),
+            at(200.0, DimmRestored(0)),
+            at(200.0, DimmRestored(1)),
+            at(200.0, RowFault(8)),
+        ];
+        assert_eq!(s.transitions(), &want[..]);
+    }
+
     #[test]
     fn state_folds_transitions() {
-        let mut st = FaultState::healthy(32);
-        assert!(st.is_inert() && st.can_dispatch());
+        let healthy = FaultState::healthy(32);
+        let mut st = healthy;
+        assert!(st.can_dispatch());
         assert_eq!(st.dimms_alive(), 32);
         st.apply(StateChange::DimmDown(3));
         st.apply(StateChange::DimmDown(17));
         assert_eq!(st.dimms_alive(), 30);
-        assert!(!st.is_inert() && st.can_dispatch());
+        assert!(st != healthy && st.can_dispatch());
         st.apply(StateChange::NodeDown);
         assert!(!st.can_dispatch());
         st.apply(StateChange::NodeUp);
@@ -857,10 +782,10 @@ mod tests {
         assert_eq!(st.gray_multiplier(), 3.0);
         st.apply(StateChange::GrayEnd);
         st.apply(StateChange::RowFault(100));
-        assert_eq!(st.pending_reread_rows(), 100);
+        assert_ne!(st, healthy);
         assert_eq!(st.take_reread_rows(), 100);
-        assert_eq!(st.pending_reread_rows(), 0);
-        assert!(st.is_inert());
+        assert_eq!(st.take_reread_rows(), 0);
+        assert_eq!(st, healthy);
     }
 
     #[test]
@@ -869,10 +794,7 @@ mod tests {
         for _ in 0..10_000 {
             st.apply(StateChange::RowFault(u64::MAX / 2));
         }
-        assert_eq!(
-            st.pending_reread_rows(),
-            FaultState::MAX_PENDING_REREAD_ROWS
-        );
+        assert_eq!(st.take_reread_rows(), FaultState::MAX_PENDING_REREAD_ROWS);
     }
 
     #[test]
@@ -938,7 +860,7 @@ mod tests {
             .with_rank_outage(w(3, 151.0, 50.0));
         assert!(!ok.is_inert());
         let s = ok.schedule(1000.0).expect("valid");
-        assert_eq!(s.events().len(), 6, "three down/restored pairs");
+        assert_eq!(s.transitions().len(), 6, "three down/restored pairs");
         assert!((s.dimm_downtime_us(1000.0) - 150.0).abs() < 1e-9);
     }
 
@@ -958,13 +880,13 @@ mod tests {
             });
         }
         let s = plan.schedule(200_000.0).expect("valid");
-        let mut open = std::collections::HashSet::new();
-        for e in s.events() {
-            match *e {
-                FaultEvent::DimmDown { dimm, .. } => {
+        let mut open = std::collections::BTreeSet::new();
+        for tr in s.transitions() {
+            match tr.change {
+                StateChange::DimmDown(dimm) => {
                     assert!(open.insert(dimm), "no nested down for one DIMM");
                 }
-                FaultEvent::DimmRestored { dimm, .. } => {
+                StateChange::DimmRestored(dimm) => {
                     assert!(open.remove(&dimm), "restore pairs with a down");
                 }
                 _ => {}

@@ -121,7 +121,7 @@ use std::error::Error;
 use std::fmt;
 use std::num::NonZeroU32;
 
-use tensordimm_faults::{FaultError, FaultPlan, FaultState, Transition};
+use tensordimm_faults::{FaultError, FaultPlan, FaultSchedule, FaultState};
 use tensordimm_interconnect::InterconnectError;
 use tensordimm_models::Workload;
 use tensordimm_system::{BatchPricer, DegradedNode, DesignPoint, PricingBackend, SystemModel};
@@ -684,11 +684,12 @@ fn run_engine(
     let fault_horizon = cfg
         .horizon_us
         .unwrap_or_else(|| arrivals_us.last().copied().unwrap_or(0.0));
-    let transitions: Vec<Transition> = if cfg.faults.is_inert() {
-        Vec::new()
+    let schedule = if cfg.faults.is_inert() {
+        FaultSchedule::default()
     } else {
-        cfg.faults.schedule(fault_horizon)?.transitions()
+        cfg.faults.schedule(fault_horizon)?
     };
+    let transitions = schedule.transitions();
 
     let n = arrivals_us.len();
     let mut engine = Engine {

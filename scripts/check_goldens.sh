@@ -3,12 +3,12 @@
 #
 #   bash scripts/check_goldens.sh [--update] [NAME...]
 #
-# NAME is one of sweep_fabric, sweep_availability, sweep_cluster and
-# serving_sim; with none, all four run. Each golden command runs in release
-# mode and must exit 0 (the binaries assert their own gates). Without
-# --update its stdout is diffed against the checked-in file and any
-# difference fails the script; with --update the file is rewritten. A
-# change that moves a golden says why in CHANGES.md.
+# NAME is one of sweep_fabric, sweep_availability, sweep_cluster,
+# serving_sim and cluster_serving; with none, all five run. Each golden
+# command runs in release mode and must exit 0 (the binaries assert their
+# own gates). Without --update its stdout is diffed against the checked-in
+# file and any difference fails the script; with --update the file is
+# rewritten. A change that moves a golden says why in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,12 +30,16 @@ golden_serving_sim() {
     cargo run --release --example serving_sim
 }
 
+golden_cluster_serving() {
+    cargo run --release --example cluster_serving
+}
+
 file_for() {
     case "$1" in
         sweep_fabric | sweep_availability | sweep_cluster) echo "crates/bench/golden/$1_quick.txt" ;;
-        serving_sim) echo "crates/bench/golden/serving_sim.txt" ;;
+        serving_sim | cluster_serving) echo "crates/bench/golden/$1.txt" ;;
         *)
-            echo "unknown golden '$1' (sweep_fabric, sweep_availability, sweep_cluster, serving_sim)" >&2
+            echo "unknown golden '$1' (sweep_fabric, sweep_availability, sweep_cluster, serving_sim, cluster_serving)" >&2
             exit 2
             ;;
     esac
@@ -48,7 +52,7 @@ if [[ "${1-}" == "--update" ]]; then
 fi
 names=("$@")
 if [[ ${#names[@]} -eq 0 ]]; then
-    names=(sweep_fabric sweep_availability sweep_cluster serving_sim)
+    names=(sweep_fabric sweep_availability sweep_cluster serving_sim cluster_serving)
 fi
 
 out=$(mktemp)

@@ -126,7 +126,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `FaultPlan::schedule` is a pure function of `(plan, horizon)`:
-    /// regenerating yields the identical event list, timestamps compared
+    /// regenerating yields the identical transition list, timestamps compared
     /// bit-for-bit. A longer horizon `h2 ≥ h1` only adds transitions after
     /// `h1`: both schedules agree on every transition at `at_us ≤ h1`. The
     /// cluster router relies on this — it expands a node's plan over the
@@ -140,15 +140,15 @@ proptest! {
     ) {
         let a = plan.schedule(horizon_us).expect("valid plan");
         let b = plan.schedule(horizon_us).expect("valid plan");
-        prop_assert_eq!(a.events().len(), b.events().len());
+        prop_assert_eq!(a.transitions().len(), b.transitions().len());
         prop_assert_eq!(&a, &b);
-        for (ea, eb) in a.events().iter().zip(b.events()) {
-            prop_assert_eq!(ea.at_us().to_bits(), eb.at_us().to_bits());
+        for (ta, tb) in a.transitions().iter().zip(b.transitions()) {
+            prop_assert_eq!(ta.at_us.to_bits(), tb.at_us.to_bits());
         }
         let longer = plan.schedule(horizon_us + extra_us).expect("valid plan");
         let prefix = |s: &FaultSchedule| -> Vec<_> {
             s.transitions()
-                .into_iter()
+                .iter()
                 .filter(|t| t.at_us <= horizon_us)
                 .map(|t| (t.at_us.to_bits(), t.change))
                 .collect()

@@ -21,11 +21,14 @@
 //! Besides wall-clock, the replay rows carry the scheduler's
 //! deterministic work counters for the event path:
 //! `banks_examined` ([`MemorySystem::banks_examined`], bank candidates
-//! visited over all scheduling decisions) and `decisions`
-//! ([`MemorySystem::decisions`], decisions evaluated); the NMP row
-//! reports its uncached replay. Both modes gate the work: the dense
-//! one-channel gather must visit fewer than
-//! [`MAX_BANKS_PER_COMMAND`] banks per issued command.
+//! visited over all scheduling decisions), `decisions`
+//! ([`MemorySystem::decisions`], decisions evaluated) and
+//! `candidate_evaluations` ([`MemorySystem::candidate_evaluations`], the
+//! visits whose bank changed since its memoized candidate was evaluated);
+//! the NMP row reports them for both its uncached and its cached replay.
+//! Both modes gate the work: the dense one-channel gather must visit fewer
+//! than [`MAX_BANKS_PER_COMMAND`] banks and evaluate fewer than
+//! [`MAX_EVALUATIONS_PER_COMMAND`] candidates per issued command.
 //!
 //! The `cached_gather` scenario exercises the hot-row SRAM tier in the
 //! gather replay: a zero-capacity cache must reproduce the uncached
@@ -54,6 +57,13 @@ use tensordimm_system::HotRowCacheConfig;
 /// most of them in decisions that issue nothing and need every bank's
 /// horizon.
 const MAX_BANKS_PER_COMMAND: f64 = 16.0;
+
+/// Ceiling on `dense_gather_1ch`'s bank-local candidate evaluations per
+/// issued DRAM command on the event path. Voiding every bank's memoized
+/// candidate on each command evaluated 11.5 (quick) and 11.6 (full size)
+/// per command. Voiding only the bank that changed evaluates 1.29 and
+/// 1.28: about one per command, for the bank it issued to.
+const MAX_EVALUATIONS_PER_COMMAND: f64 = 2.0;
 
 struct Scenario {
     name: &'static str,
@@ -132,6 +142,7 @@ struct PathResult {
     skipped: u64,
     banks_examined: u64,
     decisions: u64,
+    candidate_evaluations: u64,
     wall_s: f64,
 }
 
@@ -155,6 +166,7 @@ fn replay(trace: &Trace, config: &DramConfig, event_driven: bool) -> PathResult 
         skipped: memory.idle_cycles_skipped(),
         banks_examined: memory.banks_examined(),
         decisions: memory.decisions(),
+        candidate_evaluations: memory.candidate_evaluations(),
         wall_s,
     }
 }
@@ -193,10 +205,17 @@ fn main() {
         let t = &fast.stats.totals;
         let commands = t.activates + t.precharges + t.reads + t.writes + t.refreshes;
         let banks_per_command = fast.banks_examined as f64 / commands as f64;
+        let evaluations_per_command = fast.candidate_evaluations as f64 / commands as f64;
         if sc.name == "dense_gather_1ch" {
             assert!(
                 banks_per_command < MAX_BANKS_PER_COMMAND,
                 "{}: {banks_per_command:.2} bank visits per command, ceiling {MAX_BANKS_PER_COMMAND}",
+                sc.name
+            );
+            assert!(
+                evaluations_per_command < MAX_EVALUATIONS_PER_COMMAND,
+                "{}: {evaluations_per_command:.2} candidate evaluations per command, \
+                 ceiling {MAX_EVALUATIONS_PER_COMMAND}",
                 sc.name
             );
         }
@@ -213,6 +232,7 @@ fn main() {
                 "    {{\"scenario\": \"{}\", \"requests\": {}, ",
                 "\"simulated_cycles\": {}, \"idle_cycles_skipped\": {}, ",
                 "\"commands\": {}, \"banks_examined\": {}, \"decisions\": {}, ",
+                "\"candidate_evaluations\": {}, ",
                 "\"tick_wall_s\": {:.6}, \"event_wall_s\": {:.6}, ",
                 "\"speedup\": {:.2}, \"identical\": true}}"
             ),
@@ -223,17 +243,19 @@ fn main() {
             commands,
             fast.banks_examined,
             fast.decisions,
+            fast.candidate_evaluations,
             oracle.wall_s,
             fast.wall_s,
             speedup,
         ));
         eprintln!(
-            "{:<24} {:>7} reqs  {:>10} cycles  {:>10} skipped  {:>5.2} banks/cmd  tick {:>8.3}s  event {:>8.3}s  {:>6.1}x",
+            "{:<24} {:>7} reqs  {:>10} cycles  {:>10} skipped  {:>5.2} banks/cmd  {:>5.2} evals/cmd  tick {:>8.3}s  event {:>8.3}s  {:>6.1}x",
             sc.name,
             sc.trace.len(),
             fast.final_cycle,
             fast.skipped,
             banks_per_command,
+            evaluations_per_command,
             oracle.wall_s,
             fast.wall_s,
             speedup
@@ -323,6 +345,9 @@ fn main() {
                 "\"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, ",
                 "\"uncached_cycles\": {}, \"cached_cycles\": {}, ",
                 "\"uncached_banks_examined\": {}, \"uncached_decisions\": {}, ",
+                "\"uncached_candidate_evaluations\": {}, ",
+                "\"cached_banks_examined\": {}, \"cached_decisions\": {}, ",
+                "\"cached_candidate_evaluations\": {}, ",
                 "\"cycle_speedup\": {:.3}, \"uncached_wall_s\": {:.6}, ",
                 "\"cached_wall_s\": {:.6}, \"wall_speedup\": {:.2}, ",
                 "\"identical_when_disabled\": true}}"
@@ -338,6 +363,10 @@ fn main() {
             cached.cycles,
             uncached.banks_examined,
             uncached.decisions,
+            uncached.candidate_evaluations,
+            cached.banks_examined,
+            cached.decisions,
+            cached.candidate_evaluations,
             cycle_ratio,
             uncached_wall_s,
             cached_wall_s,

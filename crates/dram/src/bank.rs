@@ -6,6 +6,7 @@
 
 use std::collections::VecDeque;
 
+use crate::command::DramCommand;
 use crate::timing::DramTiming;
 
 /// Timing state of a single DRAM bank.
@@ -26,11 +27,11 @@ pub struct Bank {
 /// Timing state of a rank: its banks plus rank-wide constraints.
 ///
 /// The cross-bank constraints are kept as bounds raised when a command is
-/// recorded: each ACTIVATE, READ and WRITE raises the earliest cycle the
-/// next one of each class may issue to every bank group. Commands are
-/// recorded in issue order, so the bound a command leaves never falls
-/// below one an earlier command left, and a running maximum equals the
-/// spacing from the latest command per bank group.
+/// recorded: each ACTIVATE, READ, WRITE and REFRESH raises the earliest
+/// cycle the next command of each kind may issue to every bank group.
+/// Commands are recorded in issue order, so the bound a command leaves
+/// never falls below one an earlier command left, and a running maximum
+/// equals the spacing from the latest command per bank group.
 #[derive(Debug, Clone)]
 pub struct Rank {
     /// Banks, indexed `bank_group * banks_per_group + bank`.
@@ -38,20 +39,39 @@ pub struct Rank {
     banks_per_group: usize,
     /// Issue times of the most recent ACTIVATEs (bounded by four, for tFAW).
     act_window: VecDeque<u64>,
-    /// Per bank group: earliest ACTIVATE past ACTIVATEs allow (tRRD_S/L).
-    act_bound: Vec<u64>,
-    /// Earliest ACTIVATE the four-activate window allows (tFAW).
-    faw_bound: u64,
-    /// Per bank group: earliest READ past READs and WRITEs allow (tCCD_S/L,
-    /// tWTR_S/L).
-    rd_bound: Vec<u64>,
-    /// Per bank group: earliest WRITE past READs and WRITEs allow
-    /// (tCCD_S/L).
-    wr_bound: Vec<u64>,
+    /// Per bank group, indexed by command (`cmd as usize`): the earliest
+    /// cycle the rank-wide constraints allow that command to any bank of
+    /// the group. Refresh bounds every command; past ACTIVATEs bound an
+    /// ACTIVATE (tRRD_S/L, tFAW); past READs and WRITEs bound a column
+    /// command (tCCD_S/L, tWTR_S/L).
+    shared: Vec<[u64; DramCommand::COUNT]>,
     /// Next scheduled refresh deadline.
     pub next_refresh_due: u64,
     /// Rank is unavailable until this cycle (mid-refresh).
     pub refresh_busy_until: u64,
+}
+
+/// The column commands, reads first.
+const COLUMN: [DramCommand; 4] = [
+    DramCommand::Read,
+    DramCommand::ReadAp,
+    DramCommand::Write,
+    DramCommand::WriteAp,
+];
+
+impl Bank {
+    /// The earliest cycle this bank's own timing allows `cmd`: its next
+    /// ACTIVATE (also for REFRESH), PRECHARGE (also for PRECHARGE-ALL),
+    /// READ or WRITE cycle. Only a command to this bank or a refresh of its
+    /// rank moves it.
+    pub(crate) fn local_bound(&self, cmd: DramCommand) -> u64 {
+        match cmd {
+            DramCommand::Activate | DramCommand::Refresh => self.next_act,
+            DramCommand::Precharge | DramCommand::PrechargeAll => self.next_pre,
+            DramCommand::Read | DramCommand::ReadAp => self.next_rd,
+            DramCommand::Write | DramCommand::WriteAp => self.next_wr,
+        }
+    }
 }
 
 impl Rank {
@@ -61,10 +81,7 @@ impl Rank {
             banks: vec![Bank::default(); bank_groups * banks_per_group],
             banks_per_group,
             act_window: VecDeque::with_capacity(4),
-            act_bound: vec![0; bank_groups],
-            faw_bound: 0,
-            rd_bound: vec![0; bank_groups],
-            wr_bound: vec![0; bank_groups],
+            shared: vec![[0; DramCommand::COUNT]; bank_groups],
             next_refresh_due: first_refresh,
             refresh_busy_until: 0,
         }
@@ -79,9 +96,7 @@ impl Rank {
     pub fn earliest_activate(&self, bank_group: usize, bank: usize) -> u64 {
         self.banks[self.bank_index(bank_group, bank)]
             .next_act
-            .max(self.refresh_busy_until)
-            .max(self.act_bound[bank_group])
-            .max(self.faw_bound)
+            .max(self.shared_bound(bank_group, DramCommand::Activate))
     }
 
     /// Earliest cycle a READ to `(bank_group, bank)` may issue,
@@ -89,8 +104,7 @@ impl Rank {
     pub fn earliest_read(&self, bank_group: usize, bank: usize) -> u64 {
         self.banks[self.bank_index(bank_group, bank)]
             .next_rd
-            .max(self.refresh_busy_until)
-            .max(self.rd_bound[bank_group])
+            .max(self.shared_bound(bank_group, DramCommand::Read))
     }
 
     /// Earliest cycle a WRITE to `(bank_group, bank)` may issue,
@@ -98,8 +112,7 @@ impl Rank {
     pub fn earliest_write(&self, bank_group: usize, bank: usize) -> u64 {
         self.banks[self.bank_index(bank_group, bank)]
             .next_wr
-            .max(self.refresh_busy_until)
-            .max(self.wr_bound[bank_group])
+            .max(self.shared_bound(bank_group, DramCommand::Write))
     }
 
     /// Earliest cycle a PRECHARGE to `(bank_group, bank)` may issue.
@@ -107,6 +120,24 @@ impl Rank {
         self.banks[self.bank_index(bank_group, bank)]
             .next_pre
             .max(self.refresh_busy_until)
+    }
+
+    /// The rank-wide part of the earliest cycle `cmd` may issue to any bank
+    /// of `bank_group`: refresh, plus tRRD and tFAW for ACTIVATE, plus
+    /// CAS-to-CAS spacing and write-to-read turnaround for a column
+    /// command. The `earliest_*` methods are the maximum of this and the
+    /// bank's own [`Bank::local_bound`].
+    pub(crate) fn shared_bound(&self, bank_group: usize, cmd: DramCommand) -> u64 {
+        self.shared[bank_group][cmd as usize]
+    }
+
+    /// Raise bank group `bank_group`'s shared bound of every command in
+    /// `cmds` to at least `at`.
+    fn raise(&mut self, bank_group: usize, cmds: &[DramCommand], at: u64) {
+        let bounds = &mut self.shared[bank_group];
+        for &cmd in cmds {
+            bounds[cmd as usize] = bounds[cmd as usize].max(at);
+        }
     }
 
     /// Record an ACTIVATE issued at `cycle`.
@@ -125,16 +156,19 @@ impl Rank {
         b.next_wr = b.next_wr.max(cycle + t.trcd);
         b.next_pre = b.next_pre.max(cycle + t.tras);
         b.next_act = b.next_act.max(cycle + t.trc());
-        for (bg, bound) in self.act_bound.iter_mut().enumerate() {
-            let spacing = if bg == bank_group { t.trrd_l } else { t.trrd_s };
-            *bound = (*bound).max(cycle + spacing);
-        }
+        // The four-activate window bounds every bank group alike.
         if self.act_window.len() == 4 {
             self.act_window.pop_front();
         }
         self.act_window.push_back(cycle);
-        if self.act_window.len() == 4 {
-            self.faw_bound = self.faw_bound.max(self.act_window[0] + t.tfaw);
+        let faw = if self.act_window.len() == 4 {
+            self.act_window[0] + t.tfaw
+        } else {
+            0
+        };
+        for bg in 0..self.shared.len() {
+            let spacing = if bg == bank_group { t.trrd_l } else { t.trrd_s };
+            self.raise(bg, &[DramCommand::Activate], faw.max(cycle + spacing));
         }
     }
 
@@ -147,10 +181,9 @@ impl Rank {
         cycle: u64,
         auto_precharge: bool,
     ) {
-        for bg in 0..self.rd_bound.len() {
+        for bg in 0..self.shared.len() {
             let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
-            self.rd_bound[bg] = self.rd_bound[bg].max(cycle + ccd);
-            self.wr_bound[bg] = self.wr_bound[bg].max(cycle + ccd);
+            self.raise(bg, &COLUMN, cycle + ccd);
         }
         let idx = self.bank_index(bank_group, bank);
         let b = &mut self.banks[idx];
@@ -171,14 +204,14 @@ impl Rank {
         cycle: u64,
         auto_precharge: bool,
     ) {
-        for bg in 0..self.wr_bound.len() {
+        for bg in 0..self.shared.len() {
             let (ccd, wtr) = if bg == bank_group {
                 (t.tccd_l, t.write_to_read_same_bg())
             } else {
                 (t.tccd_s, t.write_to_read_diff_bg())
             };
-            self.rd_bound[bg] = self.rd_bound[bg].max(cycle + ccd.max(wtr));
-            self.wr_bound[bg] = self.wr_bound[bg].max(cycle + ccd);
+            self.raise(bg, &COLUMN[..2], cycle + ccd.max(wtr));
+            self.raise(bg, &COLUMN[2..], cycle + ccd);
         }
         let idx = self.bank_index(bank_group, bank);
         let b = &mut self.banks[idx];
@@ -241,6 +274,11 @@ impl Rank {
     /// Record a REFRESH issued at `cycle`.
     pub fn record_refresh(&mut self, t: &DramTiming, cycle: u64) {
         self.refresh_busy_until = cycle + t.trfc;
+        for bounds in &mut self.shared {
+            for bound in bounds {
+                *bound = (*bound).max(cycle + t.trfc);
+            }
+        }
         for b in &mut self.banks {
             b.next_act = b.next_act.max(cycle + t.trfc);
         }

@@ -25,6 +25,11 @@ pub struct ChannelState {
     last_burst: Option<BusUse>,
     /// Last READ command cycle on the channel (for read-to-write turnaround).
     last_read_cmd: Option<u64>,
+    /// Per rank, indexed by command (`cmd as usize`): the earliest cycle
+    /// the data bus admits the command's burst from that rank and, for a
+    /// WRITE, the read-to-write turnaround allows it; zero for a command
+    /// without data. Recomputed whenever a column command issues.
+    bus_bounds: Vec<[u64; DramCommand::COUNT]>,
 }
 
 impl ChannelState {
@@ -47,6 +52,7 @@ impl ChannelState {
             banks_per_group: geom.banks_per_group,
             last_burst: None,
             last_read_cmd: None,
+            bus_bounds: vec![[0; DramCommand::COUNT]; geom.ranks_per_channel],
         }
     }
 
@@ -119,33 +125,52 @@ impl ChannelState {
     }
 
     /// The next command a request to `addr` needs and the earliest cycle
-    /// it could issue: `col` (its column command) on an open-row hit,
-    /// ACTIVATE on a closed bank, PRECHARGE on a conflicting row. The
-    /// cycle depends only on the command and on `addr`'s rank, bank group
-    /// and bank (plus bus state), so every request queued to one bank
-    /// that needs the same command shares it.
-    pub(crate) fn next_command(
-        &self,
-        t: &DramTiming,
-        addr: &DramAddr,
-        col: DramCommand,
-    ) -> (u64, DramCommand) {
+    /// its bank alone allows it ([`Bank::local_bound`]): `col` (its column
+    /// command) on an open-row hit, ACTIVATE on a closed bank, PRECHARGE on
+    /// a conflicting row. Both depend only on the bank's own state, so they
+    /// stand until a command to the bank or a refresh of its rank; every
+    /// request queued to the bank that needs the same command shares them.
+    /// The command's earliest issue cycle is the maximum of this bound and
+    /// [`ChannelState::shared_bound`].
+    ///
+    /// [`Bank::local_bound`]: crate::bank::Bank::local_bound
+    pub(crate) fn local_command(&self, addr: &DramAddr, col: DramCommand) -> (u64, DramCommand) {
         let rank = &self.ranks[addr.rank];
-        match self.open_row(addr) {
-            Some(row) if row == addr.row => {
-                let earliest = self
-                    .earliest_issue(t, col, addr)
-                    .expect("a column command to the open row is structurally possible");
-                (earliest, col)
-            }
-            Some(_) => (
-                rank.earliest_precharge(addr.bank_group, addr.bank),
-                DramCommand::Precharge,
-            ),
-            None => (
-                rank.earliest_activate(addr.bank_group, addr.bank),
-                DramCommand::Activate,
-            ),
+        let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
+        let cmd = match bank.open_row {
+            Some(row) if row == addr.row => col,
+            Some(_) => DramCommand::Precharge,
+            None => DramCommand::Activate,
+        };
+        (bank.local_bound(cmd), cmd)
+    }
+
+    /// The part of the earliest cycle `cmd` may issue that every bank of
+    /// `bank_group` in `rank` shares: the rank's [`Rank::shared_bound`]
+    /// plus, for a column command, the data bus and, for a WRITE, the
+    /// read-to-write turnaround. For a command that is possible now,
+    /// [`ChannelState::earliest_issue`] is the maximum of this and the
+    /// bank's [`Bank::local_bound`].
+    ///
+    /// [`Bank::local_bound`]: crate::bank::Bank::local_bound
+    pub(crate) fn shared_bound(&self, rank: usize, bank_group: usize, cmd: DramCommand) -> u64 {
+        self.ranks[rank]
+            .shared_bound(bank_group, cmd)
+            .max(self.bus_bounds[rank][cmd as usize])
+    }
+
+    /// Recompute every rank's bus bounds after a column command moved the
+    /// last burst or the last READ.
+    fn update_bus_bounds(&mut self, t: &DramTiming) {
+        let turnaround = self.last_read_cmd.map_or(0, |at| at + t.read_to_write());
+        for rank in 0..self.bus_bounds.len() {
+            let read = self.bus_free_from(t, rank, t.cl);
+            let write = self.bus_free_from(t, rank, t.cwl).max(turnaround);
+            let bounds = &mut self.bus_bounds[rank];
+            bounds[DramCommand::Read as usize] = read;
+            bounds[DramCommand::ReadAp as usize] = read;
+            bounds[DramCommand::Write as usize] = write;
+            bounds[DramCommand::WriteAp as usize] = write;
         }
     }
 
@@ -185,6 +210,7 @@ impl ChannelState {
                     end: cycle + t.cl + t.burst_cycles(),
                     rank: addr.rank,
                 });
+                self.update_bus_bounds(t);
             }
             DramCommand::Write | DramCommand::WriteAp => {
                 rank.record_write(t, addr.bank_group, addr.bank, cycle, cmd.auto_precharges());
@@ -192,6 +218,7 @@ impl ChannelState {
                     end: cycle + t.cwl + t.burst_cycles(),
                     rank: addr.rank,
                 });
+                self.update_bus_bounds(t);
             }
             DramCommand::Refresh => {
                 rank.record_refresh(t, cycle);
@@ -204,6 +231,7 @@ impl ChannelState {
 mod tests {
     use super::*;
     use crate::config::DramConfig;
+    use proptest::prelude::*;
 
     fn setup() -> (ChannelState, DramTiming) {
         let cfg = DramConfig::ddr4_3200_channel();
@@ -290,6 +318,97 @@ mod tests {
         // Mismatched row: structurally impossible.
         let wrong = addr(0, 0, 0, 6, 0);
         assert_eq!(ch.earliest_issue(&t, DramCommand::Read, &wrong), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random ACT/RD/WR/RDA/WRA/PRE/REF sequences over two or four
+        /// ranks at non-decreasing cycles, legal or not. After every
+        /// command, for every bank and command, the bank-local bound and
+        /// the shared bound kept at issue time split the earliest issue
+        /// cycle exactly: `max(local, shared) == earliest_issue`. A
+        /// rank-wide command takes the maximum over the rank's banks, and
+        /// `local_command` names the command a request to each row needs.
+        /// Gaps are short, so column commands crowd the bus, tCCD and the
+        /// turnarounds, and activates reach the tFAW window.
+        #[test]
+        fn local_and_shared_bounds_split_earliest_issue(
+            ranks_log in 1u32..3,
+            ops in prop::collection::vec(
+                (0usize..16, 0usize..4, 0usize..4, 0usize..4, 0usize..3, 0u64..24),
+                1..120,
+            ),
+        ) {
+            let mut cfg = DramConfig::ddr4_3200_channel();
+            cfg.geometry.ranks_per_channel = 1 << ranks_log;
+            cfg.timing.trefi = 400;
+            let t = cfg.timing;
+            let mut ch = ChannelState::new(&cfg.geometry, &t);
+            let mut cycle = 0;
+            for (op, rank, bg, bank, row, gap) in ops {
+                cycle += gap;
+                let rank = rank % cfg.geometry.ranks_per_channel;
+                let cmd = match op {
+                    0..=4 => DramCommand::Activate,
+                    5..=6 => DramCommand::Read,
+                    7 => DramCommand::ReadAp,
+                    8..=9 => DramCommand::Write,
+                    10 => DramCommand::WriteAp,
+                    11..=13 => DramCommand::Precharge,
+                    _ => DramCommand::Refresh,
+                };
+                ch.issue(&t, cmd, &addr(rank, bg, bank, row, 0), cycle);
+                for rank in 0..cfg.geometry.ranks_per_channel {
+                    for cmd in [DramCommand::PrechargeAll, DramCommand::Refresh] {
+                        let split = (0..4)
+                            .flat_map(|bg| (0..4).map(move |b| (bg, b)))
+                            .map(|(bg, b)| {
+                                let r = &ch.ranks[rank];
+                                let local = r.banks[r.bank_index(bg, b)].local_bound(cmd);
+                                local.max(ch.shared_bound(rank, bg, cmd))
+                            })
+                            .max();
+                        prop_assert_eq!(ch.earliest_issue(&t, cmd, &addr(rank, 0, 0, 0, 0)), split);
+                    }
+                    for bg in 0..4 {
+                        for b in 0..4 {
+                            let open = ch.open_row(&addr(rank, bg, b, 0, 0));
+                            let at = addr(rank, bg, b, open.unwrap_or(0), 0);
+                            let r = &ch.ranks[rank];
+                            let local = &r.banks[r.bank_index(bg, b)];
+                            for cmd in [
+                                DramCommand::Activate,
+                                DramCommand::Precharge,
+                                DramCommand::Read,
+                                DramCommand::ReadAp,
+                                DramCommand::Write,
+                                DramCommand::WriteAp,
+                            ] {
+                                let split = local.local_bound(cmd).max(ch.shared_bound(rank, bg, cmd));
+                                // A column command to a closed bank is impossible.
+                                let expect = (!cmd.is_column() || open.is_some()).then_some(split);
+                                prop_assert_eq!(ch.earliest_issue(&t, cmd, &at), expect);
+                            }
+                            for row in 0..3 {
+                                let request = addr(rank, bg, b, row, 0);
+                                let need = match open {
+                                    Some(o) if o == row => DramCommand::Write,
+                                    Some(_) => DramCommand::Precharge,
+                                    None => DramCommand::Activate,
+                                };
+                                let (local, cmd) = ch.local_command(&request, DramCommand::Write);
+                                prop_assert_eq!(cmd, need);
+                                prop_assert_eq!(
+                                    Some(local.max(ch.shared_bound(rank, bg, cmd))),
+                                    ch.earliest_issue(&t, cmd, &request)
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub enum DramCommand {
 }
 
 impl DramCommand {
+    /// The number of commands: the length of a table indexed by
+    /// `cmd as usize`.
+    pub(crate) const COUNT: usize = 8;
     /// Whether this is a column (data-transferring) command.
     pub fn is_column(self) -> bool {
         matches!(

@@ -60,15 +60,26 @@
 //!   write-drain mode. The step at that cycle issues it without deciding
 //!   again. An enqueue drops it; an issued command or a refresh moves the
 //!   memo epoch, which voids it;
-//! - each bank's candidate (its earliest issue cycle and command) is
-//!   memoized until a command issues or a request joins that bank, so a
-//!   decision at a horizon re-evaluates only what changed since the
-//!   decision that found it.
+//! - a candidate's earliest issue cycle is the maximum of two exact
+//!   parts. The *bank-local* part is the command the bank's candidate
+//!   needs and the bank's own next ACTIVATE, PRECHARGE, READ or WRITE
+//!   cycle. Each queue memoizes it per bank and clears it only when that
+//!   bank changes: a request joins it, a command issues to it from either
+//!   queue (a refresh-path PRECHARGE too), or its rank refreshes. The
+//!   *shared* part is what every bank of one rank and bank group shares
+//!   for that command: refresh, tRRD/tFAW, tCCD/tWTR, the data bus and
+//!   read-to-write turnaround. The channel keeps it current at issue time
+//!   in tables indexed by command, and a decision reads it at every visit.
+//!   So an issued command re-evaluates its own bank's candidate, not every
+//!   bank's, and [`MemoryController::candidate_evaluations`] counts the
+//!   visits the memo could not answer.
 //!
 //! [`MemoryController::tick`], the oracle, decides afresh every cycle and
-//! evaluates every bank it visits afresh.
+//! evaluates every bank it visits afresh: it moves the tick generation the
+//! memos are tagged with, which voids them all without clearing them.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::address::DramAddr;
 use crate::channel::ChannelState;
@@ -144,8 +155,11 @@ struct BankQueue {
     fifos: Vec<VecDeque<QueuedRequest>>,
     /// Per bank: queued requests whose row is the bank's open row.
     hits: Vec<usize>,
-    /// Per bank: the candidate's earliest issue cycle and command, tagged
-    /// with the controller's memo epoch when it was computed.
+    /// Per bank: the candidate's command and the earliest cycle the bank's
+    /// own timing allows it ([`ChannelState::local_command`]), tagged with
+    /// the controller's tick generation when it was computed. Cleared when
+    /// the bank changes: a request joins it, a command issues to it from
+    /// either queue, or its rank refreshes.
     memo: Vec<Option<(u64, u64, DramCommand)>>,
     candidates: Candidates,
     /// Queued requests over all banks.
@@ -191,6 +205,12 @@ impl BankQueue {
             }
         }
         self.len += 1;
+    }
+
+    /// Drop the memoized candidates of `banks`: their timing, open row or
+    /// FIFO changed.
+    fn forget(&mut self, banks: Range<usize>) {
+        self.memo[banks].fill(None);
     }
 
     /// Take the request at `pos` out of `bank`'s FIFO. The caller then
@@ -263,6 +283,24 @@ fn served_pos(fifo: &VecDeque<QueuedRequest>, cmd: DramCommand, open_row: Option
             .expect("bank has an open-row hit queued"),
         _ => 0,
     }
+}
+
+/// The bank-local part of a bank's candidate: the command its request at
+/// `front` needs, or with `serve_hit` its oldest open-row hit's column
+/// command, and the earliest cycle the bank's own timing allows it.
+fn local_candidate(
+    state: &ChannelState,
+    front: &DramAddr,
+    serve_hit: bool,
+    col: DramCommand,
+) -> (u64, DramCommand) {
+    let mut dram = *front;
+    if serve_hit {
+        dram.row = state
+            .open_row(&dram)
+            .expect("a bank with open-row hits has an open row");
+    }
+    state.local_command(&dram, col)
 }
 
 /// The outcome of one scheduling decision over a queue.
@@ -340,11 +378,19 @@ pub struct MemoryController {
     /// Scheduling decisions evaluated (deterministic work counter; a
     /// decision reused from the horizon probe is not evaluated again).
     decisions: u64,
-    /// Tags the per-bank candidate memos and the probed decision. It moves
-    /// on every issued command, which can change any timing constraint,
-    /// open row or FIFO, and on every [`MemoryController::tick`], which as
-    /// the oracle decides afresh.
+    /// Bank-local candidates evaluated over all decisions: the visits the
+    /// per-bank memo could not answer (deterministic work counter).
+    candidate_evaluations: u64,
+    /// Tags the probed decision. It moves on every issued command, which
+    /// can change any timing constraint, open row or FIFO, and on every
+    /// [`MemoryController::tick`], which as the oracle decides afresh.
     memo_epoch: u64,
+    /// Per flat bank index: its rank and bank group.
+    bank_coords: Vec<(usize, usize)>,
+    /// Tags the per-bank candidate memos. It moves on every
+    /// [`MemoryController::tick`], so the oracle evaluates every bank it
+    /// visits afresh without clearing every memo each cycle.
+    tick_generation: u64,
 }
 
 impl MemoryController {
@@ -360,7 +406,11 @@ impl MemoryController {
             .min()
             .unwrap_or(u64::MAX);
         let geom = &config.geometry;
-        let banks = geom.ranks_per_channel * geom.banks_per_rank();
+        let per_rank = geom.banks_per_rank();
+        let banks = geom.ranks_per_channel * per_rank;
+        let bank_coords = (0..banks)
+            .map(|bank| (bank / per_rank, bank % per_rank / geom.banks_per_group))
+            .collect();
         MemoryController {
             state,
             read_queue: BankQueue::new(banks, config.scheduler),
@@ -377,7 +427,10 @@ impl MemoryController {
             idle_cycles_skipped: 0,
             banks_examined: 0,
             decisions: 0,
+            candidate_evaluations: 0,
             memo_epoch: 0,
+            tick_generation: 0,
+            bank_coords,
             config,
         }
     }
@@ -475,15 +528,26 @@ impl MemoryController {
         self.decisions
     }
 
+    /// Bank-local candidates the scheduler evaluated over all its decisions
+    /// (deterministic work counter): the bank visits its per-bank memo did
+    /// not answer, because the bank changed since its last visit or the
+    /// visit came from [`MemoryController::tick`], which evaluates every
+    /// bank it visits afresh. At most [`MemoryController::banks_examined`].
+    pub fn candidate_evaluations(&self) -> u64 {
+        self.candidate_evaluations
+    }
+
     /// Advance one controller cycle, issuing at most one DRAM command.
     ///
     /// This is the bit-exact oracle the event-driven path is verified
     /// against: it decides afresh and evaluates every bank it visits
     /// afresh, where the event path reuses the decision a horizon probe
-    /// found and candidates memoized while the timing state stood still.
+    /// found and the bank-local candidates memoized since each bank last
+    /// changed.
     /// Prefer [`MemoryController::advance_to`] when simulating long spans.
     pub fn tick(&mut self) {
         self.memo_epoch += 1;
+        self.tick_generation += 1;
         self.step_with_horizon();
     }
 
@@ -722,6 +786,8 @@ impl MemoryController {
                             *memo_epoch += 1;
                             stats.precharges += 1;
                             let bank = rank_idx * geom.banks_per_rank() + idx;
+                            read_queue.forget(bank..bank + 1);
+                            write_queue.forget(bank..bank + 1);
                             read_queue.recount(bank, None);
                             write_queue.recount(bank, None);
                             return (true, u64::MAX);
@@ -741,6 +807,10 @@ impl MemoryController {
                 state.issue(timing, DramCommand::Refresh, &addr, now);
                 *memo_epoch += 1;
                 stats.refreshes += 1;
+                // Every bank of the rank waits out tRFC.
+                let banks = geom.banks_per_rank();
+                read_queue.forget(rank_idx * banks..(rank_idx + 1) * banks);
+                write_queue.forget(rank_idx * banks..(rank_idx + 1) * banks);
                 *next_refresh_due_min = state
                     .ranks
                     .iter()
@@ -794,14 +864,15 @@ impl MemoryController {
     /// first issuable candidate wins and the walk stops there; only a
     /// decision that issues nothing visits every bank, for the horizon.
     ///
-    /// Each bank's (earliest cycle, command) is memoized until a command
-    /// issues (which can move any timing constraint, open row or FIFO), a
-    /// request joins the bank or the oracle ticks, so a decision at a
-    /// horizon re-evaluates only what changed since the one that found it.
+    /// A candidate's earliest cycle is the maximum of two parts. The
+    /// bank-local part (the command and the bank's own bound) is memoized
+    /// per bank until that bank changes or the oracle ticks. The part its
+    /// rank, bank group and the bus share is read at every visit, so a
+    /// command to one bank re-evaluates only that bank's candidate.
     fn decide(&mut self, serve_writes: bool) -> Decision {
         self.decisions += 1;
         let now = self.cycle;
-        let epoch = self.memo_epoch;
+        let generation = self.tick_generation;
         let (queue, kind) = if serve_writes {
             (&mut self.write_queue, RequestKind::Write)
         } else {
@@ -825,29 +896,27 @@ impl MemoryController {
         let mut horizon = u64::MAX;
         for bank in sorted.iter().map(|&(_, bank)| bank).chain(head) {
             self.banks_examined += 1;
-            let front = &fifos[bank][0].dram;
+            let (rank, bank_group) = self.bank_coords[bank];
             let refresh_blocked =
-                self.config.refresh_enabled && now >= self.state.ranks[front.rank].next_refresh_due;
+                self.config.refresh_enabled && now >= self.state.ranks[rank].next_refresh_due;
             if refresh_blocked {
                 continue;
             }
-            let (earliest, cmd) = match memo[bank] {
-                Some((at, earliest, cmd)) if at == epoch => (earliest, cmd),
+            let (local, cmd) = match memo[bank] {
+                Some((at, local, cmd)) if at == generation => (local, cmd),
                 _ => {
-                    let mut dram = *front;
-                    if fr_fcfs && hits[bank] > 0 {
-                        dram.row = self
-                            .state
-                            .open_row(&dram)
-                            .expect("a bank with open-row hits has an open row");
-                    }
-                    let (earliest, cmd) = self.state.next_command(&self.config.timing, &dram, col);
-                    memo[bank] = Some((epoch, earliest, cmd));
-                    (earliest, cmd)
+                    self.candidate_evaluations += 1;
+                    let serve_hit = fr_fcfs && hits[bank] > 0;
+                    let (local, cmd) =
+                        local_candidate(&self.state, &fifos[bank][0].dram, serve_hit, col);
+                    memo[bank] = Some((generation, local, cmd));
+                    (local, cmd)
                 }
             };
+            let earliest = local.max(self.state.shared_bound(rank, bank_group, cmd));
             if earliest <= now {
-                let pos = served_pos(&fifos[bank], cmd, self.state.open_row(front));
+                let fifo = &fifos[bank];
+                let pos = served_pos(fifo, cmd, self.state.open_row(&fifo[0].dram));
                 return Decision::Issue { bank, pos, cmd };
             }
             horizon = horizon.min(earliest);
@@ -874,6 +943,10 @@ impl MemoryController {
         } else {
             (read_queue, write_queue)
         };
+        // The command moves the bank's timing and may change its open row
+        // or FIFO, in both queues' view.
+        queue.forget(bank..bank + 1);
+        other.forget(bank..bank + 1);
         match cmd {
             DramCommand::Activate => {
                 let q = &mut queue.fifos[bank][pos];
@@ -1554,11 +1627,31 @@ mod linear_oracle {
         }
 
         /// Every bank's hit count equals its queued requests to the open
-        /// row, the lengths match the FIFOs, and under FR-FCFS the age
-        /// order holds exactly the live banks, sorted, each under the key
-        /// of its oldest open-row hit or else its oldest request.
+        /// row, the lengths match the FIFOs, under FR-FCFS the age order
+        /// holds exactly the live banks, sorted, each under the key of its
+        /// oldest open-row hit or else its oldest request, and every live
+        /// memoized candidate equals one evaluated afresh.
         fn index_is_consistent(&self) -> bool {
-            [&self.read_queue, &self.write_queue].iter().all(|queue| {
+            let fr_fcfs = self.config.scheduler == SchedulerKind::FrFcfs;
+            [
+                (&self.read_queue, RequestKind::Read),
+                (&self.write_queue, RequestKind::Write),
+            ]
+            .iter()
+            .all(|&(queue, kind)| {
+                let col = col_cmd(kind, self.config.row_policy);
+                let memo_ok = queue
+                    .memo
+                    .iter()
+                    .enumerate()
+                    .all(|(bank, memo)| match memo {
+                        Some((at, local, cmd)) if *at == self.tick_generation => {
+                            let front = &queue.fifos[bank][0].dram;
+                            let serve_hit = fr_fcfs && queue.hits[bank] > 0;
+                            local_candidate(&self.state, front, serve_hit, col) == (*local, *cmd)
+                        }
+                        _ => true,
+                    });
                 let len_ok = queue.len == queue.fifos.iter().map(VecDeque::len).sum::<usize>();
                 let hits_ok = queue.fifos.iter().enumerate().all(|(bank, fifo)| {
                     let hits = fifo.front().map_or(0, |front| {
@@ -1587,7 +1680,7 @@ mod linear_oracle {
                             })
                     }
                 };
-                len_ok && hits_ok && order_ok
+                len_ok && hits_ok && order_ok && memo_ok
             })
         }
     }

@@ -228,6 +228,16 @@ impl MemorySystem {
             .sum()
     }
 
+    /// Bank-local scheduling candidates the channels evaluated, summed
+    /// across channels (deterministic work counter; see
+    /// [`MemoryController::candidate_evaluations`]).
+    pub fn candidate_evaluations(&self) -> u64 {
+        self.controllers
+            .iter()
+            .map(MemoryController::candidate_evaluations)
+            .sum()
+    }
+
     /// Collect completions from every channel (in channel order).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         let mut all = Vec::new();

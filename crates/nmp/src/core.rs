@@ -48,6 +48,10 @@ pub struct NmpRunStats {
     /// (simulator work, like `banks_examined`; see
     /// [`MemorySystem::decisions`]).
     pub decisions: u64,
+    /// Bank-local scheduling candidates the local controller evaluated
+    /// over the run: the bank visits its per-bank memo did not answer
+    /// (simulator work; see [`MemorySystem::candidate_evaluations`]).
+    pub candidate_evaluations: u64,
 }
 
 impl NmpRunStats {
@@ -162,6 +166,7 @@ impl NmpCore {
             hot_rows: HotRowStats::default(),
             banks_examined: runner.memory_mut().banks_examined(),
             decisions: runner.memory_mut().decisions(),
+            candidate_evaluations: runner.memory_mut().candidate_evaluations(),
             memory: stats,
         })
     }
@@ -397,6 +402,7 @@ impl NmpCore {
             hot_rows: cache.map(|c| c.stats()).unwrap_or_default(),
             banks_examined: memory.banks_examined(),
             decisions: memory.decisions(),
+            candidate_evaluations: memory.candidate_evaluations(),
             memory: stats,
         };
         if self.config.verify {
@@ -744,29 +750,39 @@ mod event_engine_pins {
         };
 
         // (instr, refresh, [cycles, in_stall, out_wait, busy, refreshes,
-        //  activates, precharges, row_hits, row_misses, read_latency_sum])
-        type PinCase<'a> = (&'a Instruction, Option<&'a [u64]>, bool, [u64; 10]);
+        //  activates, precharges, row_hits, row_misses, read_latency_sum],
+        //  [banks examined, decisions, candidate evaluations])
+        type PinCase<'a> = (
+            &'a Instruction,
+            Option<&'a [u64]>,
+            bool,
+            [u64; 10],
+            [u64; 3],
+        );
         let cases: [PinCase; 3] = [
             (
                 &reduce,
                 None,
                 true,
                 [17644, 15330, 16486, 17625, 2, 1271, 1219, 1914, 94, 278763],
+                [55_483, 11_004, 7_469],
             ),
             (
                 &reduce,
                 None,
                 false,
                 [17052, 14747, 15917, 17033, 0, 1272, 1208, 1917, 77, 269572],
+                [55_651, 10_990, 7_488],
             ),
             (
                 &gather,
                 Some(&indices),
                 true,
                 [2383, 1885, 1982, 2364, 0, 216, 152, 325, 65, 35039],
+                [11_389, 1_540, 957],
             ),
         ];
-        for (instr, idx, refresh, expect) in cases {
+        for (instr, idx, refresh, expect, work) in cases {
             let mut cfg = NmpConfig::paper();
             cfg.dram.refresh_enabled = refresh;
             let mut core = NmpCore::new(cfg).unwrap();
@@ -786,6 +802,11 @@ mod event_engine_pins {
                 s.memory.totals.read_latency_sum,
             ];
             assert_eq!(got, expect, "drift vs tick-stepped baseline: {instr:?}");
+            assert_eq!(
+                [s.banks_examined, s.decisions, s.candidate_evaluations],
+                work,
+                "scheduler work moved: {instr:?}, refresh {refresh}"
+            );
         }
         pricer_replay_matches_linear_scan_baseline();
     }
@@ -832,6 +853,7 @@ mod event_engine_pins {
                 [20210, 17364, 17569, 20191, 3, 2449, 2385, 1893, 107, 312352],
                 166_498,
                 13_891,
+                9_596,
             ),
             (
                 SchedulerKind::Fcfs,
@@ -841,6 +863,7 @@ mod event_engine_pins {
                 ],
                 16_144,
                 16_145,
+                8_157,
             ),
             (
                 SchedulerKind::FrFcfs,
@@ -848,9 +871,10 @@ mod event_engine_pins {
                 [21360, 18394, 18640, 21341, 3, 4388, 4388, 0, 3873, 328926],
                 243_148,
                 14_398,
+                9_662,
             ),
         ];
-        for (scheduler, row_policy, expect, banks_examined, decisions) in cases {
+        for (scheduler, row_policy, expect, banks_examined, decisions, evaluations) in cases {
             let mut cfg = NmpConfig::paper();
             cfg.dram.read_queue_depth = 256;
             cfg.dram.write_queue_depth = 256;
@@ -885,6 +909,10 @@ mod event_engine_pins {
             assert_eq!(
                 s.decisions, decisions,
                 "scheduler decisions moved: {scheduler:?}, {row_policy:?}"
+            );
+            assert_eq!(
+                s.candidate_evaluations, evaluations,
+                "candidate evaluations moved: {scheduler:?}, {row_policy:?}"
             );
         }
     }

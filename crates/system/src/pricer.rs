@@ -401,9 +401,13 @@ pub struct CyclePricerConfig {
     /// DIMM's symmetric slice is replayed and scaled by this count.
     pub dimms: u64,
     /// Cap on gather lookups replayed per measurement. Batches whose
-    /// traffic exceeds the cap are measured on a prefix — bandwidth, not
-    /// absolute latency, is what the replay calibrates, and DDR4 gather
-    /// streams reach steady state within a few hundred lookups.
+    /// traffic exceeds the cap are measured on a prefix: bandwidth, not
+    /// absolute latency, is what the replay calibrates. The prefix is not
+    /// steady state with refresh on. A 2 000-lookup replay spans about 1.6
+    /// refresh intervals (tREFI), so each rank sees about one refresh
+    /// whatever the batch, while a full-length replay pays a refresh every
+    /// tREFI. The cap therefore overstates the Facebook gather's bandwidth:
+    /// by +0.8% at batch 12, +6.0% at batch 32 and +6.8% at batch 128.
     pub max_replayed_lookups: usize,
 }
 

@@ -4,13 +4,27 @@
 #   bash scripts/check_goldens.sh [--update] [NAME...]
 #
 # NAME is one of sweep_fabric, sweep_availability, sweep_cluster,
-# serving_sim and cluster_serving; with none, all five run. Each golden
-# command runs in release mode and must exit 0 (the binaries assert their
-# own gates). Without --update its stdout is diffed against the checked-in
+# serving_sim and cluster_serving, or one of the paper-figure binaries in
+# PAPER below (goldens under crates/bench/golden/paper/); `paper` stands
+# for all of those. With no NAME, every golden runs. Each golden command
+# runs in release mode and must exit 0 (the binaries assert their own
+# gates). Without --update its stdout is diffed against the checked-in
 # file and any difference fails the script; with --update the file is
 # rewritten. A change that moves a golden says why in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Paper-figure binaries whose whole stdout is a golden: the DRAM-replay
+# figures and ablations.
+PAPER=(fig11_bandwidth_util fig12_dimm_scaling ablation_dram_policy ablation_queue_depth ablation_mapping)
+
+is_paper() {
+    [[ " ${PAPER[*]} " == *" $1 "* ]]
+}
+
+golden_paper() {
+    cargo run --release -p tensordimm_bench --bin "$1"
+}
 
 golden_sweep_fabric() {
     # The closing line carries the wall-clock run time, so it is left out.
@@ -35,11 +49,15 @@ golden_cluster_serving() {
 }
 
 file_for() {
+    if is_paper "$1"; then
+        echo "crates/bench/golden/paper/$1.txt"
+        return
+    fi
     case "$1" in
         sweep_fabric | sweep_availability | sweep_cluster) echo "crates/bench/golden/$1_quick.txt" ;;
         serving_sim | cluster_serving) echo "crates/bench/golden/$1.txt" ;;
         *)
-            echo "unknown golden '$1' (sweep_fabric, sweep_availability, sweep_cluster, serving_sim, cluster_serving)" >&2
+            echo "unknown golden '$1' (sweep_fabric, sweep_availability, sweep_cluster, serving_sim, cluster_serving, paper, ${PAPER[*]})" >&2
             exit 2
             ;;
     esac
@@ -50,9 +68,16 @@ if [[ "${1-}" == "--update" ]]; then
     update=1
     shift
 fi
-names=("$@")
+names=()
+for name in "$@"; do
+    if [[ "$name" == paper ]]; then
+        names+=("${PAPER[@]}")
+    else
+        names+=("$name")
+    fi
+done
 if [[ ${#names[@]} -eq 0 ]]; then
-    names=(sweep_fabric sweep_availability sweep_cluster serving_sim cluster_serving)
+    names=(sweep_fabric sweep_availability sweep_cluster serving_sim cluster_serving "${PAPER[@]}")
 fi
 
 out=$(mktemp)
@@ -60,7 +85,12 @@ trap 'rm -f "$out"' EXIT
 status=0
 for name in "${names[@]}"; do
     file=$(file_for "$name")
-    if ! "golden_$name" > "$out"; then
+    if is_paper "$name"; then
+        command=(golden_paper "$name")
+    else
+        command=("golden_$name")
+    fi
+    if ! "${command[@]}" > "$out"; then
         echo "[check_goldens] $name: the golden command failed" >&2
         status=1
     elif [[ $update -eq 1 ]]; then

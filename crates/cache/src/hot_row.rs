@@ -176,9 +176,12 @@ pub struct HotRowCache {
     config: HotRowCacheConfig,
     sets: usize,
     ways: usize,
-    /// `sets × ways` row tags in LRU order (front = most recent);
-    /// `u64::MAX` marks an empty way.
+    /// `sets × ways` row tags; `u64::MAX` marks an empty way. A set's
+    /// ways are kept in LRU order (front = most recent), except in a fully
+    /// associative cache, where `lru` keeps the order.
     tags: Vec<u64>,
+    /// The fully associative cache's recency list and row index.
+    lru: Option<LruIndex>,
     stats: HotRowStats,
 }
 
@@ -202,11 +205,13 @@ impl HotRowCache {
                 Some(sets) => (sets as usize, config.ways as usize),
             }
         };
+        let fully_associative = config.is_enabled() && config.ways == 0;
         Ok(HotRowCache {
             config,
             sets,
             ways,
             tags: vec![u64::MAX; sets * ways],
+            lru: fully_associative.then(|| LruIndex::new(ways)),
             stats: HotRowStats::default(),
         })
     }
@@ -223,22 +228,17 @@ impl HotRowCache {
             self.stats.misses += 1;
             return false;
         }
-        let set = (row as usize) & (self.sets - 1);
-        let base = set * self.ways;
-        let ways = &mut self.tags[base..base + self.ways];
-        if let Some(pos) = ways.iter().position(|&t| t == row) {
-            ways[..=pos].rotate_right(1);
-            self.stats.hits += 1;
-            true
-        } else {
-            if ways[self.ways - 1] != u64::MAX {
-                self.stats.evictions += 1;
+        let (hit, evicted) = match &mut self.lru {
+            Some(lru) => lru.access(&mut self.tags, row),
+            None => {
+                let base = ((row as usize) & (self.sets - 1)) * self.ways;
+                scan_set(&mut self.tags[base..base + self.ways], row)
             }
-            ways.rotate_right(1);
-            ways[0] = row;
-            self.stats.misses += 1;
-            false
-        }
+        };
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
+        self.stats.evictions += u64::from(evicted);
+        hit
     }
 
     /// Record `blocks` 64-byte blocks served from SRAM by the last hit.
@@ -250,17 +250,177 @@ impl HotRowCache {
     pub fn stats(&self) -> HotRowStats {
         self.stats
     }
+}
 
-    /// Clear contents and counters.
-    pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.stats = HotRowStats::default();
+/// Look `row` up in one set's ways, kept in LRU order, by a linear scan;
+/// returns `(hit, evicted)`. A hit moves the row to the front; a miss
+/// shifts every way back and fills the front.
+fn scan_set(ways: &mut [u64], row: u64) -> (bool, bool) {
+    if let Some(pos) = ways.iter().position(|&t| t == row) {
+        ways[..=pos].rotate_right(1);
+        return (true, false);
+    }
+    let evicted = ways[ways.len() - 1] != u64::MAX;
+    ways.rotate_right(1);
+    ways[0] = row;
+    (false, evicted)
+}
+
+/// No slot / an empty table position.
+const NIL: usize = usize::MAX;
+
+/// Exact LRU bookkeeping for a fully associative cache, so a lookup costs
+/// O(1) instead of a scan and rotation of every way. Each way of the tags
+/// is a slot. The slots are chained from most to least recently used, and
+/// an open-addressing table (linear probing, multiplicative hash) maps
+/// each resident row to its slot.
+#[derive(Debug, Clone)]
+struct LruIndex {
+    /// Slots filled so far: they fill in order and stay filled.
+    filled: usize,
+    /// Per slot, the next more recently used slot (`NIL` for the MRU).
+    newer: Vec<usize>,
+    /// Per slot, the next less recently used slot (`NIL` for the LRU).
+    older: Vec<usize>,
+    mru: usize,
+    lru: usize,
+    /// Slot by probe position, `NIL` where free; at most half full.
+    table: Vec<usize>,
+    /// `64 − log2(table.len())`: a row's home is its hash's top bits.
+    shift: u32,
+}
+
+impl LruIndex {
+    fn new(slots: usize) -> Self {
+        let positions = (2 * slots).next_power_of_two();
+        LruIndex {
+            filled: 0,
+            newer: vec![NIL; slots],
+            older: vec![NIL; slots],
+            mru: NIL,
+            lru: NIL,
+            table: vec![NIL; positions],
+            shift: 64 - positions.trailing_zeros(),
+        }
+    }
+
+    /// Look `row` up, filling a free slot or the LRU one on a miss;
+    /// returns `(hit, evicted)` exactly as [`scan_set`] over one set of
+    /// every way would.
+    fn access(&mut self, tags: &mut [u64], row: u64) -> (bool, bool) {
+        let pos = self.probe(tags, row);
+        if self.table[pos] != NIL {
+            self.touch(self.table[pos]);
+            return (true, false);
+        }
+        let evicted = self.filled == tags.len();
+        let slot = if evicted {
+            let victim = self.probe(tags, tags[self.lru]);
+            self.remove(tags, victim);
+            self.lru
+        } else {
+            self.filled += 1;
+            self.filled - 1
+        };
+        tags[slot] = row;
+        // A removal may have shifted `row`'s free position back.
+        let pos = self.probe(tags, row);
+        self.table[pos] = slot;
+        self.touch(slot);
+        (false, evicted)
+    }
+
+    fn home(&self, row: u64) -> usize {
+        (row.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The position holding `row`, or the free one that ends its probe.
+    fn probe(&self, tags: &[u64], row: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut pos = self.home(row);
+        while self.table[pos] != NIL && tags[self.table[pos]] != row {
+            pos = (pos + 1) & mask;
+        }
+        pos
+    }
+
+    /// Free position `pos`, moving back every later entry of its probe
+    /// run whose home does not lie after the hole, so no probe breaks.
+    fn remove(&mut self, tags: &[u64], mut pos: usize) {
+        let mask = self.table.len() - 1;
+        let mut next = (pos + 1) & mask;
+        while self.table[next] != NIL {
+            let home = self.home(tags[self.table[next]]);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(pos) & mask {
+                self.table[pos] = self.table[next];
+                pos = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.table[pos] = NIL;
+    }
+
+    /// Make `slot` the most recently used, unlinking it first if listed.
+    fn touch(&mut self, slot: usize) {
+        if self.mru == slot {
+            return;
+        }
+        let (newer, older) = (self.newer[slot], self.older[slot]);
+        if newer != NIL {
+            self.older[newer] = older;
+        }
+        if older != NIL {
+            self.newer[older] = newer;
+        }
+        if self.lru == slot {
+            self.lru = newer;
+        }
+        (self.newer[slot], self.older[slot]) = (NIL, self.mru);
+        if self.mru != NIL {
+            self.newer[self.mru] = slot;
+        }
+        self.mru = slot;
+        if self.lru == NIL {
+            self.lru = slot;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The oracle: a one-set set-associative cache is the linear scan
+        /// over every way. The fully associative LRU index must give the
+        /// same hit or miss on every access, and so the same counters.
+        /// Rows come from a universe of three times the capacity, so hits,
+        /// misses and evictions all occur; some are spread over the whole
+        /// `u64` range or strided, so their probe positions collide.
+        #[test]
+        fn lru_index_matches_the_linear_scan(
+            capacity in 1u64..70,
+            draws in prop::collection::vec((0u8..3, 0u64..u64::MAX), 1..1500),
+        ) {
+            let mut index = HotRowCache::new(HotRowCacheConfig::fully_associative(capacity)).unwrap();
+            let mut scan =
+                HotRowCache::new(HotRowCacheConfig::set_associative(capacity, capacity)).unwrap();
+            prop_assert!(index.lru.is_some() && scan.lru.is_none());
+            for (shape, draw) in draws {
+                let row = draw % (3 * capacity);
+                let row = match shape {
+                    0 => row,
+                    1 => row.wrapping_mul(0x5851_f42d_4c95_7f2d) >> 1,
+                    _ => row << 40,
+                };
+                prop_assert_eq!(index.access(row), scan.access(row));
+            }
+            prop_assert_eq!(index.stats(), scan.stats());
+        }
+    }
 
     #[test]
     fn geometry_validation() {

@@ -60,7 +60,7 @@ pub mod sweep;
 
 pub use arrivals::{hot_row_share, zipf_lookup_rows, ArrivalProcess, IndexStream};
 pub use batcher::{BatchPolicy, DynamicBatcher, QueuedRequest};
-pub use metrics::{percentile, BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueStats};
+pub use metrics::{BatchStats, LatencySummary, OutcomeCounts, OutcomeFold, QueueStats};
 pub use policy::{AdmissionPolicy, RetryPolicy};
 pub use request::{CompletionRecord, RequestOutcome, RequestRecord, RequestTrace};
 pub use sim::{

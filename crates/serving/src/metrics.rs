@@ -4,26 +4,17 @@
 
 use crate::request::RequestOutcome;
 
-/// Nearest-rank percentile of an ascending-sorted sample, `pct` in
-/// `[0, 100]`. Empty samples yield `0.0`; `pct = 0` yields the minimum
-/// sample and `pct = 100` the maximum.
-///
-/// # Panics
-///
-/// Panics when `pct` is NaN or outside `[0, 100]`. (Before this guard, a
-/// NaN rank silently cast to 0 and clamped to the *minimum* sample, and
-/// `pct > 100` clamped to the maximum — both would quietly misreport a
-/// tail instead of flagging the caller's bug.)
-pub fn percentile(sorted: &[f64], pct: f64) -> f64 {
+/// Index of the nearest-rank `pct` percentile, `pct` in `[0, 100]`, in an
+/// ascending sample of `n ≥ 1`: `pct = 0` is the minimum, `pct = 100` the
+/// maximum. Panics on a NaN or out-of-range `pct`, which would otherwise
+/// cast to rank 0 and report the minimum as a tail.
+fn nearest_rank(n: usize, pct: f64) -> usize {
     assert!(
         (0.0..=100.0).contains(&pct),
         "percentile {pct} outside [0, 100]"
     );
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let rank = ((pct / 100.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 /// Tail-latency summary of completed requests.
@@ -44,30 +35,39 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize a set of end-to-end latencies (µs, any order).
+    /// Summarize a set of end-to-end latencies (µs, any order), summing
+    /// the mean in that order. p50, p95, p99 and the maximum are selected
+    /// in place, each above the last, in O(n): `total_cmp`-equal floats
+    /// have identical bits, so each is exactly the sorted sample's pick.
     ///
-    /// An **empty** sample returns exactly [`LatencySummary::default()`]:
-    /// `count == 0` and every statistic `0.0` (not NaN — a `0/0` mean
-    /// would poison downstream comparisons and serialization). This is a
-    /// contract: zero-completion simulations (empty traces, horizons that
-    /// cut everything off, full-outage fault plans) lean on it, and it is
-    /// pinned by `empty_sample_is_the_default_summary`.
+    /// An **empty** sample returns exactly [`LatencySummary::default()`],
+    /// all zeros and never a NaN `0/0` mean: zero-completion simulations
+    /// (empty traces, horizons that cut everything off, full-outage fault
+    /// plans) lean on it, as `empty_sample_is_the_default_summary` pins.
     pub fn from_latencies(mut latencies: Vec<f64>) -> Self {
-        if latencies.is_empty() {
+        let count = latencies.len();
+        if count == 0 {
             return LatencySummary::default();
         }
-        // In place, and the same order as a stable sort: `total_cmp`-equal
-        // floats have identical bits.
-        latencies.sort_unstable_by(f64::total_cmp);
-        let count = latencies.len();
         let mean_us = latencies.iter().sum::<f64>() / count as f64;
+        // `rest` holds the ranks from `from` up; a repeated rank reuses `last`.
+        let (mut rest, mut from, mut last) = (latencies.as_mut_slice(), 0, 0.0);
+        let [p50_us, p95_us, p99_us, max_us] = [50.0, 95.0, 99.0, 100.0].map(|pct| {
+            let k = nearest_rank(count, pct);
+            if k >= from {
+                let (_, &mut x, above) =
+                    std::mem::take(&mut rest).select_nth_unstable_by(k - from, f64::total_cmp);
+                (rest, from, last) = (above, k + 1, x);
+            }
+            last
+        });
         LatencySummary {
             count,
             mean_us,
-            p50_us: percentile(&latencies, 50.0),
-            p95_us: percentile(&latencies, 95.0),
-            p99_us: percentile(&latencies, 99.0),
-            max_us: latencies[count - 1],
+            p50_us,
+            p95_us,
+            p99_us,
+            max_us,
         }
     }
 }
@@ -285,6 +285,95 @@ impl BatchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Nearest-rank percentile of an ascending-sorted sample, `0.0` when
+    /// empty: the pick [`nearest_rank`] defines.
+    fn percentile(sorted: &[f64], pct: f64) -> f64 {
+        let k = nearest_rank(sorted.len().max(1), pct);
+        sorted.get(k).copied().unwrap_or(0.0)
+    }
+
+    /// The oracle: the summary taken from a fully sorted sample.
+    fn sorted_summary(mut latencies: Vec<f64>) -> LatencySummary {
+        if latencies.is_empty() {
+            return LatencySummary::default();
+        }
+        latencies.sort_unstable_by(f64::total_cmp);
+        let count = latencies.len();
+        LatencySummary {
+            count,
+            mean_us: latencies.iter().sum::<f64>() / count as f64,
+            p50_us: percentile(&latencies, 50.0),
+            p95_us: percentile(&latencies, 95.0),
+            p99_us: percentile(&latencies, 99.0),
+            max_us: latencies[count - 1],
+        }
+    }
+
+    /// Everything but the mean, to the bit.
+    fn order_bits(s: &LatencySummary) -> (usize, [u64; 4]) {
+        let stats = [s.p50_us, s.p95_us, s.p99_us, s.max_us];
+        (s.count, stats.map(f64::to_bits))
+    }
+
+    /// Any bit pattern (NaNs included), subnormals of both signs, the
+    /// signed zeros and infinities, and small integers that repeat.
+    fn arb_latency() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            (0u64..1 << 52).prop_map(f64::from_bits),
+            (0u64..1 << 52).prop_map(|bits| -f64::from_bits(bits)),
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY)
+            ],
+            (0u8..8).prop_map(f64::from),
+        ]
+    }
+
+    fn assert_matches_oracle(latencies: Vec<f64>) -> Result<(), TestCaseError> {
+        let selected = LatencySummary::from_latencies(latencies.clone());
+        prop_assert_eq!(
+            order_bits(&selected),
+            order_bits(&sorted_summary(latencies))
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selection picks exactly the sorted sample's order statistics.
+        #[test]
+        fn selection_matches_the_sort_oracle(
+            latencies in prop::collection::vec(arb_latency(), 1..400),
+        ) {
+            assert_matches_oracle(latencies)?;
+        }
+
+        /// Counts 1–3, where the four ranks coincide and are reused.
+        #[test]
+        fn coinciding_ranks_match_the_sort_oracle(
+            latencies in prop::collection::vec(arb_latency(), 1..4),
+        ) {
+            assert_matches_oracle(latencies)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn a_100k_sample_matches_the_sort_oracle(
+            latencies in prop::collection::vec(arb_latency(), 100_000..100_001),
+        ) {
+            assert_matches_oracle(latencies)?;
+        }
+    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -292,6 +381,15 @@ mod tests {
         assert_eq!(percentile(&v, 50.0), 50.0);
         assert_eq!(percentile(&v, 99.0), 99.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    /// The rule itself: `ceil(pct/100 · n)` clamped to `[1, n]`, minus one.
+    #[test]
+    fn nearest_rank_rounds_the_rank_up() {
+        assert_eq!([1, 2, 3, 4].map(|n| nearest_rank(n, 50.0)), [0, 0, 1, 1]);
+        assert_eq!([1, 2, 3, 4].map(|n| nearest_rank(n, 95.0)), [0, 1, 2, 3]);
+        assert_eq!(nearest_rank(10, 91.0), 9, "rank 9.1 rounds up to 10");
+        assert_eq!(nearest_rank(10, 0.0), 0, "rank 0 clamps to 1");
     }
 
     #[test]

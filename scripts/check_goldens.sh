@@ -14,16 +14,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Paper-figure binaries whose whole stdout is a golden: the DRAM-replay
-# figures and ablations.
-PAPER=(fig11_bandwidth_util fig12_dimm_scaling ablation_dram_policy ablation_queue_depth ablation_mapping)
+# Paper-figure binaries whose whole stdout is a golden: every figure,
+# table and ablation of the paper reproduction, plus the serving sweep.
+PAPER=(
+    fig03_model_size fig04_baseline_gap fig11_bandwidth_util fig12_dimm_scaling
+    fig13_latency_breakdown fig14_perf_sweep fig15_large_embeddings fig16_link_sensitivity
+    tab01_node_config tab02_workloads tab03_overheads
+    ablation_alu_clock ablation_dram_policy ablation_fusion ablation_mapping
+    ablation_queue_depth ablation_reduction_factor sweep_qps_sla
+)
 
 is_paper() {
     [[ " ${PAPER[*]} " == *" $1 "* ]]
 }
 
 golden_paper() {
-    cargo run --release -p tensordimm_bench --bin "$1"
+    # sweep_qps_sla prints its worker count, so it is pinned rather than
+    # taken from the host's cores.
+    local args=()
+    if [[ "$1" == sweep_qps_sla ]]; then
+        args=(--workers 2)
+    fi
+    cargo run --release -p tensordimm_bench --bin "$1" -- "${args[@]}"
 }
 
 golden_sweep_fabric() {

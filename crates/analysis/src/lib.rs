@@ -48,7 +48,6 @@ pub use program::{analyze_program, static_summary, ProgramReport, ProgramStep};
 use std::error::Error;
 use std::fmt;
 
-use tensordimm_cache::CacheError;
 use tensordimm_dram::DramError;
 use tensordimm_isa::IsaError;
 
@@ -315,8 +314,6 @@ pub enum AnalysisError {
     Isa(IsaError),
     /// The DRAM configuration is invalid.
     Dram(DramError),
-    /// The hot-row cache configuration is invalid.
-    Cache(CacheError),
 }
 
 impl fmt::Display for AnalysisError {
@@ -324,7 +321,6 @@ impl fmt::Display for AnalysisError {
         match self {
             AnalysisError::Isa(e) => write!(f, "isa error: {e}"),
             AnalysisError::Dram(e) => write!(f, "dram error: {e}"),
-            AnalysisError::Cache(e) => write!(f, "cache error: {e}"),
         }
     }
 }
@@ -334,7 +330,6 @@ impl Error for AnalysisError {
         match self {
             AnalysisError::Isa(e) => Some(e),
             AnalysisError::Dram(e) => Some(e),
-            AnalysisError::Cache(e) => Some(e),
         }
     }
 }
@@ -348,12 +343,6 @@ impl From<IsaError> for AnalysisError {
 impl From<DramError> for AnalysisError {
     fn from(e: DramError) -> Self {
         AnalysisError::Dram(e)
-    }
-}
-
-impl From<CacheError> for AnalysisError {
-    fn from(e: CacheError) -> Self {
-        AnalysisError::Cache(e)
     }
 }
 

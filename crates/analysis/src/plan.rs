@@ -12,8 +12,8 @@
 //!   ACTs, consecutive ones `tRC` apart;
 //! * **rank activation**: a rank's ACTs are paced by `tRRD_S` and the
 //!   four-deep `tFAW` window;
-//! * **SRAM port**: hot-row hits serialize on the SRAM read port at the
-//!   configured hit latency.
+//! * **SRAM port**: hot-row hits serialize on the SRAM read port at
+//!   [`HotRowCacheConfig::PAPER_HIT_LATENCY_CYCLES`] each.
 //!
 //! The replay engine's measured cycles must dominate
 //! [`CycleBounds::lower_bound`]; `NmpCore::run_plan` checks this in verify
@@ -28,10 +28,32 @@ use tensordimm_isa::{AccessKind, AccessPlan, BlockAccess, DimmContext, IsaError}
 
 use crate::AnalysisError;
 
-/// The NMP-local lowering of a global block address to a DIMM-local byte
-/// address, exactly as `LocalAddressMap` + `run_plan` perform it: both the
-/// owned-stripe and replicated branches collapse to `block / node_dim`
-/// 64-byte units, wrapped into the local capacity.
+/// The NMP-local lowering of a global 64-byte block address to a
+/// DIMM-local byte address — the one lowering the gather replay
+/// (`tensordimm_nmp::NmpCore::run_plan` and `replay_instruction`) and this
+/// analyzer share.
+///
+/// A TensorISA instruction names tensors by *global* block addresses in
+/// the TensorNode's pooled address space. The paper's rank-interleaved
+/// mapping (Fig. 7) stripes global block `b` to DIMM `b % node_dim`, where
+/// it lives at local block `b / node_dim`: the stripe one DIMM owns is
+/// contiguous in its local DRAM, so every DIMM streams. Replicated data
+/// outside the stripe (the GATHER index list, read by every DIMM) maps by
+/// the same division, so one rule serves both. The result is wrapped into
+/// `capacity_bytes`: the lowering is timing-faithful (stride and locality
+/// preserved) rather than allocation-faithful; the functional data path
+/// lives in the ISA executor.
+///
+/// # Example
+///
+/// ```
+/// use tensordimm_analysis::lower_block_byte;
+///
+/// // Global block 64 lives on DIMM 64 % 32 == 0 at local block 2.
+/// assert_eq!(lower_block_byte(64, 32, 1 << 30), 2 * 64);
+/// // Consecutive blocks of one DIMM's stripe are consecutive locally.
+/// assert_eq!(lower_block_byte(64 + 32, 32, 1 << 30), 3 * 64);
+/// ```
 pub fn lower_block_byte(block: u64, node_dim: u64, capacity_bytes: u64) -> u64 {
     (block / node_dim) * 64 % capacity_bytes
 }
@@ -62,7 +84,7 @@ pub struct CycleBounds {
     /// (A-1)·tRRD_S)`, plus `tRCD + burst` for the last one's data.
     pub rank_activation: u64,
     /// Hot-row hits serialized on the SRAM read port: `cached_writes ×
-    /// hit_latency_cycles`.
+    /// PAPER_HIT_LATENCY_CYCLES`.
     pub sram_port: u64,
 }
 
@@ -140,8 +162,7 @@ impl PlanAnalysis {
 /// # Errors
 ///
 /// * [`AnalysisError::Isa`] for an invalid context,
-/// * [`AnalysisError::Dram`] for an invalid DRAM configuration,
-/// * [`AnalysisError::Cache`] for an invalid cache geometry.
+/// * [`AnalysisError::Dram`] for an invalid DRAM configuration.
 pub fn analyze_plan(
     plan: &AccessPlan,
     ctx: DimmContext,
@@ -172,12 +193,7 @@ pub fn analyze_accesses(
         }));
     }
     dram.validate()?;
-    hot_rows.validate()?;
-    let mut cache = if hot_rows.is_enabled() {
-        Some(HotRowCache::new(hot_rows)?)
-    } else {
-        None
-    };
+    let mut cache = hot_rows.is_enabled().then(|| HotRowCache::new(hot_rows));
     let capacity = dram.capacity_bytes();
 
     let mut dram_reads = 0u64;
@@ -283,7 +299,7 @@ pub fn analyze_accesses(
         })
         .max()
         .unwrap_or(0);
-    let sram_port = cached_writes * hot_rows.hit_latency_cycles;
+    let sram_port = cached_writes * HotRowCacheConfig::PAPER_HIT_LATENCY_CYCLES;
 
     let mut lints = Vec::new();
     if redundant_reads > 0 {
@@ -386,13 +402,96 @@ mod tests {
 
     #[test]
     fn lowering_matches_both_map_branches() {
-        // Owned block (blk % nd == tid) and replicated block lower to the
-        // same local offset: blk / nd in 64-byte units.
+        // A block of DIMM tid's own stripe (blk % nd == tid) and a
+        // replicated block from another stripe lower to the same local
+        // offset: blk / nd in 64-byte units, whatever the residue.
+        for nd in [1u64, 4, 32] {
+            for q in [0u64, 1, 255] {
+                for r in 0..nd {
+                    assert_eq!(lower_block_byte(q * nd + r, nd, 1 << 30), q * 64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stripe_ownership() {
+        // A block of DIMM tid's own stripe (blk % nd == tid) lowers to
+        // blk / nd in 64-byte units: over 4 DIMMs, blocks 2 and 6 are
+        // DIMM 2's first two local blocks.
         for (blk, nd) in [(35u64, 4u64), (32, 4), (0, 1), (1023, 32)] {
             assert_eq!(lower_block_byte(blk, nd, 1 << 30), blk / nd * 64);
         }
-        // Wraps into local capacity.
+        assert_eq!(lower_block_byte(2, 4, 1 << 30), 0);
+        assert_eq!(lower_block_byte(6, 4, 1 << 30), 64);
+    }
+
+    #[test]
+    fn replicated_mapping_ignores_residue() {
+        // Blocks 3 and 7 belong to DIMM 3's stripe, but a replicated read
+        // of them on any DIMM lands at the same local bytes as its own
+        // stripe's blocks 2 and 6.
+        assert_eq!(lower_block_byte(3, 4, 1 << 30), 0);
+        assert_eq!(lower_block_byte(7, 4, 1 << 30), 64);
+        assert_eq!(
+            lower_block_byte(3, 4, 1 << 30),
+            lower_block_byte(2, 4, 1 << 30)
+        );
+    }
+
+    #[test]
+    fn lowering_wraps_capacity() {
         assert_eq!(lower_block_byte(1 << 40, 1, 1 << 20), 0);
+        let r = Instruction::Reduce {
+            input1: 1 << 40,
+            input2: 0,
+            output_base: 64,
+            count: 1,
+            op: ReduceOp::Add,
+        };
+        let ctx = DimmContext::new(1, 0);
+        let plan = AccessPlan::for_dimm(&r, ctx, None).unwrap();
+        for a in plan.accesses() {
+            assert!(lower_block_byte(a.block, ctx.node_dim, 1 << 20) < 1 << 20);
+        }
+    }
+
+    #[test]
+    fn consecutive_owned_blocks_become_sequential_locally() {
+        // The heart of the bandwidth-scaling claim: the stripe owned by one
+        // DIMM is *contiguous* in its local DRAM, so every DIMM streams.
+        let mut prev = None;
+        for i in 0..100u64 {
+            let local = lower_block_byte(5 + 32 * i, 32, 1 << 30);
+            if let Some(p) = prev {
+                assert_eq!(local, p + 64);
+            }
+            prev = Some(local);
+        }
+    }
+
+    #[test]
+    fn reduce_plan_lowers_each_operand_stripe() {
+        let r = Instruction::Reduce {
+            input1: 0,
+            input2: 1024,
+            output_base: 2048,
+            count: 64,
+            op: ReduceOp::Add,
+        };
+        let ctx = DimmContext::new(4, 1);
+        let plan = AccessPlan::for_dimm(&r, ctx, None).unwrap();
+        let local: Vec<u64> = plan
+            .accesses()
+            .iter()
+            .map(|a| lower_block_byte(a.block, ctx.node_dim, 1 << 30))
+            .collect();
+        // First read: global block 1 -> local block 0.
+        assert_eq!(local[0], 0);
+        // Second read: global block 1024 + 1 -> local block 256.
+        assert_eq!(local[1], 256 * 64);
+        // Its write: global block 2048 + 1 -> local block 512.
+        assert_eq!(local[2], 512 * 64);
     }
 
     #[test]
@@ -520,14 +619,11 @@ mod tests {
             ),
             Err(AnalysisError::Isa(_))
         ));
+        let mut bad = dram();
+        bad.geometry.channels = 0;
         assert!(matches!(
-            analyze_plan(
-                &plan,
-                ctx,
-                &dram(),
-                HotRowCacheConfig::set_associative(48, 4)
-            ),
-            Err(AnalysisError::Cache(_))
+            analyze_plan(&plan, ctx, &bad, HotRowCacheConfig::disabled()),
+            Err(AnalysisError::Dram(_))
         ));
     }
 

@@ -8,75 +8,52 @@
 //! vector's slice on a DIMM, because the NMP core either has the whole
 //! row staged in SRAM or it does not.
 //!
-//! The cache stores tags only (the simulation is timing-level); hits are
-//! credited a fixed SRAM latency by the consumer
-//! (`tensordimm_nmp::NmpCore`), which also records how many 64-byte
-//! blocks each hit served via [`HotRowCache::credit_hit_blocks`].
+//! The cache is fully associative with exact LRU replacement, so hits are
+//! monotone in capacity (the LRU stack property). It stores tags only
+//! (the simulation is timing-level); hits are credited
+//! [`HotRowCacheConfig::PAPER_HIT_LATENCY_CYCLES`] of SRAM latency by the
+//! consumer (`tensordimm_nmp::NmpCore`), which also records how many
+//! 64-byte blocks each hit served via [`HotRowCache::credit_hit_blocks`].
 //!
 //! # Example
 //!
 //! ```
 //! use tensordimm_cache::{HotRowCache, HotRowCacheConfig};
 //!
-//! let mut c = HotRowCache::new(HotRowCacheConfig::fully_associative(2))?;
+//! let mut c = HotRowCache::new(HotRowCacheConfig::fully_associative(2));
 //! assert!(!c.access(7)); // cold miss fills
 //! assert!(c.access(7)); // hot row hits
 //! assert!(!c.access(8));
 //! assert!(!c.access(9)); // evicts row 7 (LRU)
 //! assert!(!c.access(7));
 //! assert_eq!(c.stats().evictions, 2);
-//! # Ok::<(), tensordimm_cache::CacheError>(())
 //! ```
 
-use crate::CacheError;
-
-/// Geometry and latency of a hot-row cache. `capacity_rows == 0` disables
-/// the cache entirely: the gather path must behave bit-identically to an
-/// uncached replay (the regression suite enforces this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Capacity of a hot-row cache. `capacity_rows == 0` disables the cache
+/// entirely: the gather path must behave bit-identically to an uncached
+/// replay (the regression suite enforces this).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct HotRowCacheConfig {
     /// Rows the cache can hold (0 = disabled).
     pub capacity_rows: u64,
-    /// Associativity: 0 = fully associative (one set of `capacity_rows`
-    /// ways — the LRU stack property holds, so hits are monotone in
-    /// capacity); otherwise `capacity_rows / ways` power-of-two sets.
-    pub ways: u64,
-    /// DRAM-clock cycles to stream one cached row slice out of SRAM (the
-    /// hit latency credited in place of the skipped DRAM reads).
-    pub hit_latency_cycles: u64,
 }
 
 impl HotRowCacheConfig {
     /// The disabled configuration: every gather replays against DRAM.
     pub fn disabled() -> Self {
-        HotRowCacheConfig {
-            capacity_rows: 0,
-            ways: 0,
-            hit_latency_cycles: Self::PAPER_HIT_LATENCY_CYCLES,
-        }
+        HotRowCacheConfig { capacity_rows: 0 }
     }
 
-    /// SRAM hit latency used by the presets: a row slice streams out of
-    /// the buffer-device SRAM in a handful of DRAM-bus cycles, an order
-    /// of magnitude under an activate + CAS.
+    /// DRAM-clock cycles to stream one cached row slice out of SRAM: a
+    /// row slice streams out of the buffer-device SRAM in a handful of
+    /// DRAM-bus cycles, an order of magnitude under an activate + CAS.
+    /// The gather replay credits it per hit block in place of the skipped
+    /// DRAM reads, and the static analyzer's SRAM-port bound uses it.
     pub const PAPER_HIT_LATENCY_CYCLES: u64 = 4;
 
     /// A fully associative LRU cache of `capacity_rows` rows.
     pub fn fully_associative(capacity_rows: u64) -> Self {
-        HotRowCacheConfig {
-            capacity_rows,
-            ways: 0,
-            hit_latency_cycles: Self::PAPER_HIT_LATENCY_CYCLES,
-        }
-    }
-
-    /// A set-associative LRU cache (`capacity_rows / ways` sets).
-    pub fn set_associative(capacity_rows: u64, ways: u64) -> Self {
-        HotRowCacheConfig {
-            capacity_rows,
-            ways,
-            hit_latency_cycles: Self::PAPER_HIT_LATENCY_CYCLES,
-        }
+        HotRowCacheConfig { capacity_rows }
     }
 
     /// Whether the cache participates in the gather path at all.
@@ -84,53 +61,18 @@ impl HotRowCacheConfig {
         self.capacity_rows > 0
     }
 
-    /// Validate the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::InvalidGeometry`] when `capacity_rows` is not
-    /// a multiple of `ways`, or the set count is not a power of two
-    /// (fully associative and disabled configurations are always valid).
-    pub fn validate(&self) -> Result<(), CacheError> {
-        if !self.is_enabled() || self.ways == 0 {
-            return Ok(());
-        }
-        if !self.capacity_rows.is_multiple_of(self.ways) {
-            return Err(CacheError::InvalidGeometry {
-                parameter: "capacity_rows",
-                value: self.capacity_rows as usize,
-            });
-        }
-        let sets = self.capacity_rows / self.ways;
-        if !sets.is_power_of_two() {
-            return Err(CacheError::InvalidGeometry {
-                parameter: "sets",
-                value: sets as usize,
-            });
-        }
-        Ok(())
-    }
-
-    /// A stable fingerprint of every knob, for memo keys (the cycle
-    /// pricer's latency table must never alias measurements taken under
-    /// different cache configurations). The disabled configuration always
-    /// fingerprints to 0 regardless of its latent latency/way values —
-    /// those knobs are unobservable when the cache is off.
+    /// A stable fingerprint of the configuration, for memo keys (the
+    /// cycle pricer's latency table must never alias measurements taken
+    /// under different cache configurations). The disabled configuration
+    /// fingerprints to 0; an enabled one never does.
     pub fn fingerprint(&self) -> u64 {
         if !self.is_enabled() {
             return 0;
         }
         self.capacity_rows
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.ways.wrapping_mul(0x2545_f491_4f6c_dd1d))
-            .wrapping_add(self.hit_latency_cycles)
+            .wrapping_add(Self::PAPER_HIT_LATENCY_CYCLES)
             | 1
-    }
-}
-
-impl Default for HotRowCacheConfig {
-    fn default() -> Self {
-        HotRowCacheConfig::disabled()
     }
 }
 
@@ -173,15 +115,10 @@ impl HotRowStats {
 /// An LRU cache of embedding-row tags (see the module docs).
 #[derive(Debug, Clone)]
 pub struct HotRowCache {
-    config: HotRowCacheConfig,
-    sets: usize,
-    ways: usize,
-    /// `sets × ways` row tags; `u64::MAX` marks an empty way. A set's
-    /// ways are kept in LRU order (front = most recent), except in a fully
-    /// associative cache, where `lru` keeps the order.
+    /// One row tag per slot (`capacity_rows` of them); `lru` keeps their
+    /// recency order and maps each resident row to its slot.
     tags: Vec<u64>,
-    /// The fully associative cache's recency list and row index.
-    lru: Option<LruIndex>,
+    lru: LruIndex,
     stats: HotRowStats,
 }
 
@@ -190,51 +127,23 @@ impl HotRowCache {
     /// yields a cache whose [`HotRowCache::access`] always misses without
     /// filling — but callers on the hot path should skip construction
     /// entirely when [`HotRowCacheConfig::is_enabled`] is false.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`HotRowCacheConfig::validate`].
-    pub fn new(config: HotRowCacheConfig) -> Result<Self, CacheError> {
-        config.validate()?;
-        let (sets, ways) = if !config.is_enabled() {
-            (0, 0)
-        } else {
-            match config.capacity_rows.checked_div(config.ways) {
-                // ways == 0 selects full associativity: one set, all rows.
-                None => (1, config.capacity_rows as usize),
-                Some(sets) => (sets as usize, config.ways as usize),
-            }
-        };
-        let fully_associative = config.is_enabled() && config.ways == 0;
-        Ok(HotRowCache {
-            config,
-            sets,
-            ways,
-            tags: vec![u64::MAX; sets * ways],
-            lru: fully_associative.then(|| LruIndex::new(ways)),
+    pub fn new(config: HotRowCacheConfig) -> Self {
+        let slots = config.capacity_rows as usize;
+        HotRowCache {
+            tags: vec![u64::MAX; slots],
+            lru: LruIndex::new(slots),
             stats: HotRowStats::default(),
-        })
-    }
-
-    /// The configuration this cache was built from.
-    pub fn config(&self) -> HotRowCacheConfig {
-        self.config
+        }
     }
 
     /// Look up `row`; returns `true` on hit. Misses allocate, evicting
-    /// the set's LRU row. A disabled cache always misses and never fills.
+    /// the LRU row. A disabled cache always misses and never fills.
     pub fn access(&mut self, row: u64) -> bool {
-        if self.sets == 0 {
+        if self.tags.is_empty() {
             self.stats.misses += 1;
             return false;
         }
-        let (hit, evicted) = match &mut self.lru {
-            Some(lru) => lru.access(&mut self.tags, row),
-            None => {
-                let base = ((row as usize) & (self.sets - 1)) * self.ways;
-                scan_set(&mut self.tags[base..base + self.ways], row)
-            }
-        };
+        let (hit, evicted) = self.lru.access(&mut self.tags, row);
         self.stats.hits += u64::from(hit);
         self.stats.misses += u64::from(!hit);
         self.stats.evictions += u64::from(evicted);
@@ -252,26 +161,12 @@ impl HotRowCache {
     }
 }
 
-/// Look `row` up in one set's ways, kept in LRU order, by a linear scan;
-/// returns `(hit, evicted)`. A hit moves the row to the front; a miss
-/// shifts every way back and fills the front.
-fn scan_set(ways: &mut [u64], row: u64) -> (bool, bool) {
-    if let Some(pos) = ways.iter().position(|&t| t == row) {
-        ways[..=pos].rotate_right(1);
-        return (true, false);
-    }
-    let evicted = ways[ways.len() - 1] != u64::MAX;
-    ways.rotate_right(1);
-    ways[0] = row;
-    (false, evicted)
-}
-
 /// No slot / an empty table position.
 const NIL: usize = usize::MAX;
 
-/// Exact LRU bookkeeping for a fully associative cache, so a lookup costs
-/// O(1) instead of a scan and rotation of every way. Each way of the tags
-/// is a slot. The slots are chained from most to least recently used, and
+/// Exact LRU bookkeeping for the cache, so a lookup costs O(1) instead of
+/// a scan and rotation of every resident row. Each entry of the tags is a
+/// slot. The slots are chained from most to least recently used, and
 /// an open-addressing table (linear probing, multiplicative hash) maps
 /// each resident row to its slot.
 #[derive(Debug, Clone)]
@@ -305,8 +200,7 @@ impl LruIndex {
     }
 
     /// Look `row` up, filling a free slot or the LRU one on a miss;
-    /// returns `(hit, evicted)` exactly as [`scan_set`] over one set of
-    /// every way would.
+    /// returns `(hit, evicted)`.
     fn access(&mut self, tags: &mut [u64], row: u64) -> (bool, bool) {
         let pos = self.probe(tags, row);
         if self.table[pos] != NIL {
@@ -391,12 +285,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Look `row` up in `ways`, kept in LRU order (front = most recent),
+    /// by a linear scan; returns `(hit, evicted)`. A hit moves the row to
+    /// the front; a miss shifts every way back and fills the front.
+    fn scan_set(ways: &mut [u64], row: u64) -> (bool, bool) {
+        if let Some(pos) = ways.iter().position(|&t| t == row) {
+            ways[..=pos].rotate_right(1);
+            return (true, false);
+        }
+        let evicted = ways[ways.len() - 1] != u64::MAX;
+        ways.rotate_right(1);
+        ways[0] = row;
+        (false, evicted)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The oracle: a one-set set-associative cache is the linear scan
-        /// over every way. The fully associative LRU index must give the
-        /// same hit or miss on every access, and so the same counters.
+        /// The oracle: an LRU cache is the linear scan over every way kept
+        /// in recency order. The LRU index must give the same hit or miss
+        /// and eviction on every access, and so the same counters.
         /// Rows come from a universe of three times the capacity, so hits,
         /// misses and evictions all occur; some are spread over the whole
         /// `u64` range or strided, so their probe positions collide.
@@ -405,10 +313,9 @@ mod tests {
             capacity in 1u64..70,
             draws in prop::collection::vec((0u8..3, 0u64..u64::MAX), 1..1500),
         ) {
-            let mut index = HotRowCache::new(HotRowCacheConfig::fully_associative(capacity)).unwrap();
-            let mut scan =
-                HotRowCache::new(HotRowCacheConfig::set_associative(capacity, capacity)).unwrap();
-            prop_assert!(index.lru.is_some() && scan.lru.is_none());
+            let mut index = HotRowCache::new(HotRowCacheConfig::fully_associative(capacity));
+            let mut ways = vec![u64::MAX; capacity as usize];
+            let mut scan = HotRowStats::default();
             for (shape, draw) in draws {
                 let row = draw % (3 * capacity);
                 let row = match shape {
@@ -416,30 +323,19 @@ mod tests {
                     1 => row.wrapping_mul(0x5851_f42d_4c95_7f2d) >> 1,
                     _ => row << 40,
                 };
-                prop_assert_eq!(index.access(row), scan.access(row));
+                let (hit, evicted) = scan_set(&mut ways, row);
+                scan.hits += u64::from(hit);
+                scan.misses += u64::from(!hit);
+                scan.evictions += u64::from(evicted);
+                prop_assert_eq!(index.access(row), hit);
             }
-            prop_assert_eq!(index.stats(), scan.stats());
+            prop_assert_eq!(index.stats(), scan);
         }
     }
 
     #[test]
-    fn geometry_validation() {
-        assert!(HotRowCacheConfig::disabled().validate().is_ok());
-        assert!(HotRowCacheConfig::fully_associative(7).validate().is_ok());
-        assert!(HotRowCacheConfig::set_associative(64, 4).validate().is_ok());
-        // 65 rows over 4 ways: not a multiple.
-        assert!(HotRowCacheConfig::set_associative(65, 4)
-            .validate()
-            .is_err());
-        // 48 / 4 = 12 sets: not a power of two.
-        assert!(HotRowCacheConfig::set_associative(48, 4)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
     fn disabled_cache_always_misses_and_never_fills() {
-        let mut c = HotRowCache::new(HotRowCacheConfig::disabled()).unwrap();
+        let mut c = HotRowCache::new(HotRowCacheConfig::disabled());
         for _ in 0..3 {
             assert!(!c.access(5));
         }
@@ -450,7 +346,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_counts() {
-        let mut c = HotRowCache::new(HotRowCacheConfig::fully_associative(2)).unwrap();
+        let mut c = HotRowCache::new(HotRowCacheConfig::fully_associative(2));
         assert!(!c.access(1));
         assert!(!c.access(2));
         assert!(c.access(1)); // 1 is now MRU
@@ -461,24 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn set_mapping_isolates_sets() {
-        // 4 sets x 1 way: rows 0 and 4 collide, rows 0 and 1 do not.
-        let mut c = HotRowCache::new(HotRowCacheConfig::set_associative(4, 1)).unwrap();
-        c.access(0);
-        c.access(1);
-        assert!(c.access(0));
-        c.access(4); // evicts 0
-        assert!(!c.access(0));
-        assert!(c.access(1), "other set must be untouched");
-    }
-
-    #[test]
     fn fully_associative_has_stack_property() {
         // LRU inclusion: any trace's hits are monotone in capacity.
         let trace: Vec<u64> = (0..600u64).map(|i| (i * i + 7 * i) % 37).collect();
         let mut prev_hits = 0;
         for cap in [1u64, 2, 4, 8, 16, 37] {
-            let mut c = HotRowCache::new(HotRowCacheConfig::fully_associative(cap)).unwrap();
+            let mut c = HotRowCache::new(HotRowCacheConfig::fully_associative(cap));
             for &r in &trace {
                 c.access(r);
             }
@@ -517,22 +401,28 @@ mod tests {
         assert_eq!(HotRowStats::default().hit_rate(), 0.0);
     }
 
+    /// The cycle pricer's memo keys carry the fingerprint, so its value
+    /// is pinned for three capacities.
     #[test]
     fn fingerprints_distinguish_configs() {
         let a = HotRowCacheConfig::fully_associative(1024);
         let b = HotRowCacheConfig::fully_associative(2048);
-        let c = HotRowCacheConfig::set_associative(1024, 4);
         assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
         assert_ne!(
             a.fingerprint(),
             0,
             "enabled configs never collide with disabled"
         );
-        // Disabled configs are indistinguishable no matter the latent knobs.
-        let mut off = HotRowCacheConfig::disabled();
-        off.hit_latency_cycles = 99;
-        assert_eq!(off.fingerprint(), 0);
+        assert_eq!(a.fingerprint(), 0xdde6_e5fd_29f0_5405);
+        assert_eq!(
+            HotRowCacheConfig::fully_associative(4096).fingerprint(),
+            0x779b_97f4_a7c1_5005
+        );
+        assert_eq!(
+            HotRowCacheConfig::fully_associative(100_000).fingerprint(),
+            0x661c_abdb_0795_8b25
+        );
+        assert_eq!(HotRowCacheConfig::disabled().fingerprint(), 0);
         assert_eq!(HotRowCacheConfig::default().fingerprint(), 0);
     }
 }

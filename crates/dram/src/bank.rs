@@ -92,29 +92,6 @@ impl Rank {
         bank_group * self.banks_per_group + bank
     }
 
-    /// Earliest cycle an ACTIVATE to `(bank_group, bank)` may issue.
-    pub fn earliest_activate(&self, bank_group: usize, bank: usize) -> u64 {
-        self.banks[self.bank_index(bank_group, bank)]
-            .next_act
-            .max(self.shared_bound(bank_group, DramCommand::Activate))
-    }
-
-    /// Earliest cycle a READ to `(bank_group, bank)` may issue,
-    /// considering only rank-internal constraints.
-    pub fn earliest_read(&self, bank_group: usize, bank: usize) -> u64 {
-        self.banks[self.bank_index(bank_group, bank)]
-            .next_rd
-            .max(self.shared_bound(bank_group, DramCommand::Read))
-    }
-
-    /// Earliest cycle a WRITE to `(bank_group, bank)` may issue,
-    /// considering only rank-internal constraints.
-    pub fn earliest_write(&self, bank_group: usize, bank: usize) -> u64 {
-        self.banks[self.bank_index(bank_group, bank)]
-            .next_wr
-            .max(self.shared_bound(bank_group, DramCommand::Write))
-    }
-
     /// Earliest cycle a PRECHARGE to `(bank_group, bank)` may issue.
     pub fn earliest_precharge(&self, bank_group: usize, bank: usize) -> u64 {
         self.banks[self.bank_index(bank_group, bank)]
@@ -125,7 +102,7 @@ impl Rank {
     /// The rank-wide part of the earliest cycle `cmd` may issue to any bank
     /// of `bank_group`: refresh, plus tRRD and tFAW for ACTIVATE, plus
     /// CAS-to-CAS spacing and write-to-read turnaround for a column
-    /// command. The `earliest_*` methods are the maximum of this and the
+    /// command. A command's earliest cycle is the maximum of this and the
     /// bank's own [`Bank::local_bound`].
     pub(crate) fn shared_bound(&self, bank_group: usize, cmd: DramCommand) -> u64 {
         self.shared[bank_group][cmd as usize]
@@ -283,6 +260,35 @@ impl Rank {
             b.next_act = b.next_act.max(cycle + t.trfc);
         }
         self.next_refresh_due += t.trefi;
+    }
+}
+
+/// Per-command issue bounds of one bank, kept for the tests: the
+/// scheduler combines [`Bank::local_bound`] and [`Rank::shared_bound`]
+/// itself.
+#[cfg(test)]
+impl Rank {
+    /// Earliest cycle an ACTIVATE to `(bank_group, bank)` may issue.
+    pub fn earliest_activate(&self, bank_group: usize, bank: usize) -> u64 {
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_act
+            .max(self.shared_bound(bank_group, DramCommand::Activate))
+    }
+
+    /// Earliest cycle a READ to `(bank_group, bank)` may issue,
+    /// considering only rank-internal constraints.
+    pub fn earliest_read(&self, bank_group: usize, bank: usize) -> u64 {
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_rd
+            .max(self.shared_bound(bank_group, DramCommand::Read))
+    }
+
+    /// Earliest cycle a WRITE to `(bank_group, bank)` may issue,
+    /// considering only rank-internal constraints.
+    pub fn earliest_write(&self, bank_group: usize, bank: usize) -> u64 {
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_wr
+            .max(self.shared_bound(bank_group, DramCommand::Write))
     }
 }
 

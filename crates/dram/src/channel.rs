@@ -68,15 +68,120 @@ impl ChannelState {
         }
     }
 
+    /// The row open in `addr`'s bank, if any.
+    pub(crate) fn open_row(&self, addr: &DramAddr) -> Option<usize> {
+        let rank = &self.ranks[addr.rank];
+        rank.banks[rank.bank_index(addr.bank_group, addr.bank)].open_row
+    }
+
+    /// The next command a request to `addr` needs and the earliest cycle
+    /// its bank alone allows it ([`Bank::local_bound`]): `col` (its column
+    /// command) on an open-row hit, ACTIVATE on a closed bank, PRECHARGE on
+    /// a conflicting row. Both depend only on the bank's own state, so they
+    /// stand until a command to the bank or a refresh of its rank; every
+    /// request queued to the bank that needs the same command shares them.
+    /// The command's earliest issue cycle is the maximum of this bound and
+    /// [`ChannelState::shared_bound`].
+    ///
+    /// [`Bank::local_bound`]: crate::bank::Bank::local_bound
+    pub(crate) fn local_command(&self, addr: &DramAddr, col: DramCommand) -> (u64, DramCommand) {
+        let rank = &self.ranks[addr.rank];
+        let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
+        let cmd = match bank.open_row {
+            Some(row) if row == addr.row => col,
+            Some(_) => DramCommand::Precharge,
+            None => DramCommand::Activate,
+        };
+        (bank.local_bound(cmd), cmd)
+    }
+
+    /// The part of the earliest cycle `cmd` may issue that every bank of
+    /// `bank_group` in `rank` shares: the rank's [`Rank::shared_bound`]
+    /// plus, for a column command, the data bus and, for a WRITE, the
+    /// read-to-write turnaround. For a command that is possible now, its
+    /// earliest issue cycle is the maximum of this and the bank's
+    /// [`Bank::local_bound`].
+    ///
+    /// [`Bank::local_bound`]: crate::bank::Bank::local_bound
+    pub(crate) fn shared_bound(&self, rank: usize, bank_group: usize, cmd: DramCommand) -> u64 {
+        self.ranks[rank]
+            .shared_bound(bank_group, cmd)
+            .max(self.bus_bounds[rank][cmd as usize])
+    }
+
+    /// Recompute every rank's bus bounds after a column command moved the
+    /// last burst or the last READ.
+    fn update_bus_bounds(&mut self, t: &DramTiming) {
+        let turnaround = self.last_read_cmd.map_or(0, |at| at + t.read_to_write());
+        for rank in 0..self.bus_bounds.len() {
+            let read = self.bus_free_from(t, rank, t.cl);
+            let write = self.bus_free_from(t, rank, t.cwl).max(turnaround);
+            let bounds = &mut self.bus_bounds[rank];
+            bounds[DramCommand::Read as usize] = read;
+            bounds[DramCommand::ReadAp as usize] = read;
+            bounds[DramCommand::Write as usize] = write;
+            bounds[DramCommand::WriteAp as usize] = write;
+        }
+    }
+
+    /// Apply the state changes of issuing `cmd` to `addr` at `cycle`.
+    ///
+    /// Callers must have checked that `cmd` may issue at `cycle` (its
+    /// bank-local bound and the bound its bank group shares both at or
+    /// before it); this method only mutates state.
+    pub fn issue(&mut self, t: &DramTiming, cmd: DramCommand, addr: &DramAddr, cycle: u64) {
+        let rank = &mut self.ranks[addr.rank];
+        match cmd {
+            DramCommand::Activate => {
+                rank.record_activate(t, addr.bank_group, addr.bank, cycle, addr.row);
+            }
+            DramCommand::Precharge => {
+                rank.record_precharge(t, addr.bank_group, addr.bank, cycle);
+            }
+            DramCommand::PrechargeAll => {
+                for bg in 0..self.bank_groups {
+                    for b in 0..self.banks_per_group {
+                        let rank = &mut self.ranks[addr.rank];
+                        if rank.banks[rank.bank_index(bg, b)].open_row.is_some() {
+                            rank.record_precharge(t, bg, b, cycle);
+                        }
+                    }
+                }
+            }
+            DramCommand::Read | DramCommand::ReadAp => {
+                rank.record_read(t, addr.bank_group, addr.bank, cycle, cmd.auto_precharges());
+                self.last_read_cmd = Some(cycle);
+                self.last_burst = Some(BusUse {
+                    end: cycle + t.cl + t.burst_cycles(),
+                    rank: addr.rank,
+                });
+                self.update_bus_bounds(t);
+            }
+            DramCommand::Write | DramCommand::WriteAp => {
+                rank.record_write(t, addr.bank_group, addr.bank, cycle, cmd.auto_precharges());
+                self.last_burst = Some(BusUse {
+                    end: cycle + t.cwl + t.burst_cycles(),
+                    rank: addr.rank,
+                });
+                self.update_bus_bounds(t);
+            }
+            DramCommand::Refresh => {
+                rank.record_refresh(t, cycle);
+            }
+        }
+    }
+}
+
+/// The whole issue bound of one command, kept for the tests: the
+/// scheduler issues from the split [`ChannelState::local_command`] +
+/// [`ChannelState::shared_bound`], and the proptest
+/// `local_and_shared_bounds_split_earliest_issue` keeps that split equal
+/// to this bound on every command and state.
+#[cfg(test)]
+impl ChannelState {
     /// Earliest cycle at which `cmd` could issue to `addr` given the
     /// current channel state, or `None` when the command is structurally
     /// impossible right now (column access to a closed or mismatched row).
-    ///
-    /// This is the primitive behind the event-driven engine: between
-    /// command issues all timing state is frozen, so the value stays exact
-    /// until the next state change. [`ChannelState::can_issue`] is defined
-    /// as `earliest_issue(..) <= cycle`, which keeps the fast path and the
-    /// tick oracle incapable of disagreeing.
     pub fn earliest_issue(&self, t: &DramTiming, cmd: DramCommand, addr: &DramAddr) -> Option<u64> {
         let rank = &self.ranks[addr.rank];
         match cmd {
@@ -118,112 +223,10 @@ impl ChannelState {
         }
     }
 
-    /// The row open in `addr`'s bank, if any.
-    pub(crate) fn open_row(&self, addr: &DramAddr) -> Option<usize> {
-        let rank = &self.ranks[addr.rank];
-        rank.banks[rank.bank_index(addr.bank_group, addr.bank)].open_row
-    }
-
-    /// The next command a request to `addr` needs and the earliest cycle
-    /// its bank alone allows it ([`Bank::local_bound`]): `col` (its column
-    /// command) on an open-row hit, ACTIVATE on a closed bank, PRECHARGE on
-    /// a conflicting row. Both depend only on the bank's own state, so they
-    /// stand until a command to the bank or a refresh of its rank; every
-    /// request queued to the bank that needs the same command shares them.
-    /// The command's earliest issue cycle is the maximum of this bound and
-    /// [`ChannelState::shared_bound`].
-    ///
-    /// [`Bank::local_bound`]: crate::bank::Bank::local_bound
-    pub(crate) fn local_command(&self, addr: &DramAddr, col: DramCommand) -> (u64, DramCommand) {
-        let rank = &self.ranks[addr.rank];
-        let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
-        let cmd = match bank.open_row {
-            Some(row) if row == addr.row => col,
-            Some(_) => DramCommand::Precharge,
-            None => DramCommand::Activate,
-        };
-        (bank.local_bound(cmd), cmd)
-    }
-
-    /// The part of the earliest cycle `cmd` may issue that every bank of
-    /// `bank_group` in `rank` shares: the rank's [`Rank::shared_bound`]
-    /// plus, for a column command, the data bus and, for a WRITE, the
-    /// read-to-write turnaround. For a command that is possible now,
-    /// [`ChannelState::earliest_issue`] is the maximum of this and the
-    /// bank's [`Bank::local_bound`].
-    ///
-    /// [`Bank::local_bound`]: crate::bank::Bank::local_bound
-    pub(crate) fn shared_bound(&self, rank: usize, bank_group: usize, cmd: DramCommand) -> u64 {
-        self.ranks[rank]
-            .shared_bound(bank_group, cmd)
-            .max(self.bus_bounds[rank][cmd as usize])
-    }
-
-    /// Recompute every rank's bus bounds after a column command moved the
-    /// last burst or the last READ.
-    fn update_bus_bounds(&mut self, t: &DramTiming) {
-        let turnaround = self.last_read_cmd.map_or(0, |at| at + t.read_to_write());
-        for rank in 0..self.bus_bounds.len() {
-            let read = self.bus_free_from(t, rank, t.cl);
-            let write = self.bus_free_from(t, rank, t.cwl).max(turnaround);
-            let bounds = &mut self.bus_bounds[rank];
-            bounds[DramCommand::Read as usize] = read;
-            bounds[DramCommand::ReadAp as usize] = read;
-            bounds[DramCommand::Write as usize] = write;
-            bounds[DramCommand::WriteAp as usize] = write;
-        }
-    }
-
     /// Whether `cmd` may issue to `addr` at `cycle`.
     pub fn can_issue(&self, t: &DramTiming, cmd: DramCommand, addr: &DramAddr, cycle: u64) -> bool {
         self.earliest_issue(t, cmd, addr)
             .is_some_and(|earliest| earliest <= cycle)
-    }
-
-    /// Apply the state changes of issuing `cmd` to `addr` at `cycle`.
-    ///
-    /// Callers must have checked [`ChannelState::can_issue`]; this method
-    /// only mutates state.
-    pub fn issue(&mut self, t: &DramTiming, cmd: DramCommand, addr: &DramAddr, cycle: u64) {
-        let rank = &mut self.ranks[addr.rank];
-        match cmd {
-            DramCommand::Activate => {
-                rank.record_activate(t, addr.bank_group, addr.bank, cycle, addr.row);
-            }
-            DramCommand::Precharge => {
-                rank.record_precharge(t, addr.bank_group, addr.bank, cycle);
-            }
-            DramCommand::PrechargeAll => {
-                for bg in 0..self.bank_groups {
-                    for b in 0..self.banks_per_group {
-                        let rank = &mut self.ranks[addr.rank];
-                        if rank.banks[rank.bank_index(bg, b)].open_row.is_some() {
-                            rank.record_precharge(t, bg, b, cycle);
-                        }
-                    }
-                }
-            }
-            DramCommand::Read | DramCommand::ReadAp => {
-                rank.record_read(t, addr.bank_group, addr.bank, cycle, cmd.auto_precharges());
-                self.last_read_cmd = Some(cycle);
-                self.last_burst = Some(BusUse {
-                    end: cycle + t.cl + t.burst_cycles(),
-                    rank: addr.rank,
-                });
-                self.update_bus_bounds(t);
-            }
-            DramCommand::Write | DramCommand::WriteAp => {
-                rank.record_write(t, addr.bank_group, addr.bank, cycle, cmd.auto_precharges());
-                self.last_burst = Some(BusUse {
-                    end: cycle + t.cwl + t.burst_cycles(),
-                    rank: addr.rank,
-                });
-                self.update_bus_bounds(t);
-            }
-            DramCommand::Refresh => {
-                rank.record_refresh(t, cycle);
-            }
-        }
     }
 }
 

@@ -91,56 +91,6 @@ impl DramTiming {
         }
     }
 
-    /// DDR4-2666 (PC4-21300): 21.3 GB/s per DIMM.
-    pub fn ddr4_2666() -> Self {
-        DramTiming {
-            clock_mhz: 1333,
-            cl: 19,
-            cwl: 14,
-            trcd: 19,
-            trp: 19,
-            tras: 43,
-            bl: 8,
-            tccd_s: 4,
-            tccd_l: 7,
-            trrd_s: 4,
-            trrd_l: 7,
-            tfaw: 28,
-            twr: 20,
-            twtr_s: 4,
-            twtr_l: 10,
-            trtp: 10,
-            trefi: 10400,
-            trfc: 467,
-            tcs: 2,
-        }
-    }
-
-    /// DDR4-2400 (PC4-19200): 19.2 GB/s per DIMM.
-    pub fn ddr4_2400() -> Self {
-        DramTiming {
-            clock_mhz: 1200,
-            cl: 17,
-            cwl: 12,
-            trcd: 17,
-            trp: 17,
-            tras: 39,
-            bl: 8,
-            tccd_s: 4,
-            tccd_l: 6,
-            trrd_s: 4,
-            trrd_l: 6,
-            tfaw: 26,
-            twr: 18,
-            twtr_s: 3,
-            twtr_l: 9,
-            trtp: 9,
-            trefi: 9360,
-            trfc: 420,
-            tcs: 2,
-        }
-    }
-
     /// Row cycle time: minimum spacing between ACTIVATEs to the same bank.
     pub fn trc(&self) -> u64 {
         self.tras + self.trp
@@ -235,14 +185,11 @@ mod tests {
     #[test]
     fn presets_validate() {
         DramTiming::ddr4_3200().validate().unwrap();
-        DramTiming::ddr4_2666().validate().unwrap();
-        DramTiming::ddr4_2400().validate().unwrap();
     }
 
     #[test]
     fn peak_bandwidth_matches_speed_grade() {
         assert!((DramTiming::ddr4_3200().peak_gbps(8) - 25.6).abs() < 1e-9);
-        assert!((DramTiming::ddr4_2400().peak_gbps(8) - 19.2).abs() < 1e-9);
     }
 
     #[test]

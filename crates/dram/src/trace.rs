@@ -7,7 +7,7 @@
 //! (a full queue stalls the producer, not drops the request), which is how
 //! a streaming NMP core would drive its local controller.
 
-use crate::request::{Completion, Request, RequestKind};
+use crate::request::{Request, RequestKind};
 use crate::stats::MemoryStats;
 use crate::system::MemorySystem;
 use crate::DramError;
@@ -162,22 +162,6 @@ impl TraceRunner {
         Ok(self.memory.stats())
     }
 
-    /// Replay `trace` and drain all completions into `out` (reusing its
-    /// allocation), returning the aggregate statistics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TraceRunner::run`].
-    pub fn run_with_completions(
-        &mut self,
-        trace: &Trace,
-        out: &mut Vec<Completion>,
-    ) -> Result<MemoryStats, DramError> {
-        let stats = self.run(trace)?;
-        self.memory.drain_completions_into(out);
-        Ok(stats)
-    }
-
     /// Tick-stepping oracle equivalent of [`TraceRunner::run`]: advances
     /// strictly one cycle at a time. Kept for the equivalence tests and
     /// the `perf_dram_engine` harness; produces bit-identical results.
@@ -245,25 +229,6 @@ mod tests {
         assert_eq!(stats.totals.reads, 128);
         assert_eq!(stats.totals.writes, 128);
         assert!(stats.achieved_gbps() > 0.0);
-    }
-
-    #[test]
-    fn run_with_completions_reuses_buffer() {
-        let mut cfg = DramConfig::ddr4_3200_channel();
-        cfg.refresh_enabled = false;
-        let mut t = Trace::new();
-        t.read_range(0, 64 * 32);
-        let mut buf = Vec::new();
-        let mut runner = TraceRunner::new(MemorySystem::new(cfg.clone()).unwrap());
-        runner.run_with_completions(&t, &mut buf).unwrap();
-        assert_eq!(buf.len(), 32);
-        let cap = buf.capacity();
-        // Second replay into the cleared buffer must not need to regrow.
-        buf.clear();
-        let mut runner = TraceRunner::new(MemorySystem::new(cfg).unwrap());
-        runner.run_with_completions(&t, &mut buf).unwrap();
-        assert_eq!(buf.len(), 32);
-        assert_eq!(buf.capacity(), cap);
     }
 
     #[test]

@@ -78,16 +78,6 @@ impl Link {
         }
     }
 
-    /// One NVLINK v2 brick: 25 GB/s unidirectional per direction.
-    pub fn nvlink2_x1() -> Self {
-        Link {
-            name: "NVLINK2 x1",
-            bandwidth_gbps: 25.0,
-            efficiency: 0.9,
-            setup_us: 5.0,
-        }
-    }
-
     /// Six NVLINK v2 bricks (a V100's full complement): 150 GB/s.
     pub fn nvlink2_x6() -> Self {
         Link {
@@ -163,7 +153,6 @@ mod tests {
     #[test]
     fn presets_match_published_numbers() {
         assert_eq!(Link::pcie3_x16().bandwidth_gbps(), 16.0);
-        assert_eq!(Link::nvlink2_x1().bandwidth_gbps(), 25.0);
         assert_eq!(Link::nvlink2_x6().bandwidth_gbps(), 150.0);
     }
 

@@ -6,7 +6,10 @@
 //! * a DDR PHY + protocol engine (modeled by the [`tensordimm_dram`]
 //!   channel it drives),
 //! * an **NMP-local memory controller** that decodes TensorISA instructions
-//!   into DRAM command streams ([`mem_ctrl`]),
+//!   into DRAM request streams: each global block is lowered to its local
+//!   byte by [`tensordimm_analysis::lower_block_byte`] (the paper's
+//!   rank-interleaved mapping, Fig. 7) and scheduled by the
+//!   [`tensordimm_dram`] controller,
 //! * **input (A, B) and output (C) SRAM queues** sized by the
 //!   bandwidth-delay product — 25.6 GB/s × 20 ns = 512 B each ([`queue`]),
 //! * a **16-wide vector ALU at 150 MHz** performing the element-wise
@@ -41,13 +44,11 @@
 
 pub mod alu;
 pub mod core;
-pub mod mem_ctrl;
 pub mod overhead;
 pub mod queue;
 
 pub use crate::core::{NmpCore, NmpRunStats};
 pub use alu::VectorAlu;
-pub use mem_ctrl::LocalAddressMap;
 pub use overhead::{DimmPowerModel, FpgaUtilization, NmpOverheads, SramSizing};
 pub use queue::SramQueue;
 
@@ -104,13 +105,11 @@ impl NmpConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NmpError::Dram`] for an invalid local-DRAM configuration,
-    /// [`NmpError::Cache`] for a bad hot-row cache geometry, or
-    /// [`NmpError::QueueTooSmall`] for input queues below one 64-byte
+    /// Returns [`NmpError::Dram`] for an invalid local-DRAM configuration
+    /// or [`NmpError::QueueTooSmall`] for input queues below one 64-byte
     /// entry.
     pub fn validate(&self) -> Result<(), NmpError> {
         self.dram.validate()?;
-        self.hot_rows.validate()?;
         if self.input_queue_entries() == 0 {
             return Err(NmpError::QueueTooSmall {
                 bytes: self.input_queue_bytes,
@@ -134,8 +133,6 @@ pub enum NmpError {
     Dram(DramError),
     /// The instruction is malformed for this node.
     Isa(IsaError),
-    /// The hot-row cache geometry is invalid.
-    Cache(tensordimm_cache::CacheError),
     /// A queue capacity is too small to hold even one 64-byte entry.
     QueueTooSmall {
         /// Offending capacity in bytes.
@@ -151,7 +148,6 @@ impl fmt::Display for NmpError {
         match self {
             NmpError::Dram(e) => write!(f, "local DRAM error: {e}"),
             NmpError::Isa(e) => write!(f, "instruction error: {e}"),
-            NmpError::Cache(e) => write!(f, "hot-row cache error: {e}"),
             NmpError::QueueTooSmall { bytes } => {
                 write!(f, "SRAM queue of {bytes} bytes cannot hold a 64-byte entry")
             }
@@ -165,7 +161,6 @@ impl Error for NmpError {
         match self {
             NmpError::Dram(e) => Some(e),
             NmpError::Isa(e) => Some(e),
-            NmpError::Cache(e) => Some(e),
             NmpError::QueueTooSmall { .. } => None,
             NmpError::Verify(e) => Some(e),
         }
@@ -187,12 +182,6 @@ impl From<DramError> for NmpError {
 impl From<IsaError> for NmpError {
     fn from(e: IsaError) -> Self {
         NmpError::Isa(e)
-    }
-}
-
-impl From<tensordimm_cache::CacheError> for NmpError {
-    fn from(e: tensordimm_cache::CacheError) -> Self {
-        NmpError::Cache(e)
     }
 }
 

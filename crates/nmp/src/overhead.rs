@@ -167,16 +167,6 @@ impl NmpOverheads {
             power: DimmPowerModel::paper(),
         }
     }
-
-    /// Total LUT percentage across components.
-    pub fn total_lut(&self) -> f64 {
-        self.utilization.iter().map(|u| u.lut).sum()
-    }
-
-    /// Total BRAM percentage across components.
-    pub fn total_bram(&self) -> f64 {
-        self.utilization.iter().map(|u| u.bram).sum()
-    }
 }
 
 impl Default for NmpOverheads {
@@ -229,7 +219,9 @@ mod tests {
     #[test]
     fn overheads_aggregate() {
         let o = NmpOverheads::paper();
-        assert!((o.total_lut() - 0.28).abs() < 1e-9);
-        assert!((o.total_bram() - 0.01).abs() < 1e-9);
+        let lut: f64 = o.utilization.iter().map(|u| u.lut).sum();
+        let bram: f64 = o.utilization.iter().map(|u| u.bram).sum();
+        assert!((lut - 0.28).abs() < 1e-9);
+        assert!((bram - 0.01).abs() < 1e-9);
     }
 }

@@ -1108,21 +1108,6 @@ mod tests {
         );
     }
 
-    /// A tier `HotRowCacheConfig::validate` rejects fails the cycle
-    /// pricer's construction, so no pricer exists to replay with it.
-    #[test]
-    fn invalid_hot_row_tier_fails_the_build_not_a_replay() {
-        let model = SystemModel::paper_defaults();
-        let bad = HotRowCacheConfig::set_associative(12, 4);
-        assert!(bad.validate().is_err());
-        let mut cfg = CyclePricerConfig::for_model(&model);
-        cfg.nmp.hot_rows = bad;
-        assert!(matches!(
-            CyclePricer::with_config(&model, cfg),
-            Err(NmpError::Cache(_))
-        ));
-    }
-
     /// Pricing against a healthy `DegradedNode` must be bit-identical to
     /// the plain `price` path on both backends — the foundation of the
     /// empty-fault-schedule identity gate.

@@ -4,7 +4,8 @@
 #   bash scripts/check_goldens.sh [--update] [NAME...]
 #
 # NAME is one of sweep_fabric, sweep_availability, sweep_cluster,
-# serving_sim and cluster_serving, or one of the paper-figure binaries in
+# sweep_hot_rows, sweep_static_check, serving_sim, cluster_serving and
+# hot_row_cache, or one of the paper-figure binaries in
 # PAPER below (goldens under crates/bench/golden/paper/); `paper` stands
 # for all of those. With no NAME, every golden runs. Each golden command
 # runs in release mode and must exit 0 (the binaries assert their own
@@ -22,6 +23,12 @@ PAPER=(
     tab01_node_config tab02_workloads tab03_overheads
     ablation_alu_clock ablation_dram_policy ablation_fusion ablation_mapping
     ablation_queue_depth ablation_reduction_factor sweep_qps_sla
+)
+
+# The other goldens: quick sweeps and examples.
+SWEEPS=(
+    sweep_fabric sweep_availability sweep_cluster sweep_hot_rows sweep_static_check
+    serving_sim cluster_serving hot_row_cache
 )
 
 is_paper() {
@@ -52,6 +59,14 @@ golden_sweep_cluster() {
     cargo run --release -p tensordimm_bench --bin sweep_cluster -- --quick
 }
 
+golden_sweep_hot_rows() {
+    cargo run --release -p tensordimm_bench --bin sweep_hot_rows -- --quick
+}
+
+golden_sweep_static_check() {
+    cargo run --release -p tensordimm_bench --bin sweep_static_check -- --quick
+}
+
 golden_serving_sim() {
     cargo run --release --example serving_sim
 }
@@ -60,16 +75,22 @@ golden_cluster_serving() {
     cargo run --release --example cluster_serving
 }
 
+golden_hot_row_cache() {
+    cargo run --release --example hot_row_cache
+}
+
 file_for() {
     if is_paper "$1"; then
         echo "crates/bench/golden/paper/$1.txt"
         return
     fi
     case "$1" in
-        sweep_fabric | sweep_availability | sweep_cluster) echo "crates/bench/golden/$1_quick.txt" ;;
-        serving_sim | cluster_serving) echo "crates/bench/golden/$1.txt" ;;
+        sweep_fabric | sweep_availability | sweep_cluster | sweep_hot_rows | sweep_static_check)
+            echo "crates/bench/golden/$1_quick.txt"
+            ;;
+        serving_sim | cluster_serving | hot_row_cache) echo "crates/bench/golden/$1.txt" ;;
         *)
-            echo "unknown golden '$1' (sweep_fabric, sweep_availability, sweep_cluster, serving_sim, cluster_serving, paper, ${PAPER[*]})" >&2
+            echo "unknown golden '$1' (${SWEEPS[*]}, paper, ${PAPER[*]})" >&2
             exit 2
             ;;
     esac
@@ -89,7 +110,7 @@ for name in "$@"; do
     fi
 done
 if [[ ${#names[@]} -eq 0 ]]; then
-    names=(sweep_fabric sweep_availability sweep_cluster serving_sim cluster_serving "${PAPER[@]}")
+    names=("${SWEEPS[@]}" "${PAPER[@]}")
 fi
 
 out=$(mktemp)

@@ -6,19 +6,18 @@
 //!   `Err` or a memory-model panic) at exactly the flagged instruction;
 //! * `analyze_plan`'s physical cycle lower bound never exceeds the cycles
 //!   `NmpCore::run_plan` replays, across random gathers, hot-row cache
-//!   shapes and refresh settings — and verify mode is bit-identical off;
-//! * the analyzer's address lowering matches the NMP-local controller's.
+//!   capacities and refresh settings — and verify mode is bit-identical off.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use tensordimm::analysis::{analyze_plan, analyze_program, lower_block_byte, ProgramStep};
+use tensordimm::analysis::{analyze_plan, analyze_program, ProgramStep};
 use tensordimm::cache::HotRowCacheConfig;
 use tensordimm::isa::{
     execute_on_dimm, AccessPlan, DimmContext, ExecSummary, Instruction, ReduceOp, VecMemory,
 };
-use tensordimm::nmp::{LocalAddressMap, NmpConfig, NmpCore};
+use tensordimm::nmp::{NmpConfig, NmpCore};
 
 /// Memory size (in 64-byte blocks) the agreement programs run against:
 /// small enough that random operands regularly fall out of bounds.
@@ -228,25 +227,5 @@ proptest! {
             analysis.lower_bound(),
             a.cycles
         );
-    }
-
-    /// The analyzer lowers block addresses exactly as the NMP-local
-    /// memory controller does (both stripe branches collapse to
-    /// `block / node_dim * 64`, wrapped into DIMM capacity).
-    #[test]
-    fn lowering_matches_local_controller(
-        nd_tid in (1u64..33, 0u64..32),
-        block in 0u64..1 << 55,
-        cap_pow in 20u32..36,
-    ) {
-        let (nd, tid_sel) = nd_tid;
-        let tid = tid_sel % nd;
-        let capacity = 1u64 << cap_pow;
-        let map = LocalAddressMap::new(nd, tid);
-        let byte = map
-            .local_byte_addr(block)
-            .unwrap_or_else(|| map.replicated_byte_addr(block))
-            % capacity;
-        prop_assert_eq!(lower_block_byte(block, nd, capacity), byte);
     }
 }

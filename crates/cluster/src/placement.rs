@@ -128,11 +128,6 @@ impl ShardPlan {
         self.replication
     }
 
-    /// The placement rule.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
     /// Whether `row` is in the replicated, load-balanced Zipf head (only
     /// ever true under [`Placement::HotColdSplit`]).
     pub fn is_hot(&self, row: u64) -> bool {

@@ -21,6 +21,17 @@
 //! pops events in exactly the order one heap holding them all would (the
 //! lanes change where an event waits, never its key). The queue also
 //! keeps the horizon rule (`sim` module docs, "Only timers that can act").
+//!
+//! Nearly every event is an arrival, so the queue keeps the least timer
+//! head (heap top or lane front) cached with its source, and an arrival
+//! pops after one comparison against it. Both sides compare through
+//! [`Event::key`], one integer that orders exactly like `Event`'s `Ord`.
+//! A push touches the cache only when the new timer becomes its source's
+//! head (a push onto a non-empty lane never does, its tail orders after
+//! the front); the sources are scanned again only after a timer pops or
+//! the cached deadline is dropped as settled. The every-timer oracle
+//! keeps no cache: it merges the arrival and the heap top by `Ord` at
+//! every pop.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -101,6 +112,21 @@ impl PartialEq for Event {
 
 impl Eq for Event {}
 
+impl Event {
+    /// One integer that orders exactly like `Ord`, least first: the time
+    /// as `f64::total_cmp` orders it (−0.0 before +0.0), then the kind
+    /// rank, then `seq`. A `seq` takes the low 61 bits, far beyond any
+    /// run's event count.
+    fn key(&self) -> u128 {
+        let bits = self.time_us.to_bits();
+        // Flip the sign bit of a positive time and every bit of a negative
+        // one: the unsigned order of the result is `total_cmp`'s.
+        let time = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+        debug_assert!(self.seq < 1 << 61, "seq {} overflows the key", self.seq);
+        u128::from(time) << 64 | u128::from(self.kind.tie_rank()) << 61 | u128::from(self.seq)
+    }
+}
+
 /// The timer kinds that fire a fixed offset after an instant that never
 /// goes backwards (see the module docs), so each kind is armed already in
 /// pop order and rides a FIFO instead of the heap.
@@ -157,10 +183,14 @@ pub(crate) struct TimerStats {
     /// Events handed to the loop (settled deadlines dropped at the lane
     /// head and events past the horizon are not).
     pub(crate) popped: usize,
+    /// Full scans of the timer heads for the least one: one per popped
+    /// timer and per settled deadline dropped while it was the cached head.
+    /// The every-timer oracle merges the sources at every pop.
+    pub(crate) scans: usize,
 }
 
 /// Where [`EventQueue::pop`] found the next event.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Source {
     Arrival,
     Heap,
@@ -181,6 +211,9 @@ pub(crate) struct EventQueue<'a> {
     lanes: [VecDeque<Event>; Lane::COUNT],
     /// Timers on the lanes together.
     lane_len: usize,
+    /// The least timer head by [`Event::key`] and its source (never
+    /// [`Source::Arrival`]); `None` when no timer is armed.
+    head: Option<(u128, Source)>,
     routing: TimerRouting,
     /// Events after this instant are not handed to the loop; `cut` says
     /// whether one was found.
@@ -213,6 +246,7 @@ impl<'a> EventQueue<'a> {
             heap: BinaryHeap::with_capacity(heap_capacity),
             lanes: Default::default(),
             lane_len: 0,
+            head: None,
             routing,
             horizon_us,
             cut: false,
@@ -235,19 +269,34 @@ impl<'a> EventQueue<'a> {
         if matches!(lane, Some(Lane::Flush | Lane::Deadline)) {
             self.latest_timer_us = self.latest_timer_us.max(time_us);
         }
-        match lane.filter(|_| self.routing == TimerRouting::Lanes) {
+        // The source whose head the timer becomes, if it becomes one.
+        let head = match lane.filter(|_| self.routing == TimerRouting::Lanes) {
             Some(lane) => {
-                let lane = &mut self.lanes[lane as usize];
+                let l = lane as usize;
+                let lane = &mut self.lanes[l];
                 // `Ord` is reversed for the max-heap: a later event is less.
                 if lane.back().is_none_or(|tail| event < *tail) {
                     lane.push_back(event);
                     self.lane_len += 1;
+                    (lane.len() == 1).then_some(Source::Lane(l))
                 } else {
                     self.stats.fallbacks += 1;
                     self.heap.push(event);
+                    Some(Source::Heap)
                 }
             }
-            None => self.heap.push(event),
+            None => {
+                self.heap.push(event);
+                (self.routing == TimerRouting::Lanes).then_some(Source::Heap)
+            }
+        };
+        // A timer ordering before the cached head becomes its source's head
+        // too, so the heap case needs no check that it topped the heap.
+        if let Some(source) = head {
+            let key = event.key();
+            if self.head.is_none_or(|(least, _)| key < least) {
+                self.head = Some((key, source));
+            }
         }
         let stats = &mut self.stats;
         stats.peak_heap = stats.peak_heap.max(self.heap.len());
@@ -257,11 +306,12 @@ impl<'a> EventQueue<'a> {
 
     /// The next event in (time, kind, seq) order, or `None` once none is
     /// left before the horizon: the least of the cursor's arrival (arrival
-    /// `i` carries `seq = i`), the heap's top and the lane fronts. The
-    /// deadlines of requests that are `settled` (have an outcome) are
-    /// dropped from the lane head first.
+    /// `i` carries `seq = i`) and the cached timer head. The deadlines of
+    /// requests that are `settled` (have an outcome) are dropped from the
+    /// lane head first.
     pub(crate) fn pop(&mut self, settled: impl Fn(usize) -> bool) -> Option<Event> {
         let deadlines = &mut self.lanes[Lane::Deadline as usize];
+        let mut dropped = false;
         while let Some(&Event {
             kind: EventKind::RetryFire(RetryKind::Deadline(id)),
             ..
@@ -272,29 +322,43 @@ impl<'a> EventQueue<'a> {
             }
             deadlines.pop_front();
             self.lane_len -= 1;
+            dropped = true;
+        }
+        if dropped
+            && self
+                .head
+                .is_some_and(|(_, s)| s == Source::Lane(Lane::Deadline as usize))
+        {
+            self.scan_heads();
         }
         let i = self.next_arrival;
-        let mut next = self.arrivals_us.get(i).map(|&time_us| {
-            let arrival = Event {
-                time_us,
-                seq: i as u64,
-                kind: EventKind::Arrival(i),
-            };
-            (arrival, Source::Arrival)
+        let arrival = self.arrivals_us.get(i).map(|&time_us| Event {
+            time_us,
+            seq: i as u64,
+            kind: EventKind::Arrival(i),
         });
-        let fronts = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(l, lane)| lane.front().map(|&e| (e, Source::Lane(l))));
-        let top = self.heap.peek().map(|&e| (e, Source::Heap));
-        for (event, source) in top.into_iter().chain(fronts) {
-            // `Ord` is reversed for the max-heap: greater orders first.
-            if next.is_none_or(|(best, _)| event > best) {
-                next = Some((event, source));
+        let source = match self.routing {
+            TimerRouting::Lanes => match self.head {
+                Some((key, source)) if arrival.is_none_or(|a| key < a.key()) => source,
+                _ => arrival.map(|_| Source::Arrival)?,
+            },
+            #[cfg(test)]
+            TimerRouting::HeapOnly => {
+                // Every timer is on the heap; merge by `Ord`, which is
+                // reversed for the max-heap: greater orders first.
+                self.stats.scans += 1;
+                match self.heap.peek() {
+                    Some(top) if arrival.is_none_or(|a| *top > a) => Source::Heap,
+                    _ => arrival.map(|_| Source::Arrival)?,
+                }
             }
+        };
+        let event = match source {
+            Source::Arrival => arrival,
+            Source::Heap => self.heap.peek().copied(),
+            Source::Lane(l) => self.lanes[l].front().copied(),
         }
-        let (event, source) = next?;
+        .expect("the source holds the next event");
         if self.horizon_us.is_some_and(|h| event.time_us > h) {
             self.cut = true;
             return None;
@@ -309,8 +373,24 @@ impl<'a> EventQueue<'a> {
                 self.lane_len -= 1;
             }
         }
+        if source != Source::Arrival && self.routing == TimerRouting::Lanes {
+            self.scan_heads();
+        }
         self.stats.popped += 1;
         Some(event)
+    }
+
+    /// Recompute the cached least timer head over the heap top and the
+    /// lane fronts.
+    fn scan_heads(&mut self) {
+        self.stats.scans += 1;
+        let top = self.heap.peek().map(|e| (e.key(), Source::Heap));
+        let fronts = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(l, lane)| lane.front().map(|e| (e.key(), Source::Lane(l))));
+        self.head = top.into_iter().chain(fronts).min_by_key(|&(key, _)| key);
     }
 
     /// Record an admission whose batch window ends at `flush_us`. The
@@ -340,6 +420,14 @@ impl<'a> EventQueue<'a> {
         }
     }
 
+    /// Whether the front whose window ends at `flush_us` is the one
+    /// [`EventQueue::arm_front_flush`] saw last, so that call would do
+    /// nothing. Never under the every-timer oracle, which arms a flush per
+    /// admission instead.
+    pub(crate) fn front_flush_armed(&self, flush_us: Option<f64>) -> bool {
+        flush_us == Some(self.front_flush_us)
+    }
+
     /// Whether the horizon cut the run: an event lay past it, or a flush
     /// or deadline the every-timer loop would arm did.
     pub(crate) fn horizon_cut(&self) -> bool {
@@ -349,5 +437,50 @@ impl<'a> EventQueue<'a> {
     /// Occupancy and work so far.
     pub(crate) fn stats(&self) -> TimerStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Times where a key could go wrong: both zeros, negatives, the
+    /// smallest subnormals and the extremes.
+    const TIMES: [f64; 10] = [
+        -0.0,
+        0.0,
+        -1.0,
+        -f64::MAX,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        1.0,
+        1.0 + f64::EPSILON,
+        f64::MAX,
+    ];
+
+    fn arb_event() -> impl Strategy<Value = Event> {
+        let kind = prop_oneof![
+            (0usize..3).prop_map(EventKind::Arrival),
+            Just(EventKind::Flush),
+            (0usize..3).prop_map(EventKind::GpuDone),
+            (0usize..3).prop_map(EventKind::FaultTransition),
+            (0usize..3).prop_map(|id| EventKind::RetryFire(RetryKind::Deadline(id))),
+        ];
+        (0..TIMES.len(), kind, 0u64..4).prop_map(|(t, kind, seq)| Event {
+            time_us: TIMES[t],
+            seq,
+            kind,
+        })
+    }
+
+    proptest! {
+        /// The key orders events least first exactly as the (reversed,
+        /// max-heap) `Ord` does, −0.0 before +0.0 included.
+        #[test]
+        fn key_orders_like_ord(a in arb_event(), b in arb_event()) {
+            prop_assert_eq!(a.key().cmp(&b.key()), b.cmp(&a));
+        }
     }
 }

@@ -51,11 +51,16 @@
 //! event `i`, fault transitions follow, then timers in the order they were
 //! armed.
 //!
-//! The event queue (`events.rs`) pops events in exactly that order. The
-//! order is part of the simulator's contract: it never depends on queue
-//! internals, so [`simulate`] is bit-identical for identical inputs even
-//! with colliding timestamps (see the regression tests, the every-timer
-//! oracle and the record-digest pins).
+//! The event queue (`events.rs`) pops events in exactly that order. It
+//! compares events through one integer key: the time mapped so that its
+//! unsigned order is `f64::total_cmp`'s (a −0.0 arrival precedes a +0.0
+//! timer), then the kind rank above, then the creation order. It keeps
+//! the least timer's key cached, so an arrival, nearly every event, pops
+//! after one comparison. The order is part of the simulator's contract:
+//! it never depends on queue internals, so [`simulate`] is bit-identical
+//! for identical inputs even with colliding timestamps (see the
+//! regression tests, the every-timer oracle, which merges by `Ord` and
+//! keeps no cache, and the record-digest pins).
 //!
 //! # Only timers that can act
 //!
@@ -72,11 +77,12 @@
 //!   admission) seals it itself, so a flush armed for a request behind the
 //!   front can seal nothing. The flush lane carries one timer per front,
 //!   at its admission plus `max_wait_us`, armed by the first dispatch
-//!   attempt that finds it at the front (every admission, completion,
-//!   fault transition and flush makes one), unless that instant has
-//!   passed. A front exposed by a deadline removal waits for the next
-//!   attempt, which comes no later than the removed front's own flush,
-//!   whose window ends first. Windows are exact: a flush seals only a
+//!   attempt that finds it at the front (every completion, fault
+//!   transition and flush makes one, and so does every admission except
+//!   one that finds no batch ready and the front's flush armed already),
+//!   unless that instant has passed. A front exposed by a deadline
+//!   removal waits for the next attempt, which comes no later than the
+//!   removed front's own flush, whose window ends first. Windows are exact: a flush seals only a
 //!   front whose window has ended, at the very instant it ends.
 //! - **Settled deadlines are dropped at the lane head.** A deadline whose
 //!   request already has an outcome would do nothing, and an outcome never
@@ -556,7 +562,9 @@ impl Engine<'_> {
     /// backoff re-admission) at `now_us`. A request whose deadline has
     /// passed times out (under `shed_expired`); one that finds the queue
     /// full consumes a retry, re-admitted after a deterministic backoff,
-    /// or is shed for good; any other is queued and dispatch attempted.
+    /// or is shed for good; any other is queued and dispatch attempted,
+    /// unless that attempt could do nothing: no batch is ready, so none
+    /// seals, and the front's flush is the one already armed.
     fn admit(
         &mut self,
         now_us: f64,
@@ -587,7 +595,15 @@ impl Engine<'_> {
             });
             self.queue
                 .admitted(now_us + self.batcher.policy().max_wait_us);
-            self.dispatch_ready(now_us)?;
+            // A deadline's `batcher.remove` can expose a front without
+            // arming its flush, so the front itself is checked.
+            let idle = !self.batcher.ready(now_us)
+                && self
+                    .queue
+                    .front_flush_armed(self.batcher.next_deadline_us());
+            if !idle {
+                self.dispatch_ready(now_us)?;
+            }
         }
         Ok(())
     }
@@ -1685,24 +1701,27 @@ mod tests {
         assert!(report.records.iter().any(|r| r.retries > 0));
         assert_eq!(timers.fallbacks, 0);
         assert!(timers.peak_lanes > timers.peak_heap);
-        assert_eq!(work(timers), (22_462, 99, 746, 770));
+        assert_eq!(work(timers), (22_462, 99, 746, 770, 2_462));
     }
 
-    /// The loop's deterministic work counters: events popped and the peak
-    /// heap, lane and live timer counts.
-    fn work(timers: TimerStats) -> (usize, usize, usize, usize) {
+    /// The loop's deterministic work counters: events popped, the peak
+    /// heap, lane and live timer counts, and full scans of the timer heads.
+    fn work(timers: TimerStats) -> (usize, usize, usize, usize, usize) {
         (
             timers.popped,
             timers.peak_heap,
             timers.peak_lanes,
             timers.peak_live,
+            timers.scans,
         )
     }
 
     /// The loop handles about one event per request on the benchmark's
     /// `node_warm` shape: each arrival, plus one flush and one GPU
     /// completion per batch of ~32. The every-timer loop also pops a flush
-    /// and a deadline per request, about three events per request.
+    /// and a deadline per request, about three events per request. The
+    /// lanes scan the timer heads only after a timer pops or a settled
+    /// deadline leaves the head; the every-timer loop merges at every pop.
     #[test]
     fn node_loop_handles_about_one_event_per_request() {
         let m = model();
@@ -1713,10 +1732,10 @@ mod tests {
         let pricer = cfg.pricing.build(&m);
         let n = 20_000;
         let arrivals = poisson(300_000.0, n, 3);
-        // (popped, peak_heap, peak_lanes, peak_live) of each routing.
+        // (popped, peak_heap, peak_lanes, peak_live, scans) of each routing.
         for (routing, pinned) in [
-            (TimerRouting::Lanes, (21_250, 4, 131, 135)),
-            (TimerRouting::HeapOnly, (60_625, 782, 0, 782)),
+            (TimerRouting::Lanes, (21_250, 4, 131, 135, 1_251)),
+            (TimerRouting::HeapOnly, (60_625, 782, 0, 782, 60_626)),
         ] {
             let (report, timers) =
                 run_engine(&w, &cfg, &arrivals, pricer.as_ref(), routing).expect("valid");
@@ -1926,16 +1945,24 @@ mod tests {
         /// The lanes reproduce the every-timer, single-heap oracle: the
         /// whole report, records included, is bit-identical whether the
         /// loop arms a flush per admission and pops every deadline or only
-        /// the timers that can act. Only the queue-depth integral, split
-        /// at fewer instants, may differ by float re-association.
+        /// the timers that can act, and whether the next event is chosen
+        /// by the cached head's key or by `Ord`. Only the queue-depth
+        /// integral, split at fewer instants, may differ by float
+        /// re-association.
         #[test]
         fn lanes_match_the_heap_only_oracle(
             cfg in arb_lane_config(),
             gaps in prop::collection::vec(0u8..5, 1..400),
             analytic in any_bool(),
+            negative_zero in any_bool(),
         ) {
             let w = Workload::facebook();
-            let arrivals = grid_trace(&gaps);
+            let mut arrivals = grid_trace(&gaps);
+            if negative_zero {
+                // A valid trace may start at −0.0, which orders before
+                // every timer at +0.0.
+                arrivals[0] = -0.0;
+            }
             let m = model();
             let pricer: Box<dyn BatchPricer + '_> = if analytic {
                 cfg.pricing.build(&m)

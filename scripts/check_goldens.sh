@@ -4,10 +4,11 @@
 #   bash scripts/check_goldens.sh [--update] [NAME...]
 #
 # NAME is one of sweep_fabric, sweep_availability, sweep_cluster,
-# sweep_hot_rows, sweep_static_check, serving_sim, cluster_serving and
-# hot_row_cache, or one of the paper-figure binaries in
-# PAPER below (goldens under crates/bench/golden/paper/); `paper` stands
-# for all of those. With no NAME, every golden runs. Each golden command
+# sweep_hot_rows, sweep_static_check, the examples serving_sim,
+# cluster_serving, hot_row_cache, bandwidth_scaling, multi_gpu_sharing,
+# recommender_inference and tensor_isa_tour, or one of the paper-figure
+# binaries in PAPER below (goldens under crates/bench/golden/paper/);
+# `paper` stands for all of those. With no NAME, every golden runs. Each golden command
 # runs in release mode and must exit 0 (the binaries assert their own
 # gates). Without --update its stdout is diffed against the checked-in
 # file and any difference fails the script; with --update the file is
@@ -25,14 +26,24 @@ PAPER=(
     ablation_queue_depth ablation_reduction_factor sweep_qps_sla
 )
 
-# The other goldens: quick sweeps and examples.
+# Examples whose whole stdout is a golden.
+EXAMPLES=(
+    serving_sim cluster_serving hot_row_cache bandwidth_scaling multi_gpu_sharing
+    recommender_inference tensor_isa_tour
+)
+
+# The other goldens: quick sweeps and the examples.
 SWEEPS=(
     sweep_fabric sweep_availability sweep_cluster sweep_hot_rows sweep_static_check
-    serving_sim cluster_serving hot_row_cache
+    "${EXAMPLES[@]}"
 )
 
 is_paper() {
     [[ " ${PAPER[*]} " == *" $1 "* ]]
+}
+
+is_example() {
+    [[ " ${EXAMPLES[*]} " == *" $1 "* ]]
 }
 
 golden_paper() {
@@ -67,16 +78,8 @@ golden_sweep_static_check() {
     cargo run --release -p tensordimm_bench --bin sweep_static_check -- --quick
 }
 
-golden_serving_sim() {
-    cargo run --release --example serving_sim
-}
-
-golden_cluster_serving() {
-    cargo run --release --example cluster_serving
-}
-
-golden_hot_row_cache() {
-    cargo run --release --example hot_row_cache
+golden_example() {
+    cargo run --release --example "$1"
 }
 
 file_for() {
@@ -84,11 +87,14 @@ file_for() {
         echo "crates/bench/golden/paper/$1.txt"
         return
     fi
+    if is_example "$1"; then
+        echo "crates/bench/golden/$1.txt"
+        return
+    fi
     case "$1" in
         sweep_fabric | sweep_availability | sweep_cluster | sweep_hot_rows | sweep_static_check)
             echo "crates/bench/golden/$1_quick.txt"
             ;;
-        serving_sim | cluster_serving | hot_row_cache) echo "crates/bench/golden/$1.txt" ;;
         *)
             echo "unknown golden '$1' (${SWEEPS[*]}, paper, ${PAPER[*]})" >&2
             exit 2
@@ -120,6 +126,8 @@ for name in "${names[@]}"; do
     file=$(file_for "$name")
     if is_paper "$name"; then
         command=(golden_paper "$name")
+    elif is_example "$name"; then
+        command=(golden_example "$name")
     else
         command=("golden_$name")
     fi

@@ -10,9 +10,9 @@
 //!   agreement contract with the executor is:
 //!
 //!   * a program with no [`Severity::Error`] diagnostics executes
-//!     successfully under [`tensordimm_isa::exec::execute_program_on_dimm`],
-//!     and the report's statically computed [`ExecSummary`] matches the
-//!     executed one exactly;
+//!     successfully under [`tensordimm_isa::execute_on_dimm`] run step by
+//!     step, and the report's statically computed [`ExecSummary`] matches
+//!     the merged executed one exactly;
 //!   * a program whose first error is *not* one of the value-indeterminate
 //!     kinds ([`DiagnosticKind::MissingIndices`],
 //!     [`DiagnosticKind::IndeterminateIndices`]) fails at runtime — with an

@@ -57,16 +57,6 @@ pub struct OpExperiment {
     pub zipf_s: f64,
 }
 
-/// Deep queues approximating trace-driven simulation (the reorder window a
-/// Ramulator-style replay enjoys).
-fn deep_queues(mut cfg: DramConfig) -> DramConfig {
-    cfg.read_queue_depth = 256;
-    cfg.write_queue_depth = 256;
-    cfg.write_high_watermark = 192;
-    cfg.write_low_watermark = 64;
-    cfg
-}
-
 fn gather_indices(exp: &OpExperiment) -> Vec<u64> {
     zipf_lookup_rows(exp.count as usize, exp.table_rows, exp.zipf_s, exp.seed)
 }
@@ -80,7 +70,7 @@ pub fn padded_vec_blocks(vec_blocks: u64, dimms: u64) -> u64 {
 /// replay DIMM 0's slice on the cycle-level simulator, scale by `dimms`.
 pub fn tensornode_gbps(exp: &OpExperiment, dimms: u64) -> f64 {
     let mut nmp_cfg = NmpConfig::paper();
-    nmp_cfg.dram = deep_queues(nmp_cfg.dram);
+    nmp_cfg.dram = nmp_cfg.dram.with_replay_queues();
     let mut core = NmpCore::new(nmp_cfg).expect("paper NMP config is valid");
     let vb = padded_vec_blocks(exp.vec_blocks, dimms);
     // Place operands in distinct stripe-aligned regions.
@@ -158,7 +148,7 @@ pub fn op_trace(exp: &OpExperiment, capacity: u64) -> Trace {
 /// over a conventional `channels`-channel system with `ranks_per_channel`
 /// ranks (DIMMs) per channel.
 pub fn cpu_gbps(exp: &OpExperiment, channels: usize, ranks_per_channel: usize) -> f64 {
-    let mut cfg = deep_queues(DramConfig::cpu_memory(channels));
+    let mut cfg = DramConfig::cpu_memory(channels).with_replay_queues();
     cfg.geometry.ranks_per_channel = ranks_per_channel;
     cfg.mapping = tensordimm_dram::MappingScheme::channel_interleaved(&cfg.geometry);
     let trace = op_trace(exp, cfg.capacity_bytes());

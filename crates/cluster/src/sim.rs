@@ -991,7 +991,7 @@ mod tests {
         let w = Workload::youtube();
         let trace = arrivals(50_000.0, 200, 11);
         let mut cfg = base_cfg(3, 1).with_failover(FailoverPolicy::None);
-        cfg.plan = ShardPlan::round_robin(3, 1).expect("valid");
+        cfg.plan = ShardPlan::hash(3, 1).expect("valid");
         let report = simulate_cluster(&m, &w, &cfg, &trace).expect("valid");
         let traces = shard_traces(&cfg, &w, &trace).expect("valid");
         for (node, sub_trace) in traces.iter().enumerate() {
@@ -1070,7 +1070,8 @@ mod tests {
         let trace = arrivals(40_000.0, 120, 5);
         let horizon = *trace.last().expect("nonempty");
         // Node 0 limps through the whole run with a rank out.
-        let degraded = FaultPlan::none().with_rank_outage(RankOutage {
+        let mut degraded = FaultPlan::none();
+        degraded.rank_outages[0] = Some(RankOutage {
             rank: 0,
             start_us: 0.0,
             duration_us: horizon + 1.0,
@@ -1123,25 +1124,20 @@ mod tests {
             duration_us,
             latency_multiplier,
         };
-        let mut node1 = FaultPlan::none()
-            .with_rank_outage(ranks(0, 250.0, 500.0))
-            .with_rank_outage(ranks(1, 500.0, 750.0));
+        let mut node1 = FaultPlan::none();
+        node1.rank_outages[0] = Some(ranks(0, 250.0, 500.0));
+        node1.rank_outages[1] = Some(ranks(1, 500.0, 750.0));
         node1.dimms = 2;
         let mut node2 = FaultPlan::dimm_faults(0x5eed, 0.8).for_node(2);
         node2.dimms = 4;
         node2.dimm_candidate_gap_us = 250.0;
         node2.dimm_repair_us = 500.0;
-        let plans = [
-            FaultPlan::none()
-                .with_node_outage(window(500.0, 500.0))
-                .with_gray(gray(1_000.0, 500.0, 2.0)),
-            node1,
-            node2,
-            FaultPlan::none()
-                .with_node_outage(window(1_250.0, 250.0))
-                .with_rank_outage(ranks(3, 1_500.0, 250.0))
-                .with_gray(gray(1_750.0, 250.0, 3.0)),
-        ];
+        let mut node0 = FaultPlan::none().with_node_outage(window(500.0, 500.0));
+        node0.gray = Some(gray(1_000.0, 500.0, 2.0));
+        let mut node3 = FaultPlan::none().with_node_outage(window(1_250.0, 250.0));
+        node3.rank_outages[0] = Some(ranks(3, 1_500.0, 250.0));
+        node3.gray = Some(gray(1_750.0, 250.0, 3.0));
+        let plans = [node0, node1, node2, node3];
         // Two arrivals every 25 µs (duplicate instants), 0..2500 µs.
         let trace: Vec<f64> = (0..200u32).map(|k| 25.0 * f64::from(k / 2)).collect();
         let digest = |records: &[ClusterRecord]| {
@@ -1244,7 +1240,8 @@ mod tests {
             primaries.clear();
             hedges.clear();
             'rows: for &row in rows.iter().rev() {
-                let owners = cfg.plan.owners(row);
+                let mut owners = Vec::new();
+                cfg.plan.owners_into(row, &mut owners);
                 let target = match cfg.failover {
                     FailoverPolicy::None => {
                         let primary = owners[0];
@@ -1373,7 +1370,8 @@ mod tests {
         let end = *trace.last().expect("nonempty");
         // Nodes 0-2 limp with a rank out (their legs hedge); node 3 dies
         // for a stretch (its legs reroute).
-        let limping = FaultPlan::none().with_rank_outage(RankOutage {
+        let mut limping = FaultPlan::none();
+        limping.rank_outages[0] = Some(RankOutage {
             rank: 0,
             start_us: 0.0,
             duration_us: end + 1.0,
@@ -1572,16 +1570,15 @@ mod tests {
 
     #[test]
     fn health_windows_fold_schedules() {
-        let plan = FaultPlan::none()
-            .with_node_outage(NodeOutage {
-                start_us: 100.0,
-                duration_us: 50.0,
-            })
-            .with_rank_outage(RankOutage {
-                rank: 0,
-                start_us: 300.0,
-                duration_us: 100.0,
-            });
+        let mut plan = FaultPlan::none().with_node_outage(NodeOutage {
+            start_us: 100.0,
+            duration_us: 50.0,
+        });
+        plan.rank_outages[0] = Some(RankOutage {
+            rank: 0,
+            start_us: 300.0,
+            duration_us: 100.0,
+        });
         // The cursor answers queries at non-decreasing times.
         let mut h = NodeHealth::from_plan(&plan, 1_000.0).expect("valid");
         let mut at = |t| {
@@ -1600,7 +1597,8 @@ mod tests {
         jump.advance(500.0);
         assert!(!jump.dead() && !jump.degraded());
         // A 1-DIMM node losing its only rank is dead, not degraded.
-        let mut tiny = FaultPlan::none().with_rank_outage(RankOutage {
+        let mut tiny = FaultPlan::none();
+        tiny.rank_outages[0] = Some(RankOutage {
             rank: 0,
             start_us: 10.0,
             duration_us: 5.0,
@@ -1612,11 +1610,14 @@ mod tests {
         h1.advance(15.0);
         assert!(!h1.dead());
         // A gray window alone degrades a node.
-        let slow = FaultPlan::none().with_gray(GrayRank {
-            start_us: 10.0,
-            duration_us: 5.0,
-            latency_multiplier: 2.0,
-        });
+        let slow = FaultPlan {
+            gray: Some(GrayRank {
+                start_us: 10.0,
+                duration_us: 5.0,
+                latency_multiplier: 2.0,
+            }),
+            ..FaultPlan::none()
+        };
         let mut g = NodeHealth::from_plan(&slow, 100.0).expect("valid");
         g.advance(10.0);
         assert!(!g.dead() && g.degraded());
@@ -1676,21 +1677,22 @@ mod tests {
                 // Windows on one rank may not touch: a second outage of
                 // the first window's rank starts after its repair.
                 let mut first: Option<(u64, u32)> = None;
-                for (rank, (start, len)) in [rank_a, rank_b].into_iter().flatten() {
+                let windows = [rank_a, rank_b].into_iter().flatten();
+                for (slot, (rank, (start, len))) in windows.enumerate() {
                     let rank = rank % dimms;
                     let start = match first {
                         Some((r, end)) if r == rank => end + 1 + start,
                         _ => start,
                     };
                     first = Some((rank, start + len));
-                    plan = plan.with_rank_outage(RankOutage {
+                    plan.rank_outages[slot] = Some(RankOutage {
                         rank,
                         start_us: grid(start),
                         duration_us: grid(len),
                     });
                 }
                 if let Some((start, len)) = gray {
-                    plan = plan.with_gray(GrayRank {
+                    plan.gray = Some(GrayRank {
                         start_us: grid(start),
                         duration_us: grid(len),
                         latency_multiplier: 2.0,
@@ -1705,13 +1707,7 @@ mod tests {
     /// `1..=nodes`, every failover policy, per-node fault plans, an
     /// optional horizon cut, uniform or Zipf rows, 1–32 lookups.
     fn arb_router_config() -> impl Strategy<Value = (ClusterConfig, u64)> {
-        let shape = (
-            1usize..6,
-            0usize..6,
-            0u8..4,
-            0u64..64,
-            prop::collection::vec(1u32..8, 5..6),
-        );
+        let shape = (1usize..6, 0usize..6, 0u8..2, 0u64..64);
         let failover = prop_oneof![
             Just(FailoverPolicy::None),
             Just(FailoverPolicy::Reroute),
@@ -1723,15 +1719,12 @@ mod tests {
         let plans = prop::collection::vec(arb_node_plan(), 5..6);
         let horizon = maybe(1u32..200);
         (shape, failover, lookups, rows, plans, horizon).prop_map(
-            |((nodes, repl, kind, hot_rows, weights), failover, lookups, rows, plans, horizon)| {
+            |((nodes, repl, hot_cold, hot_rows), failover, lookups, rows, plans, horizon)| {
                 let replication = 1 + repl % nodes;
-                let placement = match kind {
-                    0 => Placement::Hash,
-                    1 => Placement::RoundRobin,
-                    2 => Placement::CapacityAware {
-                        weights: weights[..nodes].iter().map(|&w| f64::from(w)).collect(),
-                    },
-                    _ => Placement::HotColdSplit { hot_rows },
+                let placement = if hot_cold == 1 {
+                    Placement::HotColdSplit { hot_rows }
+                } else {
+                    Placement::Hash
                 };
                 let plan = ShardPlan::new(nodes, replication, placement).expect("valid");
                 let specs = plans[..nodes]

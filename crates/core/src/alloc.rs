@@ -57,16 +57,6 @@ impl BumpAllocator {
         Ok(base)
     }
 
-    /// Blocks handed out so far.
-    pub fn used(&self) -> u64 {
-        self.next
-    }
-
-    /// Blocks remaining.
-    pub fn available(&self) -> u64 {
-        self.capacity - self.next
-    }
-
     /// Total capacity in blocks.
     pub fn capacity(&self) -> u64 {
         self.capacity
@@ -87,9 +77,16 @@ mod tests {
         let mut a = BumpAllocator::new(100, 8);
         assert_eq!(a.alloc(1).unwrap(), 0);
         assert_eq!(a.alloc(9).unwrap(), 8);
-        assert_eq!(a.used(), 24);
-        assert_eq!(a.available(), 76);
         assert_eq!(a.capacity(), 100);
+        // 24 blocks handed out, 76 left: 72 fit, the next 8 do not.
+        assert_eq!(a.alloc(72).unwrap(), 24);
+        assert_eq!(
+            a.alloc(1),
+            Err(CoreError::OutOfMemory {
+                requested: 8,
+                available: 4
+            })
+        );
     }
 
     #[test]
@@ -107,14 +104,14 @@ mod tests {
         let mut a = BumpAllocator::new(16, 4);
         a.alloc(4).unwrap();
         a.reset();
-        assert_eq!(a.used(), 0);
         assert_eq!(a.alloc(4).unwrap(), 0);
+        assert_eq!(a.alloc(4).unwrap(), 4);
     }
 
     #[test]
     fn zero_align_clamped() {
         let mut a = BumpAllocator::new(4, 0);
         assert_eq!(a.alloc(3).unwrap(), 0);
-        assert_eq!(a.used(), 3);
+        assert_eq!(a.alloc(1).unwrap(), 3);
     }
 }

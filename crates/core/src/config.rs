@@ -12,9 +12,6 @@ pub enum TimingMode {
     /// DIMM slices are symmetric, so one DIMM's time is the node's time).
     #[default]
     Replay,
-    /// Full NMP pipeline simulation (SRAM queues + 150 MHz vector ALU) on
-    /// the representative DIMM.
-    Pipeline,
 }
 
 /// Configuration of a [`crate::TensorNode`].

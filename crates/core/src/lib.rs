@@ -94,13 +94,6 @@ pub enum CoreError {
         /// Offending index.
         index: u64,
     },
-    /// Data length does not match the table shape.
-    DataShape {
-        /// Provided length.
-        got: usize,
-        /// Expected length.
-        expected: usize,
-    },
     /// A zero-sized table, tensor or batch was requested.
     Empty {
         /// What was empty.
@@ -138,9 +131,6 @@ impl fmt::Display for CoreError {
                     f,
                     "index {index} does not fit the 32-bit TensorISA index format"
                 )
-            }
-            CoreError::DataShape { got, expected } => {
-                write!(f, "data length {got} does not match table size {expected}")
             }
             CoreError::Empty { what } => write!(f, "{what} must be nonzero"),
             CoreError::Isa(e) => write!(f, "isa: {e}"),

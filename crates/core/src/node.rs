@@ -69,16 +69,6 @@ impl TensorNode {
         DimmPowerModel::paper().node_watts(self.config.dimms as usize)
     }
 
-    /// Pool blocks allocated so far.
-    pub fn used_blocks(&self) -> u64 {
-        self.allocator.used()
-    }
-
-    /// Pool blocks remaining.
-    pub fn available_blocks(&self) -> u64 {
-        self.allocator.available()
-    }
-
     /// Reports of every operation executed, in order.
     pub fn reports(&self) -> &[OpReport] {
         &self.reports
@@ -153,63 +143,6 @@ impl TensorNode {
                 .write_f32_slice(table.base_block + r * table.vec_blocks, &row_buf);
         }
         Ok(())
-    }
-
-    /// Load a table from a flat row-major slice (`rows × dim`).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DataShape`] when the length does not match.
-    pub fn load_table(&mut self, table: &TableHandle, data: &[f32]) -> Result<(), CoreError> {
-        let expected = table.rows as usize * table.dim;
-        if data.len() != expected {
-            return Err(CoreError::DataShape {
-                got: data.len(),
-                expected,
-            });
-        }
-        for (r, row) in data.chunks(table.dim).enumerate() {
-            self.pool
-                .write_f32_slice(table.base_block + r as u64 * table.vec_blocks, row);
-        }
-        Ok(())
-    }
-
-    /// Upload a tensor of `count` vectors of `dim` f32 values.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::DataShape`] / [`CoreError::Empty`] /
-    /// [`CoreError::OutOfMemory`] under the obvious conditions.
-    pub fn upload_tensor(
-        &mut self,
-        data: &[f32],
-        count: u64,
-        dim: usize,
-    ) -> Result<TensorHandle, CoreError> {
-        if count == 0 || dim == 0 {
-            return Err(CoreError::Empty {
-                what: "tensor shape",
-            });
-        }
-        if data.len() as u64 != count * dim as u64 {
-            return Err(CoreError::DataShape {
-                got: data.len(),
-                expected: (count * dim as u64) as usize,
-            });
-        }
-        let vec_blocks = self.vec_blocks_for(dim);
-        let base_block = self.allocator.alloc(count * vec_blocks)?;
-        for (i, row) in data.chunks(dim).enumerate() {
-            self.pool
-                .write_f32_slice(base_block + i as u64 * vec_blocks, row);
-        }
-        Ok(TensorHandle {
-            base_block,
-            count,
-            dim,
-            vec_blocks,
-        })
     }
 
     /// GATHER: look up `indices` in `table`, producing a tensor of
@@ -487,23 +420,6 @@ impl TensorNode {
         Ok(out)
     }
 
-    /// Read one table row back to the host.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::RowOutOfRange`] for a bad row.
-    pub fn read_table_row(&self, table: &TableHandle, row: u64) -> Result<Vec<f32>, CoreError> {
-        if row >= table.rows {
-            return Err(CoreError::RowOutOfRange {
-                index: row,
-                rows: table.rows,
-            });
-        }
-        Ok(self
-            .pool
-            .read_f32_slice(table.base_block + row * table.vec_blocks, table.dim))
-    }
-
     /// Model shipping a tensor's payload to a GPU over `link`
     /// (P2P `cudaMemcpy` over NVLINK in the paper's system).
     pub fn copy_to_gpu(&self, t: &TensorHandle, link: &Link) -> TransferReport {
@@ -529,19 +445,16 @@ impl TensorNode {
                 DimmContext::new(self.config.dimms, 0),
                 indices,
             )?),
-            TimingMode::Pipeline => Some(self.representative_dimm.run_instruction(
-                &decoded,
-                DimmContext::new(self.config.dimms, 0),
-                indices,
-            )?),
         };
 
+        let geometry = &self.config.nmp.dram.geometry;
         self.reports.push(OpReport {
             instruction: decoded,
             encoded,
             exec,
             timing,
             dimms: self.config.dimms,
+            ranks_per_dimm: geometry.channels * geometry.ranks_per_channel,
         });
         Ok(())
     }
@@ -575,7 +488,8 @@ mod tests {
         let mut n = node();
         let table = tensordimm_embedding::EmbeddingTable::seeded("x", 128, 48, 9);
         let h = n.create_table("x", 128, 48).unwrap();
-        n.load_table(&h, table.data()).unwrap();
+        n.fill_table(&h, |r, c| table.row(r).expect("in range")[c])
+            .unwrap();
         let idx = [3u64, 77, 12, 12, 127];
         let g = n.gather(&h, &idx).unwrap();
         let got = n.read_tensor(&g).unwrap();
@@ -741,7 +655,6 @@ mod tests {
         assert_eq!(n.dimms(), 32);
         assert!((n.peak_gbps() - 819.2).abs() < 1e-9);
         assert!((n.power_watts() - 416.0).abs() < 1e-9);
-        assert_eq!(n.used_blocks(), 0);
     }
 
     #[test]
@@ -806,17 +719,33 @@ mod tests {
         let _ = n.gather(&t, &[0, 1, 2, 3]).unwrap();
         let e = n.last_report().unwrap().energy().unwrap();
         assert!(e.total_nj() > 0.0);
-        assert!(e.pj_per_bit() > 1.0 && e.pj_per_bit() < 100.0);
+        let pj_per_bit = e.total_nj() * 1e3 / (e.bytes as f64 * 8.0);
+        assert!(pj_per_bit > 1.0 && pj_per_bit < 100.0);
     }
 
+    /// Background energy scales with the ranks behind each NMP core: the
+    /// report takes them from the node's DRAM geometry, not a constant.
     #[test]
-    fn upload_tensor_roundtrip() {
-        let mut n = node();
-        let data: Vec<f32> = (0..96).map(|i| i as f32).collect();
-        let t = n.upload_tensor(&data, 6, 16).unwrap();
-        assert_eq!(n.read_tensor(&t).unwrap(), data);
-        assert!(n.upload_tensor(&data, 5, 16).is_err());
-        assert!(n.upload_tensor(&[], 0, 16).is_err());
+    fn op_energy_background_follows_the_dimm_ranks() {
+        let gather_energy = |ranks: usize| {
+            let mut cfg = TensorNodeConfig::small();
+            cfg.nmp.dram.geometry.ranks_per_channel = ranks;
+            cfg.nmp.dram.mapping =
+                tensordimm_dram::MappingScheme::nmp_local(&cfg.nmp.dram.geometry);
+            let mut n = TensorNode::new(cfg).unwrap();
+            let t = n.create_table("t", 64, 64).unwrap();
+            let _ = n.gather(&t, &[0, 1, 2, 3]).unwrap();
+            let report = n.last_report().unwrap();
+            assert_eq!(report.ranks_per_dimm, ranks);
+            report.energy().unwrap()
+        };
+        let (two, four) = (gather_energy(2), gather_energy(4));
+        assert!(
+            two.background_nj < four.background_nj,
+            "2 ranks {} nJ vs 4 ranks {} nJ",
+            two.background_nj,
+            four.background_nj
+        );
     }
 }
 
@@ -838,10 +767,14 @@ mod metadata_tests {
     #[test]
     fn allocator_accounting_via_node() {
         let mut n = TensorNode::new(TensorNodeConfig::small()).unwrap();
-        let before = n.available_blocks();
         let t = n.create_table("t", 8, 64).unwrap();
-        assert_eq!(n.used_blocks(), t.stored_bytes() / 64);
-        assert_eq!(n.available_blocks(), before - n.used_blocks());
+        let u = n.create_table("u", 8, 64).unwrap();
+        assert_eq!(t.base_block(), 0);
+        assert_eq!(
+            u.base_block(),
+            t.stored_bytes() / 64,
+            "tables pack back to back"
+        );
     }
 
     #[test]
@@ -874,10 +807,13 @@ mod metadata_tests {
         let mut n = TensorNode::new(TensorNodeConfig::small()).unwrap();
         let t = n.create_table("t", 4, 16).unwrap();
         n.fill_table(&t, |r, _| r as f32).unwrap();
-        let snapshot = n.clone();
+        let mut snapshot = n.clone();
+        let theirs = snapshot.gather(&t, &[3]).unwrap();
+        let ours = n.gather(&t, &[3]).unwrap();
         assert_eq!(
-            snapshot.read_table_row(&t, 3).unwrap(),
-            n.read_table_row(&t, 3).unwrap()
+            snapshot.read_tensor(&theirs).unwrap(),
+            n.read_tensor(&ours).unwrap()
         );
+        assert_eq!(n.read_tensor(&ours).unwrap(), vec![3.0; 16]);
     }
 }

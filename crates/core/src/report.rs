@@ -17,6 +17,9 @@ pub struct OpReport {
     pub timing: Option<NmpRunStats>,
     /// Number of DIMMs that executed the instruction.
     pub dimms: u64,
+    /// Ranks behind each DIMM's NMP core (its local DRAM geometry), which
+    /// set the background-power share of [`OpReport::energy`].
+    pub ranks_per_dimm: usize,
 }
 
 impl OpReport {
@@ -38,30 +41,19 @@ impl OpReport {
         self.exec.bytes_moved()
     }
 
-    /// Node-wide DRAM energy of the operation (per-DIMM simulated energy
-    /// scaled by the DIMM count), when timing was simulated.
-    ///
-    /// `ranks_per_dimm` sets the background-power contribution; the
-    /// default local-channel geometry has four internal ranks.
-    pub fn energy_with(
-        &self,
-        model: &tensordimm_dram::EnergyModel,
-        ranks_per_dimm: usize,
-    ) -> Option<tensordimm_dram::EnergyReport> {
+    /// Node-wide DRAM energy of the operation under the default DDR4-3200
+    /// model (per-DIMM simulated energy scaled by the DIMM count), when
+    /// timing was simulated.
+    pub fn energy(&self) -> Option<tensordimm_dram::EnergyReport> {
         let timing = self.timing.as_ref()?;
-        let per_dimm = model.report(&timing.memory, ranks_per_dimm);
+        let per_dimm =
+            tensordimm_dram::EnergyModel::default().report(&timing.memory, self.ranks_per_dimm);
         Some(tensordimm_dram::EnergyReport {
             dynamic_nj: per_dimm.dynamic_nj * self.dimms as f64,
             background_nj: per_dimm.background_nj * self.dimms as f64,
             bytes: per_dimm.bytes * self.dimms,
             seconds: per_dimm.seconds,
         })
-    }
-
-    /// [`OpReport::energy_with`] under the default DDR4-3200 model and the
-    /// default four internal ranks per LR-DIMM.
-    pub fn energy(&self) -> Option<tensordimm_dram::EnergyReport> {
-        self.energy_with(&tensordimm_dram::EnergyModel::default(), 4)
     }
 }
 
@@ -89,6 +81,7 @@ mod tests {
             },
             timing: None,
             dimms: 32,
+            ranks_per_dimm: 4,
         };
         assert_eq!(r.bytes_moved(), 96 * 64);
         assert!(r.elapsed_ns().is_none());

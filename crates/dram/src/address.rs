@@ -2,11 +2,13 @@
 //!
 //! The paper's key software-architecture component is an address-mapping
 //! scheme (Fig. 7) that stripes consecutive 64-byte blocks of an embedding
-//! vector across ranks so every NMP core works on its own slice of every
-//! tensor concurrently. This module implements that mapping along with the
-//! conventional mappings it is compared against, as an ordered list of
-//! bit-fields peeled off a physical address from least- to most-significant
-//! bit (above the 6-bit intra-burst offset).
+//! vector across TensorDIMMs so every NMP core works on its own slice of
+//! every tensor concurrently. That node-level striping is
+//! `tensordimm_analysis::lower_block_byte`; this module maps the address
+//! that lowering leaves *inside* one DIMM (and a CPU channel's addresses)
+//! to DRAM coordinates, as an ordered list of bit-fields peeled off a
+//! physical address from least- to most-significant bit (above the 6-bit
+//! intra-burst offset).
 
 use crate::config::Geometry;
 use crate::{DramError, ACCESS_BYTES};
@@ -61,18 +63,18 @@ pub enum Field {
 ///
 /// # Example
 ///
-/// The paper's rank-interleaved mapping places rank bits at the lowest
-/// position, so consecutive 64-byte blocks land on consecutive ranks:
+/// The NMP-local mapping places bank-group bits at the lowest position, so
+/// consecutive 64-byte blocks inside one TensorDIMM alternate bank groups:
 ///
 /// ```
 /// use tensordimm_dram::{DramConfig, MappingScheme};
 ///
 /// let geom = DramConfig::ddr4_3200_channel().geometry;
-/// let map = MappingScheme::rank_interleaved(&geom);
+/// let map = MappingScheme::nmp_local(&geom);
 /// let a = map.decode(0, &geom)?;
 /// let b = map.decode(64, &geom)?;
-/// assert_eq!(a.rank, 0);
-/// assert_eq!(b.rank, 1);
+/// assert_ne!(a.bank_group, b.bank_group);
+/// assert_eq!((a.rank, b.rank), (0, 0));
 /// # Ok::<(), tensordimm_dram::DramError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,28 +120,6 @@ impl MappingScheme {
         addr
     }
 
-    /// The paper's mapping (Fig. 7): rank bits immediately above the 64-byte
-    /// offset, so consecutive blocks of an embedding interleave across ranks
-    /// (equivalently, across TensorDIMMs); then a few low column bits, bank
-    /// and bank-group bits, the remaining column bits, the row, and channel.
-    pub fn rank_interleaved(geom: &Geometry) -> Self {
-        let col_bits = bits_for(geom.columns);
-        let col_low = col_bits.min(2);
-        let col_high = col_bits - col_low;
-        let mut fields = vec![(Field::Rank, bits_for(geom.ranks_per_channel))];
-        fields.push((Field::Column, col_low));
-        fields.push((Field::BankGroup, bits_for(geom.bank_groups)));
-        fields.push((Field::Bank, bits_for(geom.banks_per_group)));
-        fields.push((Field::Column, col_high));
-        fields.push((Field::Row, bits_for(geom.rows)));
-        fields.push((Field::Channel, bits_for(geom.channels)));
-        MappingScheme {
-            fields,
-            bank_xor: false,
-        }
-        .without_empty()
-    }
-
     /// Conventional CPU-memory mapping: channel bits at the lowest position
     /// (64-byte channel interleave), then bank-group bits (so back-to-back
     /// column bursts alternate bank groups and dodge tCCD_L), low column
@@ -175,11 +155,10 @@ impl MappingScheme {
     /// the activate headroom random gathers need), then the remaining
     /// column bits and row.
     ///
-    /// Node-level striping across TensorDIMMs is [`rank_interleaved`]
-    /// applied at the pool level; this mapping governs locality *within*
-    /// the DIMM after the `block / node_dim` lowering.
-    ///
-    /// [`rank_interleaved`]: MappingScheme::rank_interleaved
+    /// Node-level striping across TensorDIMMs (Fig. 7) happens before this
+    /// mapping: `tensordimm_analysis::lower_block_byte` sends pool block
+    /// `b` to DIMM `b % node_dim` at local block `b / node_dim`, and this
+    /// mapping governs locality *within* the DIMM after that lowering.
     pub fn nmp_local(geom: &Geometry) -> Self {
         let col_bits = bits_for(geom.columns);
         let col_low = col_bits.min(2);
@@ -196,27 +175,6 @@ impl MappingScheme {
         MappingScheme {
             fields,
             bank_xor: true,
-        }
-        .without_empty()
-    }
-
-    /// Ablation mapping: rank selected by the *highest* bits, so an entire
-    /// embedding vector (indeed an entire table shard) resides within a
-    /// single rank and NMP cores serialize instead of cooperating.
-    ///
-    /// Used to demonstrate why Fig. 7's interleaving is load-bearing.
-    pub fn vector_per_rank(geom: &Geometry) -> Self {
-        let fields = vec![
-            (Field::Column, bits_for(geom.columns)),
-            (Field::BankGroup, bits_for(geom.bank_groups)),
-            (Field::Bank, bits_for(geom.banks_per_group)),
-            (Field::Row, bits_for(geom.rows)),
-            (Field::Rank, bits_for(geom.ranks_per_channel)),
-            (Field::Channel, bits_for(geom.channels)),
-        ];
-        MappingScheme {
-            fields,
-            bank_xor: false,
         }
         .without_empty()
     }
@@ -354,9 +312,7 @@ mod tests {
     #[test]
     fn presets_validate() {
         let g = geom();
-        MappingScheme::rank_interleaved(&g).validate(&g).unwrap();
         MappingScheme::channel_interleaved(&g).validate(&g).unwrap();
-        MappingScheme::vector_per_rank(&g).validate(&g).unwrap();
         MappingScheme::nmp_local(&g).validate(&g).unwrap();
     }
 
@@ -372,16 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_interleaved_strides_ranks() {
-        let g = geom();
-        let m = MappingScheme::rank_interleaved(&g);
-        for i in 0..8u64 {
-            let d = m.decode(i * 64, &g).unwrap();
-            assert_eq!(d.rank, (i % 4) as usize, "block {i}");
-        }
-    }
-
-    #[test]
     fn channel_interleaved_strides_channels() {
         let g = geom();
         let m = MappingScheme::channel_interleaved(&g);
@@ -392,20 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn vector_per_rank_keeps_low_addresses_in_rank_zero() {
-        let g = geom();
-        let m = MappingScheme::vector_per_rank(&g);
-        // A full row's worth of consecutive blocks stays in rank 0.
-        for i in 0..128u64 {
-            let d = m.decode(i * 64, &g).unwrap();
-            assert_eq!(d.rank, 0);
-        }
-    }
-
-    #[test]
     fn out_of_range_rejected() {
         let g = geom();
-        let m = MappingScheme::rank_interleaved(&g);
+        let m = MappingScheme::nmp_local(&g);
         let cap = g.capacity_bytes();
         assert!(matches!(
             m.decode(cap, &g),
@@ -418,7 +353,7 @@ mod tests {
     fn mismatched_mapping_detected() {
         let g = geom();
         // Laid out for twice the rows this geometry has.
-        let m = MappingScheme::rank_interleaved(&Geometry {
+        let m = MappingScheme::nmp_local(&Geometry {
             rows: 2 * g.rows,
             ..g
         });
@@ -436,9 +371,8 @@ mod tests {
     fn decode_encode_roundtrip_all_mappings() {
         let g = geom();
         for m in [
-            MappingScheme::rank_interleaved(&g),
             MappingScheme::channel_interleaved(&g),
-            MappingScheme::vector_per_rank(&g),
+            MappingScheme::nmp_local(&g),
         ] {
             for addr in (0..1u64 << 20).step_by(64 * 97) {
                 let d = m.decode(addr, &g).unwrap();

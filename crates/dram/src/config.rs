@@ -176,6 +176,19 @@ impl DramConfig {
         }
     }
 
+    /// Deepen the queues to trace-replay depth (the reorder window a
+    /// Ramulator-style replay enjoys): read and write queues of 256 and
+    /// write-drain watermarks of 192 / 64, keeping everything else. The
+    /// analytic constants (`bench::traffic`) and the cycle pricer both
+    /// replay through this one setting.
+    pub fn with_replay_queues(mut self) -> Self {
+        self.read_queue_depth = 256;
+        self.write_queue_depth = 256;
+        self.write_high_watermark = 192;
+        self.write_low_watermark = 64;
+        self
+    }
+
     /// Replace the scheduler policy, keeping everything else.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;

@@ -487,11 +487,6 @@ impl MemoryController {
         true
     }
 
-    /// Take all completions recorded so far.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Move all completions recorded so far into `out`, reusing its
     /// allocation (and this controller's) across drains.
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
@@ -1006,6 +1001,14 @@ impl MemoryController {
     }
 }
 
+/// Every completion recorded so far, drained into a fresh vector.
+#[cfg(test)]
+fn drained(mc: &mut MemoryController) -> Vec<Completion> {
+    let mut out = Vec::new();
+    mc.drain_completions_into(&mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1038,7 +1041,7 @@ mod tests {
         let dram = decode(&cfg, 0);
         assert!(mc.enqueue(Request::read(0), dram));
         run_until_idle(&mut mc);
-        let done = mc.drain_completions();
+        let done = drained(&mut mc);
         assert_eq!(done.len(), 1);
         let t = &cfg.timing;
         // One idle-bank read: tick align + tRCD + CL + burst.
@@ -1113,7 +1116,7 @@ mod tests {
         let stats = mc.stats();
         assert_eq!(stats.reads, 16);
         assert_eq!(stats.writes, 16);
-        assert_eq!(mc.drain_completions().len(), 32);
+        assert_eq!(drained(&mut mc).len(), 32);
     }
 
     #[test]
@@ -1140,7 +1143,7 @@ mod tests {
             assert!(mc.enqueue(Request::read(addr).with_id(i), dram));
         }
         run_until_idle(&mut mc);
-        let done = mc.drain_completions();
+        let done = drained(&mut mc);
         let ids: Vec<u64> = done.iter().map(|c| c.request.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
@@ -1187,7 +1190,7 @@ mod tests {
             }
             fast.advance_to(target);
             assert_eq!(oracle.stats(), fast.stats());
-            assert_eq!(oracle.drain_completions(), fast.drain_completions());
+            assert_eq!(drained(&mut oracle), drained(&mut fast));
             assert_eq!(oracle.cycle(), fast.cycle());
             assert!(
                 fast.idle_cycles_skipped() > 0,
@@ -1306,7 +1309,7 @@ mod tests {
         }
         assert_eq!(oracle.cycle(), mc.cycle());
         assert_eq!(oracle.stats(), mc.stats());
-        assert_eq!(oracle.drain_completions(), mc.drain_completions());
+        assert_eq!(drained(&mut oracle), drained(&mut mc));
     }
 
     #[test]
@@ -1348,15 +1351,15 @@ mod tests {
         fast.run_until_idle();
         assert_eq!(oracle.cycle(), fast.cycle());
         assert_eq!(oracle.stats(), fast.stats());
-        assert_eq!(oracle.drain_completions(), fast.drain_completions());
+        assert_eq!(drained(&mut oracle), drained(&mut fast));
     }
 
     #[test]
-    fn mapping_ablation_uses_vector_per_rank() {
+    fn mapping_ablation_uses_channel_interleaved() {
         // Sanity that alternative mappings route through the controller too.
         let mut cfg = DramConfig::ddr4_3200_channel();
         cfg.refresh_enabled = false;
-        cfg.mapping = MappingScheme::vector_per_rank(&cfg.geometry);
+        cfg.mapping = MappingScheme::channel_interleaved(&cfg.geometry);
         let mut mc = MemoryController::new(cfg.clone());
         for i in 0..8u64 {
             let addr = i * 64;
@@ -1803,7 +1806,7 @@ mod linear_oracle {
                 tick.tick();
             }
             prop_assert_eq!(mc.stats(), tick.stats());
-            prop_assert_eq!(mc.drain_completions(), tick.drain_completions());
+            prop_assert_eq!(drained(&mut mc), drained(&mut tick));
         }
     }
 

@@ -78,24 +78,6 @@ impl EnergyReport {
     pub fn total_nj(&self) -> f64 {
         self.dynamic_nj + self.background_nj
     }
-
-    /// Energy efficiency in picojoules per bit moved.
-    pub fn pj_per_bit(&self) -> f64 {
-        if self.bytes == 0 {
-            0.0
-        } else {
-            self.total_nj() * 1e3 / (self.bytes as f64 * 8.0)
-        }
-    }
-
-    /// Average power over the interval, watts.
-    pub fn average_watts(&self) -> f64 {
-        if self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.total_nj() * 1e-9 / self.seconds
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,6 +98,11 @@ mod tests {
         mem.stats()
     }
 
+    /// Energy efficiency in picojoules per bit moved.
+    fn pj_per_bit(r: &EnergyReport) -> f64 {
+        r.total_nj() * 1e3 / (r.bytes as f64 * 8.0)
+    }
+
     #[test]
     fn sequential_beats_random_in_pj_per_bit() {
         let model = EnergyModel::ddr4_3200();
@@ -133,10 +120,10 @@ mod tests {
         );
         // Random traffic activates a row per burst: strictly worse energy.
         assert!(
-            rnd.pj_per_bit() > 1.5 * seq.pj_per_bit(),
+            pj_per_bit(&rnd) > 1.5 * pj_per_bit(&seq),
             "random {:.1} vs sequential {:.1} pJ/bit",
-            rnd.pj_per_bit(),
-            seq.pj_per_bit()
+            pj_per_bit(&rnd),
+            pj_per_bit(&seq)
         );
     }
 
@@ -146,11 +133,12 @@ mod tests {
         let r = model.report(&run((0..4096u64).map(|i| i * 64)), 4);
         // DDR4 lands in the 5-40 pJ/bit range depending on locality.
         assert!(
-            (2.0..60.0).contains(&r.pj_per_bit()),
+            (2.0..60.0).contains(&pj_per_bit(&r)),
             "{} pJ/bit",
-            r.pj_per_bit()
+            pj_per_bit(&r)
         );
-        assert!(r.average_watts() > 0.1 && r.average_watts() < 30.0);
+        let watts = r.total_nj() * 1e-9 / r.seconds;
+        assert!(watts > 0.1 && watts < 30.0, "{watts} W");
         assert!(r.total_nj() > 0.0);
     }
 
@@ -162,8 +150,9 @@ mod tests {
             bytes: 0,
             seconds: 0.0,
         };
-        assert_eq!(r.pj_per_bit(), 0.0);
-        assert_eq!(r.average_watts(), 0.0);
+        assert_eq!(r.total_nj(), 0.0);
+        let stats = run(std::iter::empty());
+        assert_eq!(EnergyModel::ddr4_3200().report(&stats, 4), r);
     }
 
     #[test]

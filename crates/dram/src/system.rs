@@ -238,13 +238,6 @@ impl MemorySystem {
             .sum()
     }
 
-    /// Collect completions from every channel (in channel order).
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let mut all = Vec::new();
-        self.drain_completions_into(&mut all);
-        all
-    }
-
     /// Move completions from every channel (in channel order) into `out`,
     /// reusing its allocation across drains.
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
@@ -339,11 +332,9 @@ mod tests {
             mem.push_when_ready(Request::read(i * 4096).with_id(i));
         }
         mem.run_to_completion();
-        let mut ids: Vec<u64> = mem
-            .drain_completions()
-            .iter()
-            .map(|c| c.request.id)
-            .collect();
+        let mut done = Vec::new();
+        mem.drain_completions_into(&mut done);
+        let mut ids: Vec<u64> = done.iter().map(|c| c.request.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..64).collect::<Vec<_>>());
     }
@@ -358,7 +349,7 @@ mod tests {
         let mut cfg = DramConfig::ddr4_3200_channel();
         cfg.refresh_enabled = false;
         cfg.geometry.ranks_per_channel = 1;
-        cfg.mapping = MappingScheme::vector_per_rank(&cfg.geometry);
+        cfg.mapping = MappingScheme::nmp_local(&cfg.geometry);
         let mut seq = MemorySystem::new(cfg.clone()).unwrap();
         for i in 0..2048u64 {
             seq.push_when_ready(Request::read(i * 64));

@@ -30,11 +30,6 @@ impl FootprintReport {
         self.embedding_bytes + self.mlp_bytes
     }
 
-    /// Total model size in GiB.
-    pub fn total_gib(&self) -> f64 {
-        self.total_bytes() as f64 / (1u64 << 30) as f64
-    }
-
     /// Fraction of the model that is embeddings.
     pub fn embedding_fraction(&self) -> f64 {
         if self.total_bytes() == 0 {
@@ -102,7 +97,8 @@ mod tests {
         let r = ncf_footprint(5_000_000, 5_000_000, 512, 8192);
         assert!(r.embedding_fraction() > 0.97, "{}", r.embedding_fraction());
         // 4 tables x 5M x 512 x 4B = 40.96 GB ~ 38.1 GiB.
-        assert!((r.total_gib() - 38.15).abs() < 1.0, "{}", r.total_gib());
+        let gib = r.total_bytes() as f64 / (1u64 << 30) as f64;
+        assert!((gib - 38.15).abs() < 1.0, "{gib}");
     }
 
     #[test]
@@ -122,7 +118,6 @@ mod tests {
             mlp_bytes: 1 << 30,
         };
         assert_eq!(r.total_bytes(), 4 << 30);
-        assert!((r.total_gib() - 4.0).abs() < 1e-9);
         assert!((r.embedding_fraction() - 0.75).abs() < 1e-9);
     }
 }

@@ -84,45 +84,34 @@ pub fn average(input: &[f32], group: usize, dim: usize) -> Result<Vec<f32>, Embe
     Ok(out)
 }
 
-/// Sum-reduce `n` equal-shaped tensors laid out consecutively
-/// (`input.len() == n * each`), the N-way reduction of Fig. 5.
-///
-/// # Errors
-///
-/// Returns [`EmbeddingError::ShapeMismatch`] when the input does not divide
-/// into `n` tensors.
-pub fn reduce_n(input: &[f32], n: usize) -> Result<Vec<f32>, EmbeddingError> {
-    if n == 0 || !input.len().is_multiple_of(n) {
-        return Err(EmbeddingError::ShapeMismatch {
-            left: input.len(),
-            right: n.max(1),
-        });
-    }
-    let each = input.len() / n;
-    let mut out = vec![0.0f32; each];
-    for t in 0..n {
-        for (o, v) in out.iter_mut().zip(&input[t * each..(t + 1) * each]) {
-            *o += v;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn table() -> EmbeddingTable {
-        EmbeddingTable::from_fn("t", 10, 4, |r, c| r as f32 + c as f32 / 10.0)
+        EmbeddingTable::seeded("t", 10, 4, 5)
+    }
+
+    /// The N-way reduction of Fig. 5 as a chain of pairwise REDUCEs over
+    /// `n` consecutive equal-shaped tensors.
+    fn reduce_n(input: &[f32], n: usize) -> Vec<f32> {
+        let each = input.len() / n;
+        input
+            .chunks(each)
+            .skip(1)
+            .fold(input[..each].to_vec(), |acc, t| {
+                reduce(&acc, t, ReduceOp::Add).unwrap()
+            })
     }
 
     #[test]
     fn gather_values() {
-        let g = gather(&table(), &[3, 0, 9]).unwrap();
+        let t = table();
+        let g = gather(&t, &[3, 0, 9]).unwrap();
         assert_eq!(g.len(), 12);
-        assert_eq!(g[0], 3.0);
-        assert_eq!(g[4], 0.0);
-        assert_eq!(&g[8..12], &[9.0, 9.1, 9.2, 9.3]);
+        assert_eq!(&g[0..4], t.row(3).unwrap());
+        assert_eq!(&g[4..8], t.row(0).unwrap());
+        assert_eq!(&g[8..12], t.row(9).unwrap());
     }
 
     #[test]
@@ -160,9 +149,8 @@ mod tests {
     #[test]
     fn reduce_n_sums() {
         let input = [1.0, 2.0, 10.0, 20.0, 100.0, 200.0];
-        assert_eq!(reduce_n(&input, 3).unwrap(), vec![111.0, 222.0]);
-        assert!(reduce_n(&input, 4).is_err());
-        assert!(reduce_n(&input, 0).is_err());
+        assert_eq!(reduce_n(&input, 3), vec![111.0, 222.0]);
+        assert_eq!(reduce_n(&input, 1), input.to_vec());
     }
 
     #[test]
@@ -171,7 +159,7 @@ mod tests {
         let avg = average(&input, 3, 4).unwrap();
         // reduce_n over each group of 3 vectors, scaled by 1/3.
         for (o, chunk) in input.chunks(12).enumerate() {
-            let sum = reduce_n(chunk, 3).unwrap();
+            let sum = reduce_n(chunk, 3);
             for d in 0..4 {
                 assert!((avg[o * 4 + d] - sum[d] / 3.0).abs() < 1e-6);
             }

@@ -53,22 +53,6 @@ impl EmbeddingTable {
         }
     }
 
-    /// A table filled by `f(row, col)` — handy for exact-value tests.
-    pub fn from_fn(name: &str, rows: u64, dim: usize, f: impl Fn(u64, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows as usize * dim);
-        for r in 0..rows {
-            for c in 0..dim {
-                data.push(f(r, c));
-            }
-        }
-        EmbeddingTable {
-            name: name.to_owned(),
-            rows,
-            dim,
-            data,
-        }
-    }
-
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -131,15 +115,15 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_layout_is_row_major() {
-        let t = EmbeddingTable::from_fn("t", 4, 3, |r, c| (r * 10 + c as u64) as f32);
-        assert_eq!(t.row(2).unwrap(), &[20.0, 21.0, 22.0]);
-        assert_eq!(t.data()[3], 10.0);
+    fn seeded_layout_is_row_major() {
+        let t = EmbeddingTable::seeded("t", 4, 3, 1);
+        assert_eq!(t.row(2).unwrap(), &t.data()[6..9]);
+        assert_eq!(t.data().len(), 12);
     }
 
     #[test]
     fn sizes() {
-        let t = EmbeddingTable::from_fn("t", 8, 128, |_, _| 0.0);
+        let t = EmbeddingTable::seeded("t", 8, 128, 0);
         assert_eq!(t.bytes(), 8 * 128 * 4);
         assert_eq!(t.name(), "t");
     }

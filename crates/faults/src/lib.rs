@@ -200,33 +200,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a gray-failure window.
-    pub fn with_gray(mut self, gray: GrayRank) -> Self {
-        self.gray = Some(gray);
-        self
-    }
-
-    /// Add periodic transient row faults.
-    pub fn with_row_faults(mut self, row_faults: RowFaults) -> Self {
-        self.row_faults = Some(row_faults);
-        self
-    }
-
-    /// Add an explicitly scheduled rank outage in the first free slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when all [`FaultPlan::MAX_RANK_OUTAGES`] slots are in use.
-    pub fn with_rank_outage(mut self, outage: RankOutage) -> Self {
-        let slot = self
-            .rank_outages
-            .iter_mut()
-            .find(|s| s.is_none())
-            .expect("all rank-outage slots in use (FaultPlan::MAX_RANK_OUTAGES)");
-        *slot = Some(outage);
-        self
-    }
-
     /// Derive the plan node `node` of a cluster carries: identical knobs,
     /// decorrelated stochastic stream. The seed is mixed with the node id
     /// through a fixed permutation that does not depend on
@@ -670,20 +643,19 @@ mod tests {
 
     #[test]
     fn window_events_expand_to_paired_transitions() {
-        let plan = FaultPlan::none()
-            .with_node_outage(NodeOutage {
-                start_us: 100.0,
-                duration_us: 50.0,
-            })
-            .with_gray(GrayRank {
-                start_us: 300.0,
-                duration_us: 200.0,
-                latency_multiplier: 2.5,
-            })
-            .with_row_faults(RowFaults {
-                every_us: 150.0,
-                rows: 64,
-            });
+        let mut plan = FaultPlan::none().with_node_outage(NodeOutage {
+            start_us: 100.0,
+            duration_us: 50.0,
+        });
+        plan.gray = Some(GrayRank {
+            start_us: 300.0,
+            duration_us: 200.0,
+            latency_multiplier: 2.5,
+        });
+        plan.row_faults = Some(RowFaults {
+            every_us: 150.0,
+            rows: 64,
+        });
         assert!(!plan.is_inert());
         let s = plan.schedule(600.0).expect("valid");
         let t = s.transitions();
@@ -719,30 +691,29 @@ mod tests {
     /// `DimmDown(0)` ahead of `NodeUp` at 150 µs.
     #[test]
     fn same_instant_transitions_keep_anchor_then_emission_order() {
-        let plan = FaultPlan::none()
-            .with_node_outage(NodeOutage {
-                start_us: 100.0,
-                duration_us: 50.0,
-            })
-            .with_gray(GrayRank {
-                start_us: 150.0,
-                duration_us: 50.0,
-                latency_multiplier: 2.0,
-            })
-            .with_row_faults(RowFaults {
-                every_us: 50.0,
-                rows: 8,
-            })
-            .with_rank_outage(RankOutage {
-                rank: 0,
-                start_us: 150.0,
-                duration_us: 50.0,
-            })
-            .with_rank_outage(RankOutage {
-                rank: 1,
-                start_us: 100.0,
-                duration_us: 100.0,
-            });
+        let mut plan = FaultPlan::none().with_node_outage(NodeOutage {
+            start_us: 100.0,
+            duration_us: 50.0,
+        });
+        plan.gray = Some(GrayRank {
+            start_us: 150.0,
+            duration_us: 50.0,
+            latency_multiplier: 2.0,
+        });
+        plan.row_faults = Some(RowFaults {
+            every_us: 50.0,
+            rows: 8,
+        });
+        plan.rank_outages[0] = Some(RankOutage {
+            rank: 0,
+            start_us: 150.0,
+            duration_us: 50.0,
+        });
+        plan.rank_outages[1] = Some(RankOutage {
+            rank: 1,
+            start_us: 100.0,
+            duration_us: 100.0,
+        });
         let s = plan.schedule(200.0).expect("valid");
         let at = |at_us, change| Transition { at_us, change };
         use StateChange::*;
@@ -815,49 +786,38 @@ mod tests {
                 "{parameter}"
             );
         };
-        let base = FaultPlan::none();
-        let w = |rank, start_us, duration_us| RankOutage {
-            rank,
-            start_us,
-            duration_us,
+        // A plan whose outage slots hold `windows`, in order.
+        let with = |windows: &[(u64, f64, f64)]| {
+            let mut plan = FaultPlan::none();
+            for (slot, &(rank, start_us, duration_us)) in windows.iter().enumerate() {
+                plan.rank_outages[slot] = Some(RankOutage {
+                    rank,
+                    start_us,
+                    duration_us,
+                });
+            }
+            plan
         };
         // Zero-length (and negative / non-finite) repair windows.
-        reject(
-            base.with_rank_outage(w(0, 100.0, 0.0)),
-            "rank_outages.duration_us",
-        );
-        reject(
-            base.with_rank_outage(w(0, 100.0, -5.0)),
-            "rank_outages.duration_us",
-        );
-        reject(
-            base.with_rank_outage(w(0, 100.0, f64::NAN)),
-            "rank_outages.duration_us",
-        );
+        reject(with(&[(0, 100.0, 0.0)]), "rank_outages.duration_us");
+        reject(with(&[(0, 100.0, -5.0)]), "rank_outages.duration_us");
+        reject(with(&[(0, 100.0, f64::NAN)]), "rank_outages.duration_us");
         // Bad anchors and out-of-range ranks.
-        reject(
-            base.with_rank_outage(w(0, -1.0, 10.0)),
-            "rank_outages.start_us",
-        );
-        reject(base.with_rank_outage(w(32, 0.0, 10.0)), "rank_outages.rank");
+        reject(with(&[(0, -1.0, 10.0)]), "rank_outages.start_us");
+        reject(with(&[(32, 0.0, 10.0)]), "rank_outages.rank");
         // Overlapping windows on the same rank — including abutting ones,
         // where the second outage starts exactly at the first repair.
         reject(
-            base.with_rank_outage(w(3, 100.0, 50.0))
-                .with_rank_outage(w(3, 120.0, 50.0)),
+            with(&[(3, 100.0, 50.0), (3, 120.0, 50.0)]),
             "rank_outages.overlap",
         );
         reject(
-            base.with_rank_outage(w(3, 100.0, 50.0))
-                .with_rank_outage(w(3, 150.0, 50.0)),
+            with(&[(3, 100.0, 50.0), (3, 150.0, 50.0)]),
             "rank_outages.overlap",
         );
         // Same windows on different ranks are fine; so are disjoint
         // windows on one rank.
-        let ok = base
-            .with_rank_outage(w(3, 100.0, 50.0))
-            .with_rank_outage(w(4, 100.0, 50.0))
-            .with_rank_outage(w(3, 151.0, 50.0));
+        let ok = with(&[(3, 100.0, 50.0), (4, 100.0, 50.0), (3, 151.0, 50.0)]);
         assert!(!ok.is_inert());
         let s = ok.schedule(1000.0).expect("valid");
         assert_eq!(s.transitions().len(), 6, "three down/restored pairs");
@@ -873,7 +833,7 @@ mod tests {
         let mut plan = FaultPlan::dimm_faults(11, 1.0);
         plan.dimms = 4;
         for rank in 0..4 {
-            plan = plan.with_rank_outage(RankOutage {
+            plan.rank_outages[rank as usize] = Some(RankOutage {
                 rank,
                 start_us: 1_000.0,
                 duration_us: 150_000.0,
@@ -1000,18 +960,24 @@ mod tests {
             "node_outage.start_us",
         );
         reject(
-            base.with_gray(GrayRank {
-                start_us: 0.0,
-                duration_us: 10.0,
-                latency_multiplier: 0.5,
-            }),
+            FaultPlan {
+                gray: Some(GrayRank {
+                    start_us: 0.0,
+                    duration_us: 10.0,
+                    latency_multiplier: 0.5,
+                }),
+                ..base
+            },
             "gray.latency_multiplier",
         );
         reject(
-            base.with_row_faults(RowFaults {
-                every_us: 0.0,
-                rows: 1,
-            }),
+            FaultPlan {
+                row_faults: Some(RowFaults {
+                    every_us: 0.0,
+                    rows: 1,
+                }),
+                ..base
+            },
             "row_faults.every_us",
         );
         assert_eq!(

@@ -19,10 +19,10 @@
 //!   message from the node core to its link controller. The multi-hop
 //!   transit happens asynchronously inside the fabric; coupling sender
 //!   stalls to end-to-end transit time would serialize the whole node.
-//! * **Termination waits on in-flight messages.** [`Fabric::is_idle`] is
-//!   false while any message is anywhere between handoff and final
-//!   delivery, and [`Fabric::run_until_idle`] drains them all; cutting a
-//!   run at "no new injections" would silently drop messages mid-route.
+//! * **Termination waits on in-flight messages.** [`Fabric::in_flight`]
+//!   counts every message anywhere between handoff and final delivery,
+//!   and [`Fabric::run_until_idle`] drains them all; cutting a run at "no
+//!   new injections" would silently drop messages mid-route.
 
 use std::collections::BTreeMap;
 
@@ -54,13 +54,6 @@ pub struct Delivery {
     pub injected_us: f64,
     /// Virtual time it arrived at the destination's link controller, µs.
     pub delivered_us: f64,
-}
-
-impl Delivery {
-    /// End-to-end fabric latency, µs (handoff + all hops).
-    pub fn transit_us(&self) -> f64 {
-        self.delivered_us - self.injected_us
-    }
 }
 
 /// Where a message currently is, and how much of that phase is left.
@@ -181,8 +174,11 @@ impl Resources {
 /// fabric.inject(0, 2, 64 << 20)?;
 /// fabric.inject(3, 4, 64 << 20)?;
 /// let deliveries = fabric.run_until_idle();
-/// assert!(fabric.is_idle());
-/// let t = |id: u64| deliveries.iter().find(|d| d.id == id).unwrap().transit_us();
+/// assert_eq!(fabric.in_flight(), 0);
+/// let t = |id: u64| {
+///     let d = deliveries.iter().find(|d| d.id == id).unwrap();
+///     d.delivered_us - d.injected_us
+/// };
 /// assert!(t(0) > 1.8 * t(2) && t(0) < 2.2 * t(2));
 /// # Ok::<(), tensordimm_interconnect::InterconnectError>(())
 /// ```
@@ -249,16 +245,11 @@ impl Fabric {
         self.now_us
     }
 
-    /// Messages anywhere between handoff and delivery.
+    /// Messages anywhere between handoff and delivery. Termination must
+    /// wait for zero — a fabric with pending messages has undelivered work
+    /// even if nothing new will be injected.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// True when no message is in flight. Termination must wait for this —
-    /// a fabric with pending messages has undelivered work even if nothing
-    /// new will be injected.
-    pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty()
     }
 
     /// Traffic counters so far.
@@ -474,6 +465,11 @@ mod tests {
         Fabric::new(kind.build(nodes, nv()).expect("valid"))
     }
 
+    /// End-to-end fabric latency of a delivery, µs (handoff + all hops).
+    fn transit_us(d: &Delivery) -> f64 {
+        d.delivered_us - d.injected_us
+    }
+
     #[test]
     fn single_message_matches_link_model_on_one_hop() {
         let mut f = fabric(TopologyKind::FullyConnected, 4);
@@ -483,11 +479,11 @@ mod tests {
         let expected = receipt.handoff_us + nv().transfer_time_us(bytes);
         let d = f.run_until_idle();
         assert_eq!(d.len(), 1);
-        let err = (d[0].transit_us() - expected).abs() / expected;
+        let err = (transit_us(&d[0]) - expected).abs() / expected;
         assert!(
             err < 1e-12,
             "transit {} vs {expected} ({err:e})",
-            d[0].transit_us()
+            transit_us(&d[0])
         );
     }
 
@@ -500,12 +496,7 @@ mod tests {
         let far = f.inject(2, 5, 1 << 20).expect("in range");
         assert_eq!(near.handoff_us, far.handoff_us);
         let d = f.run_until_idle();
-        let t = |id: u64| {
-            d.iter()
-                .find(|x| x.id == id)
-                .expect("delivered")
-                .transit_us()
-        };
+        let t = |id: u64| transit_us(d.iter().find(|x| x.id == id).expect("delivered"));
         assert!(
             t(far.id) > 2.0 * t(near.id),
             "multi-hop transit {} should dwarf single-hop {}",
@@ -517,18 +508,18 @@ mod tests {
     #[test]
     fn termination_waits_on_in_flight_messages() {
         let mut f = fabric(TopologyKind::Ring, 4);
-        assert!(f.is_idle());
+        assert_eq!(f.in_flight(), 0);
         f.inject(0, 2, 64 << 20).expect("in range");
-        assert!(!f.is_idle(), "an injected message is in-flight work");
+        assert_eq!(f.in_flight(), 1, "an injected message is in-flight work");
         // A few microseconds in, the message is still mid-route.
         for k in 1..=3 {
             f.advance_to(k as f64).expect("forward in time");
         }
-        assert!(!f.is_idle());
+        assert_eq!(f.in_flight(), 1);
         assert_eq!(f.stats().delivered, 0);
         let d = f.run_until_idle();
         assert_eq!(d.len(), 1);
-        assert!(f.is_idle());
+        assert_eq!(f.in_flight(), 0);
         assert_eq!(f.stats().delivered, 1);
     }
 
@@ -563,12 +554,7 @@ mod tests {
         f.inject(0, 2, 32 << 20).expect("in range");
         let solo = nv().transfer_time_us(32 << 20);
         let d = f.run_until_idle();
-        let t = |id: u64| {
-            d.iter()
-                .find(|x| x.id == id)
-                .expect("delivered")
-                .transit_us()
-        };
+        let t = |id: u64| transit_us(d.iter().find(|x| x.id == id).expect("delivered"));
         assert!(
             t(a.id) > 1.8 * solo && t(a.id) < 2.2 * solo,
             "shared-wire transit {} vs solo {solo}",
@@ -592,7 +578,7 @@ mod tests {
         let d = f.run_until_idle();
         assert_eq!(d.len(), 1);
         assert_eq!(
-            d[0].transit_us(),
+            transit_us(&d[0]),
             r.handoff_us,
             "self-delivery transit is exactly the handoff"
         );

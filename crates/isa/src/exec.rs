@@ -187,45 +187,6 @@ pub fn execute_on_node(
     Ok(total)
 }
 
-/// Execute a whole program (instruction sequence) as one DIMM, stopping at
-/// the first failure.
-///
-/// # Errors
-///
-/// The same conditions as [`execute_on_dimm`], wrapped in
-/// [`IsaError::AtInstruction`] carrying the failing instruction's index —
-/// the same site the static analyzer's first diagnostic names.
-pub fn execute_program_on_dimm(
-    instrs: &[Instruction],
-    mem: &mut VecMemory,
-    ctx: DimmContext,
-) -> Result<ExecSummary, IsaError> {
-    let mut total = ExecSummary::default();
-    for (index, instr) in instrs.iter().enumerate() {
-        let s = execute_on_dimm(instr, mem, ctx).map_err(|e| e.at(index))?;
-        total.merge(&s);
-    }
-    Ok(total)
-}
-
-/// Execute a whole program completely: every instruction, every DIMM slice.
-///
-/// # Errors
-///
-/// Same conditions as [`execute_program_on_dimm`].
-pub fn execute_program_on_node(
-    instrs: &[Instruction],
-    mem: &mut VecMemory,
-    node_dim: u64,
-) -> Result<ExecSummary, IsaError> {
-    let mut total = ExecSummary::default();
-    for (index, instr) in instrs.iter().enumerate() {
-        let s = execute_on_node(instr, mem, node_dim).map_err(|e| e.at(index))?;
-        total.merge(&s);
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,45 +355,6 @@ mod tests {
         };
         assert!(execute_on_dimm(&r, &mut mem, DimmContext::new(4, 4)).is_err());
         assert!(execute_on_dimm(&r, &mut mem, DimmContext::new(0, 0)).is_err());
-    }
-
-    #[test]
-    fn program_errors_carry_instruction_index() {
-        let mut mem = VecMemory::new(1 << 12);
-        write_indices(&mut mem, 1024, &[3, 1]);
-        let ok = Instruction::Gather {
-            table_base: 0,
-            idx_base: 1024,
-            output_base: 2048,
-            count: 2,
-            vec_blocks: VB,
-        };
-        let bad = Instruction::Reduce {
-            input1: 0,
-            input2: VB,
-            output_base: 1 << 20, // past capacity via count misalignment
-            count: 3,             // not a multiple of node_dim = 4
-            op: ReduceOp::Add,
-        };
-        let program = [ok, bad, ok];
-        let err = execute_program_on_dimm(&program, &mut mem, DimmContext::new(4, 0)).unwrap_err();
-        assert_eq!(err.instruction_index(), Some(1));
-        assert!(matches!(
-            err.root_cause(),
-            IsaError::Misaligned { what: "count", .. }
-        ));
-        // Double-wrapping keeps the innermost index.
-        assert_eq!(err.clone().at(7).instruction_index(), Some(1));
-
-        // A clean program merges every step's summary.
-        let program = [ok, ok];
-        let s = execute_program_on_dimm(&program, &mut mem, DimmContext::new(4, 0)).unwrap();
-        let one = execute_on_dimm(&ok, &mut mem, DimmContext::new(4, 0)).unwrap();
-        assert_eq!(s.blocks_written, 2 * one.blocks_written);
-        assert!(
-            execute_program_on_node(&program, &mut mem, 4).is_ok(),
-            "node-level program execution"
-        );
     }
 
     #[test]

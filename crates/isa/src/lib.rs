@@ -39,10 +39,7 @@
 //!     }
 //! }
 //! // Index list [5, 2] at block 1024; output at block 2048.
-//! let mut idx = [0u32; 16];
-//! idx[0] = 5;
-//! idx[1] = 2;
-//! mem.write_u32(1024, idx);
+//! mem.write_u32_slice(1024, &[5, 2]);
 //! let gather = Instruction::Gather {
 //!     table_base: 0,
 //!     idx_base: 1024,
@@ -64,10 +61,7 @@ pub mod plan;
 pub mod vector;
 
 pub use encode::{decode, decode_bytes, encode, EncodedInstruction};
-pub use exec::{
-    execute_on_dimm, execute_on_node, execute_program_on_dimm, execute_program_on_node,
-    DimmContext, ExecSummary,
-};
+pub use exec::{execute_on_dimm, execute_on_node, DimmContext, ExecSummary};
 pub use instruction::{Instruction, OpCode, ReduceOp};
 pub use memory::VecMemory;
 pub use plan::{AccessKind, AccessPlan, BlockAccess, GatherRow};
@@ -128,46 +122,6 @@ pub enum IsaError {
         /// Memory capacity in blocks.
         blocks: u64,
     },
-    /// An error raised while executing instruction `index` of a program —
-    /// program-level executors wrap per-instruction errors so runtime
-    /// failures and static diagnostics point at the same site.
-    AtInstruction {
-        /// Zero-based index of the failing instruction.
-        index: usize,
-        /// The underlying error.
-        source: Box<IsaError>,
-    },
-}
-
-impl IsaError {
-    /// Wrap this error with the program position it occurred at. Already
-    /// wrapped errors keep their original (innermost-program) index.
-    #[must_use]
-    pub fn at(self, index: usize) -> IsaError {
-        match self {
-            IsaError::AtInstruction { .. } => self,
-            other => IsaError::AtInstruction {
-                index,
-                source: Box::new(other),
-            },
-        }
-    }
-
-    /// The failing instruction's program index, if this error carries one.
-    pub fn instruction_index(&self) -> Option<usize> {
-        match self {
-            IsaError::AtInstruction { index, .. } => Some(*index),
-            _ => None,
-        }
-    }
-
-    /// The underlying error with any program-position wrapper removed.
-    pub fn root_cause(&self) -> &IsaError {
-        match self {
-            IsaError::AtInstruction { source, .. } => source.root_cause(),
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for IsaError {
@@ -207,21 +161,11 @@ impl fmt::Display for IsaError {
                 f,
                 "gathered index {index} maps to block {block} beyond capacity {blocks}"
             ),
-            IsaError::AtInstruction { index, source } => {
-                write!(f, "instruction {index}: {source}")
-            }
         }
     }
 }
 
-impl Error for IsaError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            IsaError::AtInstruction { source, .. } => Some(source.as_ref()),
-            _ => None,
-        }
-    }
-}
+impl Error for IsaError {}
 
 #[cfg(test)]
 mod tests {
@@ -251,24 +195,9 @@ mod tests {
                 block: 100,
                 blocks: 50,
             },
-            IsaError::ZeroField { field: "count" }.at(3),
         ] {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn at_instruction_wrapping() {
-        let e = IsaError::ZeroField { field: "count" }.at(2);
-        assert_eq!(e.instruction_index(), Some(2));
-        assert_eq!(e.root_cause(), &IsaError::ZeroField { field: "count" });
-        assert!(Error::source(&e).is_some());
-        assert_eq!(e.to_string(), "instruction 2: field count must be nonzero");
-        // Plain errors carry no index and are their own root cause.
-        let plain = IsaError::UnknownOpcode(9);
-        assert_eq!(plain.instruction_index(), None);
-        assert_eq!(plain.root_cause(), &plain);
-        assert!(Error::source(&plain).is_none());
     }
 
     #[test]

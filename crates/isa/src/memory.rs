@@ -80,12 +80,6 @@ impl VecMemory {
         out
     }
 
-    /// Write block `block` from sixteen u32 words (index-list view).
-    pub fn write_u32(&mut self, block: u64, words: [u32; LANES]) {
-        let start = block as usize * LANES;
-        self.words[start..start + LANES].copy_from_slice(&words);
-    }
-
     /// Read a vector register.
     pub fn read_vec(&self, block: u64) -> Vec16 {
         Vec16::from(self.read_f32(block))
@@ -143,7 +137,7 @@ mod tests {
     #[test]
     fn u32_view_shares_bits() {
         let mut m = VecMemory::new(1);
-        m.write_u32(0, [42; LANES]);
+        m.write_u32_slice(0, &[42; LANES]);
         assert_eq!(m.read_u32(0), [42; LANES]);
         // The f32 view sees the same bits.
         assert_eq!(m.read_f32(0)[0].to_bits(), 42);

@@ -201,7 +201,7 @@ mod tests {
     fn mlp_input_matches_pooled_width() {
         for w in Workload::all() {
             assert_eq!(w.mlp.input_dim(), w.tables * w.embedding_dim, "{}", w.name);
-            assert_eq!(w.mlp.output_dim(), 1, "{}", w.name);
+            assert_eq!(w.mlp.widths().last(), Some(&1), "{}", w.name);
         }
     }
 

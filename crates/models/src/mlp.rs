@@ -34,22 +34,9 @@ impl MlpSpec {
         self.widths[0]
     }
 
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        *self.widths.last().expect("validated: at least two widths")
-    }
-
     /// Number of weight layers.
     pub fn layers(&self) -> usize {
         self.widths.len() - 1
-    }
-
-    /// Parameter count (weights + biases).
-    pub fn params(&self) -> u64 {
-        self.widths
-            .windows(2)
-            .map(|w| (w[0] * w[1] + w[1]) as u64)
-            .sum()
     }
 
     /// FLOPs for one forward pass at `batch` (2 per MAC).
@@ -186,9 +173,7 @@ mod tests {
         let s = MlpSpec::new(vec![4, 3, 2]).unwrap();
         assert_eq!(s.layers(), 2);
         assert_eq!(s.input_dim(), 4);
-        assert_eq!(s.output_dim(), 2);
-        // (4*3+3) + (3*2+2) = 23.
-        assert_eq!(s.params(), 23);
+        assert_eq!(s.widths(), [4, 3, 2]);
         // 2 * (12 + 6) per sample.
         assert_eq!(s.flops(1), 36);
         assert_eq!(s.flops(10), 360);

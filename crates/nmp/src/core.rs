@@ -878,12 +878,11 @@ mod event_engine_pins {
         ];
         for (scheduler, row_policy, expect, banks_examined, decisions, evaluations) in cases {
             let mut cfg = NmpConfig::paper();
-            cfg.dram.read_queue_depth = 256;
-            cfg.dram.write_queue_depth = 256;
-            cfg.dram.write_high_watermark = 192;
-            cfg.dram.write_low_watermark = 64;
-            cfg.dram.scheduler = scheduler;
-            cfg.dram.row_policy = row_policy;
+            cfg.dram = cfg
+                .dram
+                .with_replay_queues()
+                .with_scheduler(scheduler)
+                .with_row_policy(row_policy);
             let mut core = NmpCore::new(cfg).unwrap();
             let s = core
                 .run_instruction(&gather, DimmContext::new(dimms, 0), Some(&indices))

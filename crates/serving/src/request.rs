@@ -85,11 +85,6 @@ impl RequestRecord {
     pub fn latency_us(&self) -> Option<f64> {
         self.completion.map(|c| c.finish_us - self.arrival_us)
     }
-
-    /// Time spent waiting in the batcher's queue, µs.
-    pub fn queue_wait_us(&self) -> Option<f64> {
-        self.completion.map(|c| c.dispatch_us - self.arrival_us)
-    }
 }
 
 /// How many lookups to sample when estimating a trace's row locality.
@@ -234,7 +229,6 @@ mod tests {
             ..RequestRecord::pending(10.0)
         };
         assert_eq!(r.latency_us(), Some(90.0));
-        assert_eq!(r.queue_wait_us(), Some(15.0));
         let unfinished = RequestRecord::pending(10.0);
         assert_eq!(unfinished.latency_us(), None);
         assert_eq!(unfinished.outcome, None);

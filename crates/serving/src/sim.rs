@@ -1455,11 +1455,14 @@ mod tests {
         let arrivals = poisson(100_000.0, 300, 19);
         let base = SimConfig::new(DesignPoint::Tdimm, 4, BatchPolicy::new(16, 200.0));
         let healthy = simulate(&m, &w, &base, &arrivals).expect("valid");
-        let gray = base.with_faults(FaultPlan::none().with_gray(GrayRank {
-            start_us: 0.0,
-            duration_us: 1e9,
-            latency_multiplier: 3.0,
-        }));
+        let gray = base.with_faults(FaultPlan {
+            gray: Some(GrayRank {
+                start_us: 0.0,
+                duration_us: 1e9,
+                latency_multiplier: 3.0,
+            }),
+            ..FaultPlan::none()
+        });
         let g = simulate(&m, &w, &gray, &arrivals).expect("valid");
         assert!(
             g.latency.mean_us > healthy.latency.mean_us,
@@ -1484,10 +1487,13 @@ mod tests {
             "fault-enabled runs replay bit-identically"
         );
         // Transient row faults charge re-read traffic without losing work.
-        let rowy = base.with_faults(FaultPlan::none().with_row_faults(RowFaults {
-            every_us: 100.0,
-            rows: 512,
-        }));
+        let rowy = base.with_faults(FaultPlan {
+            row_faults: Some(RowFaults {
+                every_us: 100.0,
+                rows: 512,
+            }),
+            ..FaultPlan::none()
+        });
         let rf = simulate(&m, &w, &rowy, &arrivals).expect("valid");
         assert!(rf.is_conserved());
         assert_eq!(rf.completed, 300);
@@ -1911,14 +1917,14 @@ mod tests {
                     });
                 }
                 if let Some((start, len)) = gray {
-                    plan = plan.with_gray(GrayRank {
+                    plan.gray = Some(GrayRank {
                         start_us: grid(start),
                         duration_us: grid(len),
                         latency_multiplier: 2.0,
                     });
                 }
                 if let Some(every) = rows {
-                    plan = plan.with_row_faults(RowFaults {
+                    plan.row_faults = Some(RowFaults {
                         every_us: grid(every),
                         rows: 16,
                     });

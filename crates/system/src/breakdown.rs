@@ -18,18 +18,6 @@ impl PhaseBreakdown {
     pub fn total_us(&self) -> f64 {
         self.lookup_us + self.transfer_us + self.dnn_us + self.other_us
     }
-
-    /// The four phases as labeled fractions of the total (the stacked-bar
-    /// form of Fig. 13).
-    pub fn fractions(&self) -> [(&'static str, f64); 4] {
-        let t = self.total_us().max(f64::MIN_POSITIVE);
-        [
-            ("Embedding lookup", self.lookup_us / t),
-            ("cudaMemcpy", self.transfer_us / t),
-            ("Computation", self.dnn_us / t),
-            ("Else", self.other_us / t),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -45,18 +33,12 @@ mod tests {
             other_us: 10.0,
         };
         assert!((b.total_us() - 100.0).abs() < 1e-12);
-        let f = b.fractions();
-        assert_eq!(f[0].0, "Embedding lookup");
-        assert!((f[2].1 - 0.6).abs() < 1e-12);
-        let sum: f64 = f.iter().map(|(_, v)| v).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
+        assert!((b.dnn_us / b.total_us() - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn empty_breakdown_is_safe() {
         let b = PhaseBreakdown::default();
         assert_eq!(b.total_us(), 0.0);
-        let f = b.fractions();
-        assert!(f.iter().all(|(_, v)| v.is_finite()));
     }
 }

@@ -413,17 +413,14 @@ pub struct CyclePricerConfig {
 
 impl CyclePricerConfig {
     /// The calibration setup of `EXPERIMENTS.md`: the paper's NMP core
-    /// with trace-replay DRAM queue depths (the reorder window a
-    /// Ramulator-style replay enjoys — the same deepening
-    /// `bench::traffic` applies when measuring the analytic constants),
-    /// 32 DIMMs, 2 000-lookup replay cap (matching the analytic model's
-    /// `gather_sim_lookups`).
+    /// with trace-replay DRAM queue depths
+    /// ([`tensordimm_dram::DramConfig::with_replay_queues`], the same
+    /// deepening `bench::traffic` applies when measuring the analytic
+    /// constants), 32 DIMMs, 2 000-lookup replay cap (matching the analytic
+    /// model's `gather_sim_lookups`).
     pub fn paper_defaults() -> Self {
         let mut nmp = NmpConfig::paper();
-        nmp.dram.read_queue_depth = 256;
-        nmp.dram.write_queue_depth = 256;
-        nmp.dram.write_high_watermark = 192;
-        nmp.dram.write_low_watermark = 64;
+        nmp.dram = nmp.dram.with_replay_queues();
         CyclePricerConfig {
             nmp,
             dimms: 32,

@@ -28,7 +28,8 @@ fn both_paths(cfg: &DramConfig, trace: &Trace) -> [(MemoryStats, Vec<Completion>
             runner.run_ticked(trace).expect("in range")
         };
         let memory = runner.memory_mut();
-        let completions = memory.drain_completions();
+        let mut completions = Vec::new();
+        memory.drain_completions_into(&mut completions);
         out.push((
             stats,
             completions,

@@ -29,9 +29,7 @@ proptest! {
         let addr = ((geom.capacity_bytes() as f64 * frac) as u64) & !63;
         let addr = addr.min(geom.capacity_bytes() - 64);
         for mapping in [
-            MappingScheme::rank_interleaved(&geom),
             MappingScheme::channel_interleaved(&geom),
-            MappingScheme::vector_per_rank(&geom),
             MappingScheme::nmp_local(&geom),
         ] {
             mapping.validate(&geom).expect("preset fits geometry");
@@ -74,7 +72,8 @@ proptest! {
         prop_assert_eq!(stats.totals.reads, reads as u64);
         prop_assert_eq!(stats.totals.writes, writes as u64);
         prop_assert!(stats.utilization() <= 1.0 + 1e-9, "util {}", stats.utilization());
-        let done = runner.memory_mut().drain_completions();
+        let mut done = Vec::new();
+        runner.memory_mut().drain_completions_into(&mut done);
         prop_assert_eq!(done.len(), reads + writes);
     }
 
@@ -88,7 +87,8 @@ proptest! {
         let mut mem = MemorySystem::new(cfg).expect("valid");
         mem.push(Request::read(addr_block * 64)).expect("in range").then_some(()).expect("queue empty");
         mem.run_to_completion();
-        let done = mem.drain_completions();
+        let mut done = Vec::new();
+        mem.drain_completions_into(&mut done);
         prop_assert_eq!(done.len(), 1);
         prop_assert!(done[0].latency() >= t.trcd + t.cl + t.burst_cycles());
     }

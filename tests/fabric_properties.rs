@@ -308,7 +308,7 @@ proptest! {
         }
         prop_assert_eq!(fabric.stats().injected, messages.len() as u64);
         prop_assert_eq!(fabric.stats().delivered, messages.len() as u64);
-        prop_assert!(fabric.is_idle());
+        prop_assert_eq!(fabric.in_flight(), 0);
     }
 
     /// Termination waits on in-flight messages: while anything is
@@ -331,10 +331,9 @@ proptest! {
         }
         // Invariant mid-run: delivered + in-flight accounts for everything.
         prop_assert_eq!(early + fabric.in_flight(), messages.len());
-        prop_assert_eq!(fabric.is_idle(), fabric.in_flight() == 0);
         let late = fabric.run_until_idle().len();
         prop_assert_eq!(early + late, messages.len());
-        prop_assert!(fabric.is_idle());
+        prop_assert_eq!(fabric.in_flight(), 0);
     }
 
     /// Determinism: identical injections replay to bit-identical delivery

@@ -309,51 +309,32 @@ fn rank_outage_validation_and_injection_pins() {
             "{parameter}"
         );
     };
+    // A plan whose outage slots hold `windows`, in order.
+    let with = |windows: &[(u64, f64, f64)]| {
+        let mut plan = FaultPlan::none();
+        for (slot, &(rank, start_us, duration_us)) in windows.iter().enumerate() {
+            plan.rank_outages[slot] = Some(RankOutage {
+                rank,
+                start_us,
+                duration_us,
+            });
+        }
+        plan
+    };
     // Zero-length (and negative) repair windows are meaningless.
-    reject(
-        FaultPlan::none().with_rank_outage(RankOutage {
-            rank: 0,
-            start_us: 100.0,
-            duration_us: 0.0,
-        }),
-        "rank_outages.duration_us",
-    );
+    reject(with(&[(0, 100.0, 0.0)]), "rank_outages.duration_us");
     // Overlapping windows on one rank would double-count the rank as a
     // bitmask; two Downs with one Restored is not a schedule.
-    let overlapping = FaultPlan::none()
-        .with_rank_outage(RankOutage {
-            rank: 1,
-            start_us: 100.0,
-            duration_us: 500.0,
-        })
-        .with_rank_outage(RankOutage {
-            rank: 1,
-            start_us: 300.0,
-            duration_us: 100.0,
-        });
+    let overlapping = with(&[(1, 100.0, 500.0), (1, 300.0, 100.0)]);
     reject(overlapping, "rank_outages.overlap");
     // The same two windows on different ranks are fine.
-    let disjoint_ranks = FaultPlan::none()
-        .with_rank_outage(RankOutage {
-            rank: 1,
-            start_us: 100.0,
-            duration_us: 500.0,
-        })
-        .with_rank_outage(RankOutage {
-            rank: 2,
-            start_us: 300.0,
-            duration_us: 100.0,
-        });
+    let disjoint_ranks = with(&[(1, 100.0, 500.0), (2, 300.0, 100.0)]);
     assert_eq!(disjoint_ranks.validate(), Ok(()));
 
     // Injection: a mid-trace rank outage on a 2-DIMM node halves gather
     // bandwidth inside the window, so the run is strictly slower than the
     // healthy one and bit-identical on replay.
-    let mut plan = FaultPlan::none().with_rank_outage(RankOutage {
-        rank: 0,
-        start_us: 200.0,
-        duration_us: 1_500.0,
-    });
+    let mut plan = with(&[(0, 200.0, 1_500.0)]);
     plan.dimms = 2;
     let model = SystemModel::paper_defaults();
     let w = Workload::by_name(WorkloadName::Facebook);

@@ -18,8 +18,8 @@ fn check_workflow(dimms: u64, dim: usize, rows: u64, batch: usize, group: u64) {
     let golden_table = EmbeddingTable::seeded("t", rows, dim, dimms ^ dim as u64);
     let mut n = node(dimms);
     let handle = n.create_table("t", rows, dim).expect("fits pool");
-    n.load_table(&handle, golden_table.data())
-        .expect("shape matches");
+    n.fill_table(&handle, |r, c| golden_table.row(r).expect("in range")[c])
+        .expect("valid handle");
 
     let mut stream = IndexStream::new(Distribution::Zipfian { s: 0.8 }, rows, 7);
     let indices = stream.batch(batch);
@@ -120,7 +120,8 @@ fn embedding_layer_matches_golden_pipeline() {
         let h = n
             .create_table(&format!("t{t}"), rows, dim)
             .expect("fits pool");
-        n.load_table(&h, g.data()).expect("shape matches");
+        n.fill_table(&h, |r, c| g.row(r).expect("in range")[c])
+            .expect("valid handle");
         handles.push(h);
     }
     let mut stream = IndexStream::new(Distribution::Uniform, rows, 5);

@@ -450,20 +450,19 @@ fn event_order_digests_are_pinned() {
 
     // Fault transitions on the grid: a node outage, a gray window that
     // doubles service times, and row faults every 250 µs.
-    let faults = FaultPlan::none()
-        .with_node_outage(NodeOutage {
-            start_us: 10_000.0,
-            duration_us: 2_500.0,
-        })
-        .with_gray(GrayRank {
-            start_us: 20_000.0,
-            duration_us: 5_000.0,
-            latency_multiplier: 2.0,
-        })
-        .with_row_faults(RowFaults {
-            every_us: 250.0,
-            rows: 64,
-        });
+    let mut faults = FaultPlan::none().with_node_outage(NodeOutage {
+        start_us: 10_000.0,
+        duration_us: 2_500.0,
+    });
+    faults.gray = Some(GrayRank {
+        start_us: 20_000.0,
+        duration_us: 5_000.0,
+        latency_multiplier: 2.0,
+    });
+    faults.row_faults = Some(RowFaults {
+        every_us: 250.0,
+        rows: 64,
+    });
     let faulted = run(&grid_config().with_faults(faults));
 
     // A horizon on the grid cuts the faulted run mid-flight.

@@ -117,7 +117,7 @@ fn run_program(
                 if blk < blocks {
                     let mut lanes = [0u32; 16];
                     lanes[..chunk.len()].copy_from_slice(chunk);
-                    mem.write_u32(blk, lanes);
+                    mem.write_u32_slice(blk, &lanes);
                 }
             }
         }

@@ -84,7 +84,6 @@ fn functional_and_replay_modes_agree_on_values() {
         node.read_tensor(&a).expect("readable")
     };
     assert_eq!(run(TimingMode::Functional), run(TimingMode::Replay));
-    assert_eq!(run(TimingMode::Functional), run(TimingMode::Pipeline));
 }
 
 #[test]
